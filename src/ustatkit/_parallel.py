@@ -1,5 +1,8 @@
-"""Deterministic fan-out over replication indices.
+"""Deterministic fan-out over work items.
 
+The harness maps over blocks of replications whose bounds depend only on
+the horizon N and the kernel arity m, never on the thread count; each
+block is a few large numpy calls that release the interpreter lock.
 Results come back in index order no matter how many workers run, so any
 reduction applied afterwards sees a fixed operand order and experiment
 output is independent of the thread count.

@@ -7,7 +7,10 @@ Three subcommands share a JSON config convention:
   ustat experiment run --config c.json --out d/   full experiment with outputs
 
 Exit codes are CI-oriented: 0 success/pass, 1 experiment criteria failed,
-2 usage or config error (the message names the offending field).  The
+2 usage or config error (the message names the offending field; a complete
+statistic past the summand cap counts, since a `design` fixes it), and 3 an
+internal error (any other exception, reported with its traceback).  Only
+parsing and validation produce exit 2.  The
 experiment command writes manifest.json first, then report.json and the grid
 CSVs; report.json carries no timestamps, so identical (config, seed) runs
 produce byte-identical reports regardless of --threads.
@@ -22,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,7 +36,7 @@ from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
 from .kernels import Distribution, kernel_from_config, stream
 from .spaces import BanachSpaceDescriptor
-from .ustat import complete_ustat
+from .ustat import EvaluationBudgetError, complete_ustat
 from ._parallel import resolve_threads
 
 __all__ = ["main"]
@@ -178,6 +182,13 @@ def _parse_space(raw: dict) -> BanachSpaceDescriptor | None:
         raise ConfigError(f"space: {exc}") from exc
 
 
+def _int_field(raw: dict, key: str, default=None) -> int:
+    try:
+        return int(raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _effective_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
@@ -213,10 +224,7 @@ def _load_sample(raw: dict, seed: int) -> np.ndarray:
         if "n" not in raw:
             raise ConfigError("n: required when sampling from a distribution")
         dist = _parse_distribution(raw)
-        try:
-            n = int(raw["n"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"n: {exc}") from exc
+        n = _int_field(raw, "n")
         if n < 0:
             raise ConfigError(f"n: must be nonnegative, got {n}")
         return dist.sample(stream(seed, "compute-sample"), n)
@@ -248,6 +256,8 @@ def cmd_compute(args) -> int:
             result = incomplete_ustat(kernel, sample, weights)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except EvaluationBudgetError as exc:
+        raise ConfigError(f'design: {exc} (add a "design" to the config)') from exc
 
     payload = {
         "value": result.value,
@@ -273,8 +283,8 @@ def cmd_decompose(args) -> int:
     space = _parse_space(raw)
     seed = _effective_seed(args, raw)
     resolve_threads(args.threads)
-    inner = int(raw.get("inner", 1024))
-    outer = int(raw.get("outer", 256))
+    inner = _int_field(raw, "inner", 1024)
+    outer = _int_field(raw, "outer", 256)
 
     try:
         report = check_degeneracy(kernel, dist, inner=inner, outer=outer,
@@ -284,10 +294,7 @@ def cmd_decompose(args) -> int:
     payload = report.to_dict()
 
     if raw.get("level") is not None:
-        try:
-            level = int(raw["level"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"level: {exc}") from exc
+        level = _int_field(raw, "level")
         if not kernel.symmetric:
             raise ConfigError("level: level projections need a symmetric kernel")
         try:
@@ -401,12 +408,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EvaluationBudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,8 +27,13 @@ Five experiment families live here:
                      the dyadic increment exceedance curve.
 
 Experiments draw through per-replication streams derived from the master
-seed, so a report is bit-for-bit reproducible for a fixed config and does not
-depend on the worker thread count.
+seed: replication r reads its sample from stream(seed, *path, r), one Philox
+stream per row.  Trajectories are simulated in blocks of replications whose
+size depends only on the horizon N and the arity m, one prefix-engine call
+per block, and worker threads map over whole blocks.  Every row of a block is
+bit-identical to the trajectory of that replication alone, so a report is
+bit-for-bit reproducible for a fixed config and depends neither on the
+worker thread count nor on the block size.
 """
 
 from __future__ import annotations
@@ -41,7 +46,13 @@ import numpy as np
 
 from .combinatorics import enumerate_tuples, unrank_many
 from .hoeffding import check_degeneracy, project_degenerate_level
-from .holder import HolderParams, calibrate_epsilon, dyadic_increment_exceedance, holder_norm
+from .holder import (
+    MAX_SCAN_BREAKPOINTS,
+    HolderParams,
+    calibrate_epsilon,
+    dyadic_increment_exceedance,
+    holder_norm,
+)
 from .incomplete import SamplingDesign, incomplete_moment_experiment
 from .kernels import Distribution, Kernel, evaluate_batch, kernel_from_config, stream
 from .reporting import InequalityReport, ratio_summary
@@ -56,12 +67,7 @@ from .tails import (
     weak_lp_norm,
 )
 from ._parallel import parallel_map
-from .ustat import (
-    completion_weight,
-    partial_sum_path,
-    prefix_values,
-    running_max_norms,
-)
+from .ustat import PartialSumPath, completion_weight, prefix_values
 
 __all__ = [
     "ConfigError",
@@ -81,10 +87,21 @@ __all__ = [
 _WEIGHTED_TUPLE_CAP = 4096
 # Flat norm-tail draw count on the Monte Carlo branch of the weighted path.
 _WEIGHTED_MC_DRAWS = 16384
+# Replications simulated together: a block's widest arrays, the (B, k)
+# columns of one colex step and the (B, N) sample, hold at most this many
+# entries each.  Larger blocks buy little speed and cost peak memory.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad field."""
+
+
+def _converted(field: str, conv, values) -> tuple:
+    try:
+        return tuple(conv(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -148,27 +165,29 @@ class ExperimentConfig:
         if self.eps is not None and not self.eps > 0:
             raise ConfigError(f"eps: must be positive, got {self.eps}")
         if self.t_grid is not None:
-            object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+            object.__setattr__(self, "t_grid", _converted("t_grid", float, self.t_grid))
             if len(self.t_grid) == 0:
                 raise ConfigError("t_grid: must not be empty when given")
             if any(t <= 0 for t in self.t_grid):
                 raise ConfigError("t_grid: thresholds must be positive")
             if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
                 raise ConfigError("t_grid: thresholds must be strictly increasing")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", _converted("n_grid", int, self.n_grid))
         if any(n < self.kernel.arity for n in self.n_grid):
             raise ConfigError(
                 f"n_grid: horizons must be at least the kernel arity {self.kernel.arity}"
             )
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid: horizons must be strictly increasing")
+        if self.experiment == "holder":
+            _check_holder_horizons(self.n_grid)
         if self.grid is not None:
             cells = []
             for entry in self.grid:
                 if len(entry) != 2:
                     raise ConfigError("grid: entries must be (n, p_n) pairs")
-                n, rate = entry
-                cells.append((int(n), float(rate)))
+                n, rate = _converted("grid", float, entry)
+                cells.append((int(n), rate))
             object.__setattr__(self, "grid", tuple(cells))
             for n, rate in self.grid:
                 if n < self.kernel.arity:
@@ -275,6 +294,15 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
+def _check_holder_horizons(n_grid) -> None:
+    """The Holder pair scan takes at most MAX_SCAN_BREAKPOINTS increments."""
+    if any(n > MAX_SCAN_BREAKPOINTS for n in n_grid):
+        raise ConfigError(
+            f"n_grid: Holder-norm horizons are capped at {MAX_SCAN_BREAKPOINTS}, "
+            f"got {max(n_grid)}"
+        )
+
+
 def _space_of(config: ExperimentConfig) -> BanachSpaceDescriptor:
     return config.space if config.space is not None else config.kernel.codomain
 
@@ -320,17 +348,47 @@ def _certify_order(config: ExperimentConfig, space: BanachSpaceDescriptor):
     return report
 
 
+def _block_rows(n: int, m: int) -> int:
+    """Replications per block at horizon n; never depends on the threads."""
+    return max(1, _BLOCK_ELEMENTS // max(n, comb(n - 1, m - 1)))
+
+
+def _simulate(h, dist, n, replications, seed, path, threads, reduce):
+    """Trajectory statistics of every replication, in replication order.
+
+    Replication r draws n points from stream(seed, *path, r).  Each block of
+    replications runs through the prefix engine once, and
+    reduce(trajectories, samples) turns the block into a tuple of arrays
+    with one row per replication; the blocks' arrays are stacked in order.
+    """
+    rows = _block_rows(n, h.arity)
+
+    def one(block: int) -> tuple:
+        reps = range(block * rows, min((block + 1) * rows, replications))
+        sample = np.vstack([dist.sample(stream(seed, *path, r), n) for r in reps])
+        return reduce(prefix_values(h, sample, n), sample)
+
+    blocks = parallel_map(one, -(-replications // rows), threads)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _row_norms(space: BanachSpaceDescriptor, traj: np.ndarray) -> np.ndarray:
+    """Norms of a (B, L) or (B, L, dim) block of points, shape (B, L)."""
+    return space.norms(traj.reshape((-1,) + traj.shape[2:])).reshape(traj.shape[:2])
+
+
 def _max_norm_matrix(h, dist, n_grid, replications, seed, threads, space, tag):
     """One row per replication of max_{m<=k<=N} ||U_k|| at each horizon."""
     m = h.arity
-    n_max = max(n_grid)
     cols = np.asarray(n_grid, dtype=np.int64) - m
 
-    def one(rep: int) -> np.ndarray:
-        sample = dist.sample(stream(seed, tag, rep), n_max)
-        return running_max_norms(h, sample, n_max, space)[cols]
+    def reduce(traj, sample):
+        running = np.maximum.accumulate(_row_norms(space, traj[:, m:]), axis=1)
+        return (running[:, cols],)
 
-    return np.vstack(parallel_map(one, replications, threads))
+    (maxima,) = _simulate(h, dist, max(n_grid), replications, seed, (tag,),
+                          threads, reduce)
+    return maxima
 
 
 def _auto_t_grid(terminal: np.ndarray, points: int) -> tuple[float, ...]:
@@ -871,21 +929,17 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
         binom = np.array([comb(k, m) for k in range(m, n_max + 1)], dtype=np.float64)
         rate_weight = ns ** alpha / binom
 
-    def one(rep: int) -> np.ndarray:
-        sample = dist.sample(stream(config.seed, "lln", rep), n_max)
-        norms = space.norms(prefix_values(h, sample, n_max))[m:]
+    def reduce(traj, sample):
+        norms = _row_norms(space, traj[:, m:])
         weighted = norms * ns ** (-m / p)
-        sups = np.maximum.accumulate(weighted)[cols]
-        terminal = weighted[cols]
+        stats = (np.maximum.accumulate(weighted, axis=1)[:, cols], weighted[:, cols])
         if alpha is None:
-            return np.concatenate([sups, terminal])
-        suffix = np.maximum.accumulate((norms * rate_weight)[::-1])[::-1][cols]
-        return np.concatenate([sups, terminal, suffix])
+            return stats
+        suffix = np.maximum.accumulate((norms * rate_weight)[:, ::-1], axis=1)
+        return stats + (suffix[:, ::-1][:, cols],)
 
-    mat = np.vstack(parallel_map(one, reps, config.threads))
-    width = len(n_grid)
-    sups = mat[:, :width]
-    terminal = mat[:, width:2 * width]
+    sups, terminal, *rate_stats = _simulate(
+        h, dist, n_max, reps, config.seed, ("lln",), config.threads, reduce)
     moment = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     rows = []
@@ -916,7 +970,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
         "degeneracy_exact": deg.exact,
     }
     if alpha is not None:
-        suffix_stats = mat[:, 2 * width:]
+        (suffix_stats,) = rate_stats
         eps = config.eps if config.eps is not None else float(
             np.median(suffix_stats[:, 0]))
         entries = []
@@ -984,6 +1038,7 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
         raise ConfigError("alpha: required for Holder-norm experiments")
     params = HolderParams(config.alpha)
     n_grid = _horizons(config)
+    _check_holder_horizons(n_grid)
     _certify_order(config, space)
     d = config.d
     m = h.arity
@@ -1002,25 +1057,25 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
     quantile_rows = []
     exceed_paths = None
     for n in n_grid:
-        def one(rep: int, _n=n) -> tuple:
-            sample = dist.sample(stream(seed, "holder", _n, rep), _n)
-            path = partial_sum_path(h, sample, normalization_exponent=exponent)
-            hnorm = holder_norm(path, config.alpha)
-            if _n != n_exc:
-                return hnorm, None
-            if raw_kernel is None:
-                return hnorm, path.raw
-            return hnorm, partial_sum_path(raw_kernel, sample, 0.0).raw
+        def reduce(traj, sample, _n=n) -> tuple:
+            if _n != n_exc or raw_kernel is None:
+                return (traj,)
+            return traj, prefix_values(raw_kernel, sample, _n)
 
-        out = parallel_map(one, reps, config.threads)
-        hnorms = np.array([pair[0] for pair in out])
+        trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n),
+                                         config.threads, reduce)
+        # the pair scan is many small numpy calls that hold the interpreter
+        # lock, so it runs here rather than in the worker threads
+        hnorms = np.array([
+            holder_norm(PartialSumPath(raw, n, exponent), config.alpha)
+            for raw in trajectories])
         quantile_rows.append({
             "n": int(n),
             "median": float(np.quantile(hnorms, 0.5)),
             "q90": float(np.quantile(hnorms, 0.9)),
         })
         if n == n_exc:
-            exceed_paths = np.vstack([pair[1] for pair in out])
+            exceed_paths = paths[0] if paths else trajectories
 
     eps = config.eps if config.eps is not None else calibrate_epsilon(
         exceed_paths, config.alpha, d, j_max, level=0.9)
@@ -1083,13 +1138,20 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
 def _incomplete_moment(config: ExperimentConfig) -> InequalityReport:
     if not config.grid:
         raise ConfigError("grid: (n, p_n) pairs are required for the incomplete-moment experiment")
-    if config.d is None:
-        raise ConfigError("d: the claimed degeneracy order is required")
+    h = config.kernel
+    if h.weighted or not h.symmetric:
+        raise ConfigError(
+            "kernel: the incomplete-moment experiment needs a symmetric, "
+            "index-independent kernel"
+        )
     q = config.q if config.q is not None else config.p
+    if q < config.p:
+        raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={config.p}")
+    _certify_order(config, _space_of(config))
     return incomplete_moment_experiment(
-        config.kernel, config.dist, config.grid, config.p, q, config.d,
+        h, config.dist, config.grid, config.p, q, config.d,
         replications=config.moment_replications, seed=config.seed,
-        threads=config.threads, space=config.space,
+        threads=config.threads, space=config.space, certify=False,
         stability_factor=config.stability_factor,
     )
 

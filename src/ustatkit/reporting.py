@@ -24,11 +24,14 @@ def ratio_summary(ratios) -> tuple[float, float, float]:
     Rows with ratio zero correspond to thresholds beyond every observed
     value; they are legitimate but carry no scale information, so the
     stability statistics are computed over the positive ratios only.
-    Returns (0, 0, 0) when nothing was observed at all.
+    Returns (0, 0, 0) when nothing was observed at all, and (nan, nan, nan)
+    when any ratio is NaN, whatever the row order, so the report fails.
     """
     vals = [float(r) for r in ratios]
     if not vals:
         return 0.0, 0.0, 0.0
+    if any(math.isnan(v) for v in vals):
+        return math.nan, math.nan, math.nan
     top = max(vals)
     positive = sorted(v for v in vals if v > 0.0)
     if not positive:

@@ -5,7 +5,11 @@ colexicographic rank order with compensated accumulation across chunks.
 The prefix engine exploits the fact that colex order groups tuples by
 their last coordinate: appending sample point n-1 contributes exactly the
 block h(xi_i, xi_{n-1}) over the increasing (m-1)-tuples below n-1, so the
-whole trajectory n -> U_n costs C(N, m) kernel evaluations.
+whole trajectory n -> U_n costs C(N, m) kernel evaluations.  The engine
+steps a block of B independent samples at once: each colex step gathers
+the block's columns, evaluates h on (B, k) arrays in one call and adds
+each row's sum into that row's compensated total, so B trajectories cost
+N - m + 1 kernel calls instead of B times as many.
 
 Evaluation refuses more than 10^8 summands; incomplete designs (see the
 incomplete module) are the intended tool past that size.
@@ -137,43 +141,50 @@ def complete_ustat(h: Kernel, sample, n: int | None = None) -> UStatResult:
 
 
 def prefix_values(h: Kernel, sample, N: int | None = None) -> np.ndarray:
-    """Trajectory U_0..U_N as an array of shape (N+1,) or (N+1, dim).
+    """Trajectories U_0..U_N of one sample or of a block of samples.
 
-    U_n is zero for n < m; each step adds the block of summands whose last
-    coordinate is the newly revealed point.
+    A sample of shape (N',) gives shape (N+1,) or (N+1, dim); a block of
+    shape (B, N') gives one trajectory per row, shape (B, N+1) or
+    (B, N+1, dim).  U_n is zero for n < m; each step adds the block of
+    summands whose last coordinate is the newly revealed point.  A 1-D
+    sample is the B = 1 block, and every row of a block is bit-identical
+    to the trajectory of that row alone: rows are gathered C-contiguous,
+    so each row's summands are added pairwise exactly as for one row, and
+    the compensated accumulation is elementwise.
     """
     sample = np.asarray(sample, dtype=np.float64)
-    N = int(len(sample) if N is None else N)
-    if N > len(sample):
-        raise ValueError(f"N={N} exceeds sample length {len(sample)}")
+    if sample.ndim not in (1, 2):
+        raise ValueError(f"sample must be 1-D or a 2-D block, got shape {sample.shape}")
+    block = sample if sample.ndim == 2 else sample[None, :]
+    N = int(block.shape[1] if N is None else N)
+    if N > block.shape[1]:
+        raise ValueError(f"N={N} exceeds sample length {block.shape[1]}")
     m = h.arity
     if count_tuples(N, m) > MAX_EVALUATION_TERMS:
         raise EvaluationBudgetError(
             f"C({N}, {m}) = {count_tuples(N, m)} summands exceed the cap "
             f"{MAX_EVALUATION_TERMS}"
         )
-    dim = h.codomain.dimension
-    out = np.zeros((N + 1,) if dim == 1 else (N + 1, dim))
-    if N < m:
-        return out
-    if m == 1:
-        sub_cols: list[np.ndarray] = []
-    else:
-        sub_cols = _colex_columns(N - 1, m - 1)
-    total = _zero(h)
-    comp = _zero(h)
-    for n in range(m, N + 1):
-        j = n - 1
-        k = comb(n - 1, m - 1)
-        cols = [sc[:k] for sc in sub_cols]
-        cols.append(np.full(k, j, dtype=np.int64))
-        vals = evaluate_batch(
-            h, [sample[c] for c in cols], cols if h.weighted else None
-        )
-        inc = vals.sum(axis=0)
-        total, comp = _kahan_add(total, comp, inc)
-        out[n] = total
-    return out
+    rows = block.shape[0]
+    point = () if h.codomain.dimension == 1 else (h.codomain.dimension,)
+    out = np.zeros((rows, N + 1) + point)
+    if N >= m:
+        sub_cols = _colex_columns(N - 1, m - 1) if m > 1 else []
+        total = np.zeros((rows,) + point)
+        comp = np.zeros((rows,) + point)
+        for n in range(m, N + 1):
+            k = comb(n - 1, m - 1)
+            cols = [sc[:k] for sc in sub_cols]
+            cols.append(np.full(k, n - 1, dtype=np.int64))
+            vals = evaluate_batch(
+                h, [np.take(block, c, axis=1) for c in cols],
+                cols if h.weighted else None,
+            )
+            # a body may return a value that only broadcasts to (B, k)
+            vals = np.ascontiguousarray(np.broadcast_to(vals, (rows, k) + point))
+            total, comp = _kahan_add(total, comp, vals.sum(axis=1))
+            out[:, n] = total
+    return out if sample.ndim == 2 else out[0]
 
 
 def _colex_columns(n: int, m: int) -> list[np.ndarray]:

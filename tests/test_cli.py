@@ -352,3 +352,69 @@ def test_bad_seed_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["compute", "--config", cfg, "--seed", str(2**64)])
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 2 only for parsing and validation, 3 for internal errors
+
+
+def test_compute_over_cap_exits_2_and_points_to_design(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "rademacher"},
+        "n": 20000,
+    })
+    code, out, err = run(["compute", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert "design" in err and "Traceback" not in err
+
+
+def test_experiment_holder_past_scan_cap_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "e.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "rademacher"},
+        "experiment": "holder", "alpha": 0.3, "d": 2,
+        "n_grid": [9000], "replications": 2,
+    })
+    out_dir = tmp_path / "o"
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert "n_grid" in err
+    assert not out_dir.exists()
+
+
+def test_experiment_unparsable_grid_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "n_grid": ["eight"]})
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "n_grid" in err
+
+
+def test_decompose_unparsable_budget_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "rademacher"},
+        "inner": "many",
+    })
+    code, _, err = run(["decompose", "--config", cfg], capsys)
+    assert code == 2
+    assert "inner" in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad shape"), RuntimeError("boom")])
+def test_mid_run_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
+    import ustatkit.cli as cli
+
+    def failing(config):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_experiment", failing)
+    cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert "internal error" in err and str(exc) in err
+    assert "config error" not in err

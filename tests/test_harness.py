@@ -376,3 +376,76 @@ def test_incomplete_moment_through_harness():
     rep = run_experiment(cfg)
     assert rep.kind == "incomplete-moment"
     assert [row["n"] for row in rep.rows] == [16, 32]
+
+
+# ---------------------------------------------------------------------------
+# blocks of replications
+
+
+@pytest.mark.parametrize("kernel", [
+    builtin_kernel("product", 2),
+    kernel_from_expression("x1 * x2 / (i1 + i2)", 2),
+])
+def test_max_norm_matrix_independent_of_threads_and_blocks(monkeypatch, kernel):
+    # Gaussian data: every sum carries rounding, so a change in summation
+    # order between block sizes or thread counts would show in the bytes
+    from ustatkit import harness
+    from ustatkit.kernels import stream
+    from ustatkit.ustat import running_max_norms
+
+    dist = Distribution.gaussian()
+    n_grid, reps, seed = (8, 16, 32), 700, 41
+    args = (kernel, dist, n_grid, reps, seed)
+    space = kernel.codomain
+    assert harness._block_rows(32, 2) < reps  # the default spans two blocks
+    base = harness._max_norm_matrix(*args, 1, space, "deviation")
+    assert base.shape == (reps, len(n_grid))
+    assert harness._max_norm_matrix(*args, 8, space, "deviation").tobytes() == base.tobytes()
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 256)
+    assert harness._block_rows(32, 2) == 8
+    for threads in (1, 8):
+        again = harness._max_norm_matrix(*args, threads, space, "deviation")
+        assert again.tobytes() == base.tobytes()
+    # row r is replication r simulated on its own
+    cols = np.asarray(n_grid) - 2
+    for rep in (0, 9, reps - 1):
+        sample = dist.sample(stream(seed, "deviation", rep), 32)
+        want = running_max_norms(kernel, sample, 32, space)[cols]
+        assert want.tobytes() == base[rep].tobytes()
+
+
+def test_block_rows_depend_on_horizon_and_arity_only():
+    from ustatkit import harness
+    assert harness._block_rows(32, 2) == harness._BLOCK_ELEMENTS // 32
+    assert harness._block_rows(1024, 3) == 1
+    # m = 1 steps are one column wide; the (B, N) sample bounds the block
+    assert harness._block_rows(4096, 1) == harness._BLOCK_ELEMENTS // 4096
+
+
+def test_holder_rejects_horizons_past_the_scan_cap():
+    from ustatkit.holder import MAX_SCAN_BREAKPOINTS
+    with pytest.raises(ConfigError, match="n_grid"):
+        make(experiment="holder", alpha=0.3, d=2,
+             n_grid=[MAX_SCAN_BREAKPOINTS + 1], replications=1)
+    cfg = make(alpha=0.3, d=2, n_grid=[MAX_SCAN_BREAKPOINTS + 1], replications=1)
+    with pytest.raises(ConfigError, match="n_grid"):
+        run_experiment(cfg, "holder")
+
+
+def test_grid_fields_reject_non_numbers():
+    for key, value in (("t_grid", ["x"]), ("n_grid", ["x"]), ("grid", [["x", 0.5]])):
+        with pytest.raises(ConfigError, match=key):
+            make(**{key: value})
+
+
+def test_incomplete_moment_preconditions_are_config_errors():
+    grid = [[16, 0.25], [32, 0.125]]
+    with pytest.raises(ConfigError, match="q"):
+        run_experiment(make(experiment="incomplete-moment", p=2.0, q=1.5, d=2,
+                            grid=grid))
+    with pytest.raises(ConfigError, match="kernel"):
+        run_experiment(make(kernel={"name": "sign", "m": 2},
+                            experiment="incomplete-moment", p=2.0, d=2, grid=grid))
+    with pytest.raises(ConfigError, match="d"):
+        run_experiment(make(kernel={"name": "sum", "m": 2},
+                            experiment="incomplete-moment", p=2.0, d=2, grid=grid))

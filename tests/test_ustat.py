@@ -295,3 +295,72 @@ def test_prefix_terminal_equals_complete(n, seed):
     h = builtin_kernel("product", 2)
     traj = prefix_values(h, sample)
     assert traj[-1] == pytest.approx(complete_ustat(h, sample).value, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# blocks of trajectories
+
+
+def _block_kernel(kind, m):
+    from ustatkit.kernels import Kernel
+    if kind == "product":
+        return builtin_kernel("product", m)
+    if kind == "weighted":
+        # x1 * x2 / (i1 + i2) at m = 2, the same shape at other arities
+        xs = " * ".join(f"x{j + 1}" for j in range(m))
+        idx = " + ".join(f"i{j + 1}" for j in range(m))
+        return kernel_from_expression(f"{xs} / ({idx})", m)
+    space = BanachSpaceDescriptor(dimension=3, norm_exponent=1.5)
+
+    def body(xs, idx):
+        prod = xs[0]
+        for x in xs[1:]:
+            prod = prod * x
+        return np.stack(np.broadcast_arrays(prod, sum(xs), np.exp(xs[0])), axis=-1)
+
+    return Kernel(m, body, codomain=space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=st.sampled_from(["gaussian", "uniform"]),
+    m=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["product", "weighted", "vector"]),
+    rows=st.sampled_from([1, 2, 7, 40]),
+    extra=st.integers(min_value=0, max_value=36),
+    fortran=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_block_rows_bit_equal_single_trajectories(law, m, kind, rows, extra,
+                                                  fortran, seed):
+    # non-integer data: any change in summation order shows in the last bits
+    n = m + (extra if m < 3 else extra // 2)
+    rng = np.random.default_rng(seed)
+    if law == "gaussian":
+        block = rng.normal(size=(rows, n))
+    else:
+        block = rng.uniform(-1.0, 2.0, size=(rows, n))
+    if fortran:
+        block = np.asfortranarray(block)
+    h = _block_kernel(kind, m)
+    traj = prefix_values(h, block, n)
+    dim = h.codomain.dimension
+    assert traj.shape == (rows, n + 1) + ((dim,) if dim > 1 else ())
+    for r in range(rows):
+        single = prefix_values(h, block[r].copy(), n)
+        assert single.tobytes() == traj[r].tobytes(), r
+
+
+def test_block_broadcasts_index_only_kernel():
+    # a body that reads only the indices returns shape (k,), not (B, k)
+    h = kernel_from_expression("i1 * i2", 2)
+    block = np.zeros((3, 5))
+    traj = prefix_values(h, block)
+    for r in range(3):
+        np.testing.assert_array_equal(traj[r], prefix_values(h, block[r]))
+    assert traj[0, 3] == 1 * 2 + 1 * 3 + 2 * 3
+
+
+def test_block_rejects_higher_rank_samples():
+    with pytest.raises(ValueError, match="2-D block"):
+        prefix_values(builtin_kernel("product", 2), np.zeros((2, 2, 4)))
