@@ -29,6 +29,7 @@ from .holder import (
     dyadic_increment_exceedance,
     holder_norm,
     holder_norm_grid,
+    holder_norms,
 )
 from .incomplete import (
     SamplingDesign,
@@ -88,6 +89,7 @@ __all__ = [
     "enumerate_tuples",
     "holder_norm",
     "holder_norm_grid",
+    "holder_norms",
     "incomplete_moment_experiment",
     "incomplete_ustat",
     "kernel_from_expression",

@@ -51,15 +51,14 @@ from .holder import (
     HolderParams,
     calibrate_epsilon,
     dyadic_increment_exceedance,
-    holder_norm,
+    holder_norms,
 )
 from .incomplete import SamplingDesign, incomplete_moment_experiment
-from .kernels import Distribution, Kernel, evaluate_batch, kernel_from_config, stream
+from .kernels import Distribution, Kernel, evaluate_batch, kernel_from_config, stream, support_grid
 from .reporting import InequalityReport, ratio_summary
 from .spaces import BanachSpaceDescriptor
 from .tails import (
     EmpiricalTail,
-    _support_columns,
     conditional_moment_tail,
     norm_moment,
     required_integrability,
@@ -67,7 +66,7 @@ from .tails import (
     weak_lp_norm,
 )
 from ._parallel import parallel_map
-from .ustat import PartialSumPath, completion_weight, prefix_values
+from .ustat import completion_weight, prefix_values
 
 __all__ = [
     "ConfigError",
@@ -403,6 +402,13 @@ def _auto_t_grid(terminal: np.ndarray, points: int) -> tuple[float, ...]:
     return tuple(float(t) for t in grid)
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs; over a nonpositive rhs, 0 when lhs is 0 and inf otherwise."""
+    if rhs > 0.0:
+        return lhs / rhs
+    return 0.0 if lhs == 0.0 else inf
+
+
 def _frequency_rows(maxima, t_grid, n_grid, threshold_fn, rhs_fn):
     reps = maxima.shape[0]
     rows = []
@@ -412,12 +418,8 @@ def _frequency_rows(maxima, t_grid, n_grid, threshold_fn, rhs_fn):
             lhs = float(np.mean(vals > threshold_fn(t, n)))
             se = sqrt(lhs * (1.0 - lhs) / reps)
             rhs = float(rhs_fn(t, n))
-            if rhs > 0.0:
-                ratio = lhs / rhs
-            else:
-                ratio = 0.0 if lhs == 0.0 else inf
             rows.append({"t": float(t), "N": int(n), "lhs": lhs, "lhs_se": se,
-                         "rhs": rhs, "ratio": ratio})
+                         "rhs": rhs, "ratio": _ratio(lhs, rhs)})
     return rows
 
 
@@ -556,8 +558,7 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
 
     if support is not None:
         atoms, probs = np.asarray(support[0]), np.asarray(support[1])
-        value_table = _support_columns(atoms, m)
-        draw_w = _support_columns(probs, m).prod(axis=1)
+        value_table, draw_w = support_grid(atoms, probs, m)
     else:
         flat = dist.sample(stream(seed, "deviation-weighted", 0),
                            _WEIGHTED_MC_DRAWS * m)
@@ -590,10 +591,8 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
         for positions in itertools.combinations(range(m), j_size):
             rest = [k for k in range(m) if k not in positions]
             if support is not None:
-                outer_cols = _support_columns(atoms, j_size)
-                outer_w = _support_columns(probs, j_size).prod(axis=1)
-                inner_cols = _support_columns(atoms, m - j_size)
-                inner_w = _support_columns(probs, m - j_size).prod(axis=1)
+                outer_cols, outer_w = support_grid(atoms, probs, j_size)
+                inner_cols, inner_w = support_grid(atoms, probs, m - j_size)
             else:
                 tag = sum(1 << k for k in positions)
                 outer_cols = dist.sample(
@@ -645,12 +644,8 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
                 + middle[col_idx, ti]
                 + t ** (-q) * cum_pm[t_n - 1] ** (q / p)
             )
-            if rhs > 0.0:
-                ratio = lhs / rhs
-            else:
-                ratio = 0.0 if lhs == 0.0 else inf
             rows.append({"t": float(t), "N": int(n), "lhs": lhs, "lhs_se": se,
-                         "rhs": rhs, "ratio": ratio})
+                         "rhs": rhs, "ratio": _ratio(lhs, rhs)})
 
     fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
     return InequalityReport(
@@ -688,7 +683,7 @@ def _hp_tail(h, dist, p, outer, inner, seed, space) -> EmpiricalTail:
     if support is not None:
         atoms, probs = np.asarray(support[0]), np.asarray(support[1])
         a = atoms.size
-        full = _support_columns(atoms, m)
+        full, weights = support_grid(atoms, probs, m)
         vals = evaluate_batch(h, [full[:, k] for k in range(m)])
         powed = (space.norms(vals) ** p).reshape((a,) * m)
         best = np.zeros((a,) * m)
@@ -698,7 +693,6 @@ def _hp_tail(h, dist, p, outer, inner, seed, space) -> EmpiricalTail:
                 cond = cond @ probs
             prof = np.asarray(cond) ** (1.0 / p)
             best = np.maximum(best, prof.reshape((a,) * k + (1,) * (m - k)))
-        weights = _support_columns(probs, m).prod(axis=1)
         return EmpiricalTail.from_samples(best.ravel(), weights / weights.sum())
 
     rows = dist.sample(stream(seed, "hp-tail", 0), outer * m).reshape(outer, m)
@@ -852,12 +846,8 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
         lhs = float(powered.mean())
         se = float(powered.std(ddof=1) / sqrt(reps)) if reps > 1 else 0.0
         rhs = float(rhs_for(n))
-        if rhs > 0.0:
-            ratio = lhs / rhs
-        else:
-            ratio = 0.0 if lhs == 0.0 else inf
         rows.append({"N": int(n), "lhs": lhs, "lhs_se": se, "rhs": rhs,
-                     "ratio": ratio})
+                     "ratio": _ratio(lhs, rhs)})
 
     fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
     return InequalityReport(
@@ -946,16 +936,12 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
     for col, n in enumerate(n_grid):
         tail = EmpiricalTail.from_samples(sups[:, col])
         wnorm = weak_lp_norm(tail, p)
-        if moment > 0.0:
-            ratio = wnorm / moment
-        else:
-            ratio = 0.0 if wnorm == 0.0 else inf
         rows.append({
             "N": int(n),
             "weak_norm": wnorm,
             "weak_norm_se": _weak_norm_se(tail, p, reps),
             "moment": moment,
-            "ratio": ratio,
+            "ratio": _ratio(wnorm, moment),
             "terminal_median": float(np.median(terminal[:, col])),
         })
 
@@ -1064,11 +1050,9 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
 
         trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n),
                                          config.threads, reduce)
-        # the pair scan is many small numpy calls that hold the interpreter
-        # lock, so it runs here rather than in the worker threads
-        hnorms = np.array([
-            holder_norm(PartialSumPath(raw, n, exponent), config.alpha)
-            for raw in trajectories])
+        # the pair scan is one numpy op per lag over all of this horizon's
+        # paths, so it runs once here rather than per block in the threads
+        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha)
         quantile_rows.append({
             "n": int(n),
             "median": float(np.quantile(hnorms, 0.5)),
@@ -1147,11 +1131,12 @@ def _incomplete_moment(config: ExperimentConfig) -> InequalityReport:
     q = config.q if config.q is not None else config.p
     if q < config.p:
         raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={config.p}")
-    _certify_order(config, _space_of(config))
+    space = _space_of(config)
+    _certify_order(config, space)
     return incomplete_moment_experiment(
         h, config.dist, config.grid, config.p, q, config.d,
         replications=config.moment_replications, seed=config.seed,
-        threads=config.threads, space=config.space, certify=False,
+        threads=config.threads, space=space, certify=False,
         stability_factor=config.stability_factor,
     )
 

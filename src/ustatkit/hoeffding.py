@@ -38,7 +38,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .kernels import Distribution, Kernel, evaluate_batch, stream
+from .kernels import Distribution, Kernel, evaluate_batch, stream, support_grid
 from .spaces import BanachSpaceDescriptor
 
 __all__ = [
@@ -55,19 +55,6 @@ __all__ = [
 _EXACT_ZERO_RTOL = 1e-10
 _RELATIVE_ZERO_FLOOR = 1e-3
 _EVAL_SLAB = 1 << 24
-
-
-def _support_combos(atoms: np.ndarray, probs: np.ndarray, k: int):
-    """Columns of support^k and the product weights, shapes (K, k) and (K,)."""
-    if k == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    grids = np.meshgrid(*([atoms] * k), indexing="ij")
-    cols = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([probs] * k), indexing="ij")
-    w = np.ones(cols.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    return cols, w
 
 
 class _ConditionalEstimator:
@@ -112,7 +99,7 @@ class _ConditionalEstimator:
             cols[pos] = np.asarray(val, dtype=np.float64)[..., None]
         free = [j for j in range(self.m) if j not in fixed_positions]
         if self.exact:
-            combos, weights = _support_combos(self.atoms, self.probs, len(free))
+            combos, weights = support_grid(self.atoms, self.probs, len(free))
             for a, j in enumerate(free):
                 cols[j] = combos[:, a]
             out = evaluate_batch(self.h, cols, self._index_columns())
@@ -365,8 +352,8 @@ def _exact_conditional_norms(
     """E[ || E[h | positions in `conditioned`] || ] by full enumeration."""
     m = h.arity
     free = [j for j in range(m) if j not in conditioned]
-    outer_cols, outer_w = _support_combos(atoms, probs, len(conditioned))
-    inner_cols, inner_w = _support_combos(atoms, probs, len(free))
+    outer_cols, outer_w = support_grid(atoms, probs, len(conditioned))
+    inner_cols, inner_w = support_grid(atoms, probs, len(free))
     cols: list = [None] * m
     for a, j in enumerate(conditioned):
         cols[j] = outer_cols[:, a][:, None]
@@ -447,7 +434,7 @@ def check_degeneracy(
 
     if exact:
         atoms, probs = support
-        full_cols, full_w = _support_combos(np.asarray(atoms), np.asarray(probs), m)
+        full_cols, full_w = support_grid(np.asarray(atoms), np.asarray(probs), m)
         vals = evaluate_batch(h, [full_cols[:, k] for k in range(m)])
         scale = float(np.dot(space.norms(vals), full_w))
     else:

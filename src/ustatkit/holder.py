@@ -7,9 +7,10 @@ linear in u = t - s, and such a function attains its maximum at an endpoint
 of each linear piece (interior critical points are minima when the slope
 and difference share a sign, and the ratio is monotone otherwise).  The
 same argument applies in s for fixed t, so the supremum sits on a pair of
-breakpoints.  A guarded interior refinement for opposite-slope segment
-pairs is kept anyway; it evaluates true ratios only, so it can sharpen but
-never overshoot, and a cheap upper bound prunes it to near zero work.
+breakpoints.  The norm is therefore the largest corner ratio
+|x(t_j) - x(t_i)| / (t_j - t_i)^a over breakpoint pairs i < j, and the scan
+takes one lag j - i at a time, for one path or a whole matrix of paths on
+a shared grid.
 
 The dyadic statistic counts, per cell (j, k), how often the raw partial
 sum increment |S_floor(n(k+1)/2^j) - S_floor(nk/2^j)| exceeds
@@ -31,6 +32,7 @@ __all__ = [
     "dyadic_increment_exceedance",
     "holder_norm",
     "holder_norm_grid",
+    "holder_norms",
 ]
 
 # The pair scan is quadratic in the breakpoint count.
@@ -69,99 +71,42 @@ def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _refine_pair(t, y, slopes, i, j, alpha, best) -> float:
-    """Search s in segment i, t in segment j > i for a larger ratio.
+def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
+    """Norms of the rows of a (B, npts) value matrix over breakpoints t.
 
-    For fixed s the inner maximum over segment j is either an endpoint or
-    the critical point of (x(t) - x(s)) (t - s)^(-alpha), which solves
-    v_j (t - s) = alpha (x(t) - x(s)) in closed form.  The outer variable
-    is then squeezed by ternary search.
+    One numpy op per lag covers every row; each row's arithmetic is the
+    same as scanning that row alone.
     """
-    lo, hi = float(t[i]), float(t[i + 1])
-    tj0, tj1 = float(t[j]), float(t[j + 1])
-    vi, vj = float(slopes[i]), float(slopes[j])
-    yi, yj = float(y[i]), float(y[j])
-    tiny = 1e-300
-
-    def ratio(s: float, tt: float) -> float:
-        span = tt - s
-        if span <= tiny:
-            return 0.0
-        xs = yi + vi * (s - float(t[i]))
-        xt = yj + vj * (tt - tj0)
-        return abs(xt - xs) / span**alpha
-
-    def inner(s: float) -> float:
-        cands = [tj0, tj1]
-        if vj != 0.0 and alpha != 1.0:
-            xs = yi + vi * (s - float(t[i]))
-            crit = (alpha * (yj - xs - vj * tj0) + vj * s) / (vj * (1.0 - alpha))
-            if tj0 < crit < tj1:
-                cands.append(crit)
-        return max(ratio(s, tt) for tt in cands)
-
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        if third <= 0.0:
-            break
-        m1, m2 = lo + third, hi - third
-        if inner(m1) < inner(m2):
-            lo = m1
-        else:
-            hi = m2
-    probe = max(inner(float(t[i])), inner(float(t[i + 1])), inner(0.5 * (lo + hi)))
-    return max(best, probe)
-
-
-def holder_norm(path, alpha: float) -> float:
-    """|x(0)| plus the exact increment supremum of a piecewise-linear path."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
-    t, y = _path_arrays(path)
-    npts = y.size
-    if npts == 1:
-        return abs(float(y[0]))
+    npts = values.shape[1]
     if npts > MAX_SCAN_BREAKPOINTS + 1:
         raise ValueError(
             f"{npts} breakpoints exceed the pair-scan cap "
             f"{MAX_SCAN_BREAKPOINTS}; use the dyadic statistic instead"
         )
-
-    best = 0.0
+    best = np.zeros(values.shape[0])
     for lag in range(1, npts):
-        diffs = np.abs(y[lag:] - y[:-lag])
+        diffs = np.abs(values[:, lag:] - values[:, :-lag])
         gaps = t[lag:] - t[:-lag]
-        best = max(best, float(np.max(diffs / gaps**alpha)))
+        best = np.maximum(best, (diffs / gaps**alpha).max(axis=1))
+    return np.abs(values[:, 0]) + best
 
-    # Safety net: revisit opposite-slope segment pairs whose interior could
-    # in principle beat the corners.  The bound below uses the largest
-    # corner difference over the smallest gap, so surviving pairs are rare.
-    nseg = npts - 1
-    seg_span = np.diff(t)
-    slopes = np.diff(y) / seg_span
-    for lag in range(1, nseg):
-        a = np.arange(nseg - lag)
-        b = a + lag
-        opposite = slopes[a] * slopes[b] < 0.0
-        if not np.any(opposite):
-            continue
-        corner = np.maximum.reduce(
-            [
-                np.abs(y[b] - y[a]),
-                np.abs(y[b] - y[a + 1]),
-                np.abs(y[b + 1] - y[a]),
-                np.abs(y[b + 1] - y[a + 1]),
-            ]
-        )
-        if lag == 1:
-            lip = np.maximum(np.abs(slopes[a]), np.abs(slopes[b]))
-            bound = lip * (t[b + 1] - t[a]) ** (1.0 - alpha)
-        else:
-            bound = corner / (t[b] - t[a + 1]) ** alpha
-        for i in np.nonzero(opposite & (bound > best))[0]:
-            best = _refine_pair(t, y, slopes, int(a[i]), int(b[i]), alpha, best)
 
-    return abs(float(y[0])) + best
+def holder_norm(path, alpha: float) -> float:
+    """|x(0)| plus the exact increment supremum of a piecewise-linear path."""
+    t, y = _path_arrays(path)
+    return float(_pair_scan(t, y[None, :], alpha)[0])
+
+
+def holder_norms(values, alpha: float) -> np.ndarray:
+    """Norms of B paths given as a (B, n+1) matrix on the uniform grid k/n."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError("values must be a (B, n+1) matrix with n >= 0")
+    n = values.shape[1] - 1
+    t = np.arange(n + 1) / max(n, 1)
+    return _pair_scan(t, values, alpha)
 
 
 def holder_norm_grid(path, alpha: float, points: int = 20000) -> float:

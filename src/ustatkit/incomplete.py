@@ -353,15 +353,6 @@ def bernoulli_sum_moment_check(
     )
 
 
-def _norm_of(value, space: BanachSpaceDescriptor | None) -> float:
-    if space is not None:
-        return space.norm(value)
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return abs(float(arr))
-    return float(np.linalg.norm(arr))
-
-
 def incomplete_moment_experiment(
     h: Kernel,
     dist: Distribution,
@@ -409,6 +400,7 @@ def incomplete_moment_experiment(
             )
 
     m = h.arity
+    norm = (space if space is not None else h.codomain).norm
 
     def run_cell(cell_idx: int, n: int, rate: float) -> tuple[float, float]:
         design = SamplingDesign.bernoulli(rate)
@@ -417,7 +409,7 @@ def incomplete_moment_experiment(
             sample = dist.sample(stream(seed, "inc-moment", cell_idx, rep, 0), n)
             ws = draw_design(design, n, m, stream(seed, "inc-moment", cell_idx, rep, 1))
             value = incomplete_ustat(h, sample, ws).value
-            return _norm_of(value, space) ** q
+            return norm(value) ** q
 
         powered = np.array(parallel_map(one_rep, replications, threads))
         est = float(powered.mean())

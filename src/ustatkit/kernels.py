@@ -31,6 +31,7 @@ __all__ = [
     "kernel_from_expression",
     "sample_iid",
     "stream",
+    "support_grid",
 ]
 
 
@@ -163,6 +164,21 @@ class Distribution:
         if family == "finite":
             return cls.finite(d["values"], d["probabilities"])
         raise ValueError(f"unknown distribution family {family!r}")
+
+
+def support_grid(atoms, probs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-tuple of support atoms and its product probability.
+
+    Shapes (K, k) and (K,) with K = len(atoms)^k and the last position
+    varying fastest; k = 0 gives one empty tuple of weight 1.
+    """
+    def columns(values) -> np.ndarray:
+        if k == 0:
+            return np.zeros((1, 0))
+        grids = np.meshgrid(*([values] * k), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+
+    return columns(atoms), columns(probs).prod(axis=1)
 
 
 def sample_iid(dist: Distribution, n: int, seed: int, stream_path=0) -> np.ndarray:

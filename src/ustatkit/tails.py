@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Distribution, Kernel, evaluate_batch, stream
+from .kernels import Distribution, Kernel, evaluate_batch, stream, support_grid
 from .spaces import BanachSpaceDescriptor, real_line
 
 __all__ = [
@@ -112,14 +112,6 @@ def _free_positions(m: int, conditioned: tuple[int, ...]) -> list[int]:
     return [j for j in range(m) if j not in cond]
 
 
-def _support_columns(values: np.ndarray, k: int) -> np.ndarray:
-    """All k-fold products of the support atoms, shape (len(values)^k, k)."""
-    grids = np.meshgrid(*([values] * k), indexing="ij") if k else []
-    if k == 0:
-        return np.zeros((1, 0))
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def conditional_moment_tail(
     h: Kernel,
     dist: Distribution,
@@ -148,10 +140,8 @@ def conditional_moment_tail(
 
     if support is not None:
         atoms, probs = support
-        outer_cols = _support_columns(atoms, len(conditioned))
-        outer_w = _support_columns(probs, len(conditioned)).prod(axis=1) if conditioned else np.ones(1)
-        inner_cols = _support_columns(atoms, len(free))
-        inner_w = _support_columns(probs, len(free)).prod(axis=1) if free else np.ones(1)
+        outer_cols, outer_w = support_grid(atoms, probs, len(conditioned))
+        inner_cols, inner_w = support_grid(atoms, probs, len(free))
         cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
         for a, j in enumerate(conditioned):
             cols[j] = outer_cols[:, a][:, None]
@@ -206,8 +196,7 @@ def norm_moment(
     support = dist.support()
     if support is not None:
         atoms, probs = support
-        cols_mat = _support_columns(atoms, m)
-        w = _support_columns(probs, m).prod(axis=1)
+        cols_mat, w = support_grid(atoms, probs, m)
         vals = evaluate_batch(h, [cols_mat[:, k] for k in range(m)])
         return float(np.dot(space.norms(vals) ** p, w))
     sample = dist.sample(stream(seed, "norm-moment"), draws * m)

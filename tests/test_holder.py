@@ -1,7 +1,11 @@
 """Exact Holder norms of piecewise-linear paths and dyadic exceedances."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatkit.holder import (
     MAX_SCAN_BREAKPOINTS,
@@ -11,9 +15,10 @@ from ustatkit.holder import (
     dyadic_increment_exceedance,
     holder_norm,
     holder_norm_grid,
+    holder_norms,
 )
 from ustatkit.kernels import builtin_kernel
-from ustatkit.ustat import partial_sum_path
+from ustatkit.ustat import PartialSumPath, partial_sum_path
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +103,61 @@ def test_close_to_fine_grid_oracle():
 
 
 def test_interior_optimum_found():
-    # opposite-slope wedge whose supremum for small alpha sits at corner
-    # pairs but for large alpha can move inside segments; compare against
-    # a dense grid to make sure the refinement never misses
+    # opposite-slope wedge, the shape where an interior pair would be most
+    # likely to beat the corner pairs, small alpha and large; compare against
+    # a dense grid to make sure the corner-pair scan never misses
     y = np.array([0.0, 1.0, -1.0, 0.5])
     for alpha in (0.15, 0.35, 0.6, 0.85):
         exact = holder_norm(y, alpha)
         grid = holder_norm_grid(y, alpha, points=40001)
         assert exact >= grid - 1e-9
         assert exact == pytest.approx(grid, rel=1e-3, abs=1e-3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    values=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=8),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=7, max_size=7),
+    alpha=st.floats(0.05, 0.95),
+)
+def test_corner_scan_never_below_grid_on_uneven_breakpoints(values, gaps, alpha):
+    # short paths on uneven breakpoints, where sharp opposite-slope wedges
+    # are the only place an interior pair could beat every corner pair
+    y = np.array(values)
+    t = np.concatenate([[0.0], np.cumsum(gaps[: y.size - 1])])
+    path = SimpleNamespace(breakpoints=t, values=y)
+    exact = holder_norm(path, alpha)
+    assert exact >= holder_norm_grid(path, alpha, points=20001) - 1e-9
+
+
+@pytest.mark.parametrize("law", ["rademacher", "gaussian"])
+def test_block_rows_bit_equal_single_paths(law):
+    rng = np.random.default_rng(17)
+    n, exponent, alpha = 256, 1.0, 0.3
+    steps = (rng.choice([-1.0, 1.0], size=(9, n)) if law == "rademacher"
+             else rng.normal(size=(9, n)))
+    walks = np.concatenate([np.zeros((9, 1)), steps.cumsum(axis=1)], axis=1)
+    raw = (walks * walks - np.arange(n + 1)) / 2.0
+    block = holder_norms(raw / float(n) ** exponent, alpha)
+    single = [holder_norm(PartialSumPath(r, n, exponent), alpha) for r in raw]
+    assert block.tolist() == single
+
+
+def test_holder_norms_validation():
+    with pytest.raises(ValueError):
+        holder_norms(np.zeros(9), 0.3)
+    with pytest.raises(ValueError):
+        holder_norms(np.zeros((2, 3, 4)), 0.3)
+    with pytest.raises(ValueError):
+        holder_norms(np.zeros((2, MAX_SCAN_BREAKPOINTS + 2)), 0.3)
+    with pytest.raises(ValueError):
+        holder_norms(np.zeros((2, 5)), 1.0)
+
+
+def test_nan_value_gives_nan_norm():
+    y = np.array([0.0, np.nan, 1.0])
+    assert np.isnan(holder_norm(y, 0.3))
+    assert np.isnan(holder_norms(np.stack([y, np.zeros(3)]), 0.3)).tolist() == [True, False]
 
 
 def test_path_object_input():

@@ -15,7 +15,8 @@ from ustatkit.incomplete import (
     incomplete_moment_experiment,
     incomplete_ustat,
 )
-from ustatkit.kernels import Distribution, builtin_kernel, stream
+from ustatkit.kernels import Distribution, Kernel, builtin_kernel, stream
+from ustatkit.spaces import BanachSpaceDescriptor
 from ustatkit.ustat import complete_ustat
 
 
@@ -269,6 +270,19 @@ def test_incomplete_moment_experiment_validates():
     with pytest.raises(ValueError):
         incomplete_moment_experiment(s, d, [(16, 0.5)], p=2.0, q=2.0, d=2,
                                      replications=10)
+
+
+def test_incomplete_moment_default_space_is_kernel_codomain():
+    space = BanachSpaceDescriptor(dimension=3, norm_exponent=1.5)
+    weights = np.array([1.0, -2.0, 0.5])
+    h = Kernel(2, lambda xs, idx: (xs[0] * xs[1])[..., None] * weights,
+               symmetric=True, codomain=space)
+    kwargs = dict(grid=[(32, 0.5)], p=1.5, q=1.5, d=2, replications=50,
+                  seed=43, certify=False)
+    default = incomplete_moment_experiment(h, Distribution.rademacher(), **kwargs)
+    explicit = incomplete_moment_experiment(h, Distribution.rademacher(),
+                                            space=space, **kwargs)
+    assert default.rows == explicit.rows
 
 
 def test_incomplete_moment_thread_count_invariance():
