@@ -5,7 +5,9 @@ the horizon N and the kernel arity m, never on the thread count; each
 block is a few large numpy calls that release the interpreter lock.
 Results come back in index order no matter how many workers run, so any
 reduction applied afterwards sees a fixed operand order and experiment
-output is independent of the thread count.
+output is independent of the thread count.  No more workers start than
+there are items or usable cores: between those calls Python holds the
+interpreter lock, and extra workers only trade it back and forth.
 """
 
 from __future__ import annotations
@@ -27,10 +29,20 @@ def resolve_threads(threads: int | None) -> int:
     return n
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def parallel_map(fn, count: int, threads: int | None = None) -> list:
-    """Apply fn to 0..count-1, preserving order."""
-    n = resolve_threads(threads)
-    if n == 1 or count <= 1:
+    """Apply fn to 0..count-1, preserving order.
+
+    Starts min(threads, count, usable cores) workers.
+    """
+    n = min(resolve_threads(threads), count, _usable_cores())
+    if n <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, range(count)))

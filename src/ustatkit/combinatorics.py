@@ -10,6 +10,7 @@ so binomial counts never overflow; they are returned exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -109,6 +110,14 @@ def unrank_tuple(rank: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _binomial_column(n: int, j: int) -> np.ndarray:
+    """Read-only int64 column C(c, j) for c in range(n), built once per (n, j)."""
+    table = np.array([comb(c, j) for c in range(n)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def unrank_many(ranks: np.ndarray, n: int, m: int) -> list[np.ndarray]:
     """Vectorized unrank: m int64 columns, one row per rank.
 
@@ -123,9 +132,8 @@ def unrank_many(ranks: np.ndarray, n: int, m: int) -> list[np.ndarray]:
         raise ValueError(f"ranks must lie in [0, {total})")
     cols: list[np.ndarray] = [np.empty(ranks.shape, dtype=np.int64) for _ in range(m)]
     rem = ranks.copy()
-    support = np.arange(n, dtype=np.int64)
     for j in range(m, 0, -1):
-        table = np.array([comb(int(c), j) for c in support], dtype=np.int64)
+        table = _binomial_column(n, j)
         idx = np.searchsorted(table, rem, side="right") - 1
         cols[j - 1][...] = idx
         rem = rem - table[idx]

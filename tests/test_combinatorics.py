@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ustatkit.combinatorics import (
+    _binomial_column,
     count_tuples,
     enumerate_tuples,
     rank_tuple,
@@ -67,6 +68,21 @@ def test_unrank_many_matches_scalar_unrank():
     for r in range(total):
         scalar = unrank_tuple(r, n, m)
         assert tuple(int(c[r]) for c in cols) == scalar
+
+
+def test_unrank_many_binomial_column_is_cached_and_read_only():
+    n, m = 40, 3
+    ranks = np.arange(count_tuples(n, m))
+    first = unrank_many(ranks, n, m)
+    again = unrank_many(ranks[::-1], n, m)
+    for a, b in zip(first, again):
+        assert np.array_equal(a[::-1], b)
+    column = _binomial_column(n, 2)
+    assert column is _binomial_column(n, 2)
+    assert column.dtype == np.int64
+    assert column.tolist() == [math.comb(c, 2) for c in range(n)]
+    with pytest.raises(ValueError):
+        column[0] = 1
 
 
 def test_validate_tuple_rejects_bad_input():

@@ -1,14 +1,18 @@
 """Experiment drivers: config validation, gating, bound shapes, invariances."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatkit.harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _tail_block,
     deviation_experiment,
     moment_experiment,
     run_experiment,
@@ -17,6 +21,7 @@ from ustatkit.kernels import (
     Distribution,
     builtin_kernel,
     kernel_from_expression,
+    stream,
 )
 
 PRODUCT2 = {"name": "product", "m": 2}
@@ -232,6 +237,141 @@ def test_deviation_weighted_tuple_cap():
                replications=10)
     with pytest.raises(ConfigError, match="n_grid"):
         run_experiment(cfg)
+
+
+def _direct_tails(y, w, t_arr, q):
+    """The per-threshold formula: one power and one product per t."""
+    return np.stack([(np.minimum(1.0, y / t) ** q) @ w / q for t in t_arr], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=6),
+    draws=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=1.0, max_value=2.0),
+    q_excess=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.5)),
+    scale=st.floats(min_value=-3.0, max_value=3.0),
+    placement=st.sampled_from(["below", "above", "equal", "spread"]),
+)
+def test_tail_block_matches_direct_formula(seed, rows, draws, p, q_excess, scale,
+                                           placement):
+    rng = np.random.default_rng(seed)
+    y = np.abs(rng.standard_cauchy((rows, draws))) * 10.0 ** scale
+    w = rng.random(draws) ** 3 + 1e-3
+    w /= w.sum()
+    q = p + q_excess
+    if placement == "below":
+        t_arr = y.min() * np.array([0.25, 0.5, 0.9])
+    elif placement == "above":
+        t_arr = y.max() * np.array([1.1, 2.0, 30.0])
+    elif placement == "equal":
+        t_arr = np.unique(rng.choice(y.ravel(), size=3))
+    else:
+        t_arr = np.quantile(y, [0.1, 0.5, 0.9, 0.99])
+    kept = y.copy()
+    moments, contrib = _tail_block(y, w, t_arr, p, q)
+    assert np.array_equal(y, kept)
+    assert np.array_equal(moments, (y ** p) @ w)
+    np.testing.assert_allclose(contrib, _direct_tails(y, w, t_arr, q), rtol=1e-12, atol=0)
+
+
+def test_tail_block_nan_row_and_infinite_norm():
+    y = np.array([[0.5, np.nan, 2.0], [0.5, np.inf, 2.0], [0.5, 3.0, 2.0]])
+    w = np.array([0.2, 0.3, 0.5])
+    t_arr = np.array([0.1, 1.0, 2.5])
+    moments, contrib = _tail_block(y, w, t_arr, 1.5, 2.0)
+    assert np.isnan(contrib[0]).all() and np.isnan(moments[0])
+    assert np.isnan(_direct_tails(y, w, t_arr, 2.0)[0]).all()
+    # an infinite norm counts as 1 at every threshold, like a finite 3.0 above 2.5
+    assert np.array_equal(contrib[1], contrib[2])
+    np.testing.assert_allclose(contrib[1:], _direct_tails(y, w, t_arr, 2.0)[1:],
+                               rtol=1e-12, atol=0)
+
+
+def _weighted_reference(cfg):
+    """Maxima and rhs of x1 * x2 / (i1 + i2) from the per-threshold formula.
+
+    Built over all C(N, 2) tuples directly, on the same draws the harness
+    uses: the exact support grid, or the seeded Monte Carlo tables.
+    """
+    p = cfg.p
+    q = cfg.q if cfg.q is not None else p
+    n_max = max(cfg.n_grid)
+    support = cfg.dist.support()
+
+    def draws(tag, *path, count):
+        if support is not None:
+            return np.asarray(support[0]), np.asarray(support[1])
+        x = cfg.dist.sample(stream(cfg.seed, "deviation-weighted", tag, *path), count)
+        return x, np.full(count, 1.0 / count)
+
+    def tail(y, w, t):
+        return float((np.minimum(1.0, y / t) ** q) @ w / q)
+
+    # colex order: by the larger index, then the smaller one
+    pairs = sorted(itertools.combinations(range(n_max), 2), key=lambda ij: ij[::-1])
+    coef = {(i, j): 1.0 / float(i + j + 2) for i, j in pairs}
+    if support is not None:
+        atoms, probs = draws(0, count=0)
+        x1, x2 = (a.ravel() for a in np.meshgrid(atoms, atoms, indexing="ij"))
+        w = np.outer(probs, probs).ravel()
+    else:
+        x, _ = draws(0, count=16384 * 2)
+        x1, x2 = x.reshape(16384, 2).T
+        w = np.full(16384, 1.0 / 16384)
+
+    rhs = {}
+    for n in cfg.n_grid:
+        inside = [(i, j) for i, j in pairs if j < n]
+        pm = sum(float((np.abs(x1 * x2 * coef[ij]) ** p) @ w) for ij in inside)
+        for t in cfg.t_grid:
+            first = sum(tail(np.abs(x1 * x2 * coef[ij]), w, t) for ij in inside)
+            rhs[n, t] = first + t ** (-q) * pm ** (q / p)
+        # middle groups: J = {first position} keyed by i, J = {second} by j
+        for slot, tag in ((0, 1), (1, 2)):
+            outer_x, outer_w = draws(1, tag, count=cfg.outer)
+            inner_x, inner_w = draws(2, tag, count=cfg.inner)
+            inner_pm = float((np.abs(inner_x) ** p) @ inner_w)
+            grouped = {}
+            for ij in inside:
+                cond = np.abs(outer_x) ** p * coef[ij] ** p * inner_pm
+                grouped[ij[slot]] = grouped.get(ij[slot], 0.0) + cond
+            for t in cfg.t_grid:
+                rhs[n, t] += sum(tail(g ** (1.0 / p), outer_w, t) for g in grouped.values())
+
+    maxima = np.empty((cfg.replications, len(cfg.n_grid)))
+    scale = 1.0 / (np.arange(n_max)[:, None] + np.arange(n_max)[None, :] + 2.0)
+    for r in range(cfg.replications):
+        x = cfg.dist.sample(stream(cfg.seed, "deviation", r), n_max)
+        terms = np.triu(np.outer(x, x) * scale, k=1)
+        prefix = np.abs(np.cumsum(terms.sum(axis=0)))
+        for col, n in enumerate(cfg.n_grid):
+            maxima[r, col] = prefix[1:n].max()
+    return maxima, rhs
+
+
+# The smallest threshold sits below most summand norms, and on Rademacher
+# data 1/8 equals the norm 1/(i1 + i2) of every tuple with i1 + i2 = 8.
+@pytest.mark.parametrize("distribution, t_grid, q, seed", [
+    (RADEMACHER, [0.07, 0.125, 0.3, 0.8], 2.0, 12),
+    ({"family": "gaussian"}, [0.01, 0.05, 0.2, 0.6], None, 11),
+])
+def test_deviation_weighted_rhs_matches_direct_formula(distribution, t_grid, q, seed):
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": "x1 * x2 / (i1 + i2)", "m": 2},
+        "distribution": distribution, "experiment": "deviation",
+        "n_grid": [5, 9], "t_grid": t_grid, "p": 1.5, "q": q,
+        "replications": 200, "inner": 256, "outer": 64, "seed": seed,
+    })
+    rep = run_experiment(cfg)
+    assert rep.details["exact_tails"] == (distribution == RADEMACHER)
+    maxima, rhs = _weighted_reference(cfg)
+    assert len(rep.rows) == 2 * len(t_grid)
+    for row in rep.rows:
+        col = cfg.n_grid.index(row["N"])
+        assert row["lhs"] == float(np.mean(maxima[:, col] > row["t"]))
+        assert row["rhs"] == pytest.approx(rhs[row["N"], row["t"]], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
