@@ -7,13 +7,14 @@ Three subcommands share a JSON config convention:
   ustat experiment run --config c.json --out d/   full experiment with outputs
 
 Exit codes are CI-oriented: 0 success/pass, 1 experiment criteria failed,
-2 usage or config error (the message names the offending field; a complete
-statistic past the summand cap counts, since a `design` fixes it), and 3 an
-internal error (any other exception, reported with its traceback).  Only
-parsing and validation produce exit 2.  The
-experiment command writes manifest.json first, then report.json and the grid
-CSVs; report.json carries no timestamps, so identical (config, seed) runs
-produce byte-identical reports regardless of --threads.
+2 usage or config error (the message names the offending field; a statistic
+past the summand cap counts, since adding a `design`, or lowering the rate or
+draw count of the one given, fixes it), and 3 an internal error (any other
+exception, reported with its traceback).  Only parsing and validation
+produce exit 2.  The experiment command writes manifest.json first, then
+report.json and the grid CSVs; report.json carries no timestamps, so
+identical (config, seed) runs produce byte-identical reports regardless of
+--threads.
 """
 
 from __future__ import annotations
@@ -257,7 +258,9 @@ def cmd_compute(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except EvaluationBudgetError as exc:
-        raise ConfigError(f'design: {exc} (add a "design" to the config)') from exc
+        advice = ('add a "design" to the config' if design is None
+                  else 'lower the design\'s "p_n" or "draws"')
+        raise ConfigError(f"design: {exc} ({advice})") from exc
 
     payload = {
         "value": result.value,

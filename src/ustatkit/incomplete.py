@@ -8,7 +8,14 @@ probability p_n.  Bernoulli designs are materialized sparsely: the number
 of kept tuples is drawn from the exact Binomial law, then that many
 distinct colex ranks are sampled uniformly.  The joint distribution is
 identical to flipping one coin per tuple, at a cost proportional to the
-selected set instead of C(n, m).
+selected set instead of C(n, m).  The distinct ranks come from Floyd's
+algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9), 1987),
+whose uniform draws do not depend on the ranks already chosen: all of
+them are taken in one numpy call over the array of per-step bounds, which
+consumes the same stream as one call per step, and when no two draws are
+equal they are the chosen ranks themselves (see _distinct_ranks).  A
+design that would select more than MAX_EVALUATION_TERMS tuples is refused
+before its ranks are drawn.
 
 The module also carries the Bernoulli-sum moment check used to validate
 the moment bound for subsampled sums: for Y = sum_{a in A} (sum_{b in B}
@@ -192,14 +199,27 @@ class WeightSet:
 
 
 def _distinct_ranks(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
-    """Uniform random count-subset of [0, total) by Floyd's algorithm."""
+    """Uniform random count-subset of [0, total), sorted, by Floyd's algorithm.
+
+    Floyd's step j (j = total - count, ..., total - 1) draws t_j uniform
+    on {0, ..., j} and keeps t_j, or j when t_j is already kept.  The draw
+    does not depend on the kept set, so all of them are taken in one
+    rng.integers call over the array of upper bounds; numpy fills such an
+    array one element at a time, consuming the stream exactly as one
+    scalar call per step does.  If no two draws are equal they are the
+    result: by induction every kept element is an earlier draw, so no
+    t_j is ever kept already.  Otherwise the set rule runs over the draws.
+    """
     if count > total:
         raise ValueError(f"cannot pick {count} distinct ranks out of {total}")
     if count == total:
         return np.arange(total, dtype=np.int64)
+    draws = rng.integers(0, np.arange(total - count + 1, total + 1, dtype=np.int64))
+    ranks = np.sort(draws)
+    if not np.any(ranks[1:] == ranks[:-1]):
+        return ranks
     chosen: set[int] = set()
-    for j in range(total - count, total):
-        t = int(rng.integers(0, j + 1))
+    for j, t in enumerate(draws.tolist(), start=total - count):
         chosen.add(j if t in chosen else t)
     return np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
 
@@ -225,18 +245,21 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
     design.validate_for(n, m)
     rng = _design_rng(seed)
 
-    if design.variant == "without_replacement":
-        ranks = _distinct_ranks(rng, total, design.draws)
-        weights = np.ones(ranks.size, dtype=np.int64)
-    elif design.variant == "with_replacement":
+    if design.variant == "with_replacement":
+        # Repeats merge, so the distinct count is known only after the draw.
         raw = rng.integers(0, total, size=design.draws, dtype=np.int64)
         ranks, counts = np.unique(raw, return_counts=True)
-        weights = counts.astype(np.int64)
+        return WeightSet(n=n, m=m, ranks=ranks, weights=counts.astype(np.int64))
+    if design.variant == "without_replacement":
+        count = design.draws
     else:
         count = int(rng.binomial(total, design.rate)) if total else 0
-        ranks = _distinct_ranks(rng, total, count)
-        weights = np.ones(ranks.size, dtype=np.int64)
-    return WeightSet(n=n, m=m, ranks=ranks, weights=weights)
+    if count > MAX_EVALUATION_TERMS:
+        raise EvaluationBudgetError(
+            f"{count} selected tuples exceed the cap {MAX_EVALUATION_TERMS}"
+        )
+    ranks = _distinct_ranks(rng, total, count)
+    return WeightSet(n=n, m=m, ranks=ranks, weights=np.ones(count, dtype=np.int64))
 
 
 def _rank_chunks(ranks: np.ndarray):

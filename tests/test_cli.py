@@ -370,6 +370,21 @@ def test_compute_over_cap_exits_2_and_points_to_design(tmp_path, capsys):
     assert "design" in err and "Traceback" not in err
 
 
+def test_compute_over_cap_design_exits_2_and_points_to_its_rate(tmp_path, capsys):
+    # C(20000, 2) * 0.9 is about 1.8e8 selected tuples, past the 1e8 cap
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "rademacher"},
+        "n": 20000,
+        "design": {"variant": "bernoulli", "p_n": 0.9},
+    })
+    code, out, err = run(["compute", "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert 'lower the design\'s "p_n" or "draws"' in err
+    assert 'add a "design"' not in err and "Traceback" not in err
+
+
 def test_experiment_holder_past_scan_cap_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "e.json", {
         "kernel": {"name": "product", "m": 2},

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ustatkit import incomplete
 from ustatkit.combinatorics import count_tuples, rank_tuple
 from ustatkit.incomplete import (
     SamplingDesign,
@@ -17,7 +20,7 @@ from ustatkit.incomplete import (
 )
 from ustatkit.kernels import Distribution, Kernel, builtin_kernel, stream
 from ustatkit.spaces import BanachSpaceDescriptor
-from ustatkit.ustat import complete_ustat
+from ustatkit.ustat import EvaluationBudgetError, complete_ustat
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,70 @@ def test_rank_extremes_reachable():
     assert ws_all.size == count_tuples(7, 2)
     ws_none = draw_design(SamplingDesign.bernoulli(0.0), 7, 2, seed=3)
     assert ws_none.size == 0
+
+
+def _floyd_one_draw_per_step(rng, total, count):
+    """Floyd's algorithm with one scalar rng.integers call per step: the oracle."""
+    if count == total:
+        return np.arange(total, dtype=np.int64)
+    chosen = set()
+    for j in range(total - count, total):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    return np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
+
+
+@st.composite
+def _floyd_cases(draw):
+    # tiny totals force repeated draws (the set-rule path); totals past
+    # 2^32 take numpy's 64-bit bounded path
+    total = draw(
+        st.integers(0, 12)
+        | st.integers(13, 2**32)
+        | st.integers(2**32 + 1, incomplete._RANK_SPACE_LIMIT)
+    )
+    edges = [c for c in (0, 1, total - 1, total) if 0 <= c <= min(total, 4096)]
+    count = draw(st.sampled_from(edges) | st.integers(0, min(total, 2000)))
+    return total, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(_floyd_cases(), st.integers(0, 2**32))
+@example((12, 9), 0)  # draws 0, 3 and 4 repeat
+@example((2**40, 1000), 1)
+def test_distinct_ranks_match_scalar_floyd(case, seed):
+    total, count = case
+    rng, oracle_rng = stream(seed, "floyd"), stream(seed, "floyd")
+    got = incomplete._distinct_ranks(rng, total, count)
+    want = _floyd_one_draw_per_step(oracle_rng, total, count)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the generator is left where one draw per step leaves it
+    assert rng.integers(0, 2**63) == oracle_rng.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("design", [
+    SamplingDesign.bernoulli(0.5),
+    SamplingDesign.without_replacement(20),
+])
+def test_over_cap_design_refused_before_ranks_are_drawn(monkeypatch, design):
+    def never(*args):
+        raise AssertionError("ranks drawn for an over-cap design")
+
+    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    monkeypatch.setattr(incomplete, "_distinct_ranks", never)
+    # C(12, 2) = 66 tuples: at p_n = 1/2 the Binomial count is above 10
+    with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
+        draw_design(design, 12, 2, seed=5)
+
+
+def test_with_replacement_capped_on_distinct_count(monkeypatch):
+    # 30 draws over C(3, 2) = 3 tuples merge to at most 3 distinct ones
+    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    ws = draw_design(SamplingDesign.with_replacement(30), 3, 2, seed=5)
+    assert ws.size <= 3 and ws.total_weight == 30
+    result = incomplete_ustat(builtin_kernel("product", 2), np.ones(3), ws)
+    assert result.terms == ws.size
 
 
 # ---------------------------------------------------------------------------
