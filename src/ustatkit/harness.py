@@ -86,6 +86,14 @@ __all__ = [
 _WEIGHTED_TUPLE_CAP = 4096
 # Flat norm-tail draw count on the Monte Carlo branch of the weighted path.
 _WEIGHTED_MC_DRAWS = 16384
+# Entries per tile of the weighted path's tuple grid: 2 MiB of float64, so
+# a tile's kernel values, norms and powers stay in a core's L2 cache
+# through every pass instead of streaming through memory once per pass.
+# Tiles hold a multiple of 4 tuples: OpenBLAS's gemv sums its rows in
+# groups of four and a leftover row by another kernel, so with whole groups
+# a tuple's sum does not move with the tile boundaries (a tile this small
+# runs gemv on one thread, which would otherwise split the rows).
+_WEIGHTED_TILE_ENTRIES = 1 << 18
 # Replications simulated together: a block's widest arrays, the (B, k)
 # columns of one colex step and the (B, N) sample, hold at most this many
 # entries each.  Larger blocks buy little speed and cost peak memory.
@@ -518,6 +526,25 @@ def _frozen_index_kernel(h: Kernel, index: tuple[int, ...]) -> Kernel:
                   codomain=h.codomain, name=f"{h.name}@{index}")
 
 
+def _tile_rows(row_entries: int) -> int:
+    """Tuples per tile of _WEIGHTED_TILE_ENTRIES entries, rounded up to a multiple of 4."""
+    rows = max(1, _WEIGHTED_TILE_ENTRIES // max(1, row_entries))
+    return -(-rows // 4) * 4
+
+
+def _norms_in_place(space: BanachSpaceDescriptor, vals: np.ndarray) -> np.ndarray:
+    """space.norms(vals), written over vals when it is a scalar block it owns.
+
+    A view, a read-only array or a vector codomain goes to space.norms.
+    """
+    flags = vals.flags
+    if not (space.dimension == 1 and vals.dtype == np.float64
+            and flags.owndata and flags.writeable):
+        return space.norms(vals)
+    np.abs(vals, out=vals)
+    return vals[:, 0] if vals.ndim == 2 and vals.shape[1] == 1 else vals
+
+
 def _tail_block(y, w, t_arr, p, q):
     """p-th moments and q-th-order tail terms of a (R, D) block of norms.
 
@@ -604,15 +631,15 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
     # (_tail_block).
     contrib_one = np.zeros((total, n_t))
     tuple_pm = np.zeros(total)
-    block = max(1, (1 << 22) // max(1, value_table.shape[0]))
-    for a in range(0, total, block):
-        b = min(a + block, total)
+    tile = _tile_rows(value_table.shape[0])
+    for a in range(0, total, tile):
+        b = min(a + tile, total)
         vals = evaluate_batch(
             h,
             [value_table[:, k][None, :] for k in range(m)],
             [c[a:b, None] for c in idx_cols],
         )
-        y = space.norms(vals)
+        y = _norms_in_place(space, vals)
         del vals
         tuple_pm[a:b], contrib_one[a:b] = _tail_block(y, draw_w, t_arr, p, q)
     cum_one = np.cumsum(contrib_one, axis=0)
@@ -641,9 +668,9 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
             i_n = inner_cols.shape[0]
 
             cond = np.zeros((total, o_n))
-            blk = max(1, (1 << 22) // max(1, o_n * i_n))
-            for a in range(0, total, blk):
-                b = min(a + blk, total)
+            tile = _tile_rows(o_n * i_n)
+            for a in range(0, total, tile):
+                b = min(a + tile, total)
                 cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
                 for slot, k in enumerate(positions):
                     cols[k] = outer_cols[:, slot][None, :, None]
@@ -651,7 +678,7 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
                     cols[k] = inner_cols[:, slot][None, None, :]
                 vals = evaluate_batch(
                     h, cols, [c[a:b, None, None] for c in idx_cols])
-                y = space.norms(vals)
+                y = _norms_in_place(space, vals)
                 del vals
                 y **= p
                 cond[a:b] = y @ inner_w

@@ -82,7 +82,12 @@ class BanachSpaceDescriptor:
         return float(np.sum(np.abs(arr) ** s) ** (1.0 / s))
 
     def norms(self, batch) -> np.ndarray:
-        """Norms of a batch: shape (B,) for scalars, (B, dimension) for vectors."""
+        """Norms of a batch of points.
+
+        Vectors lie along the last axis, so a (B, dimension) batch gives
+        shape (B,) and any batch gives its leading shape batch.shape[:-1].
+        Scalars keep the batch's shape, except that a (B, 1) batch gives (B,).
+        """
         arr = np.asarray(batch, dtype=np.float64)
         if self.dimension == 1:
             if arr.ndim == 2 and arr.shape[-1] == 1:

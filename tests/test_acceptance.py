@@ -42,6 +42,8 @@ from ustatkit.kernels import (
 from ustatkit.tails import EmpiricalTail, tail_integral, weak_lp_norm
 from ustatkit.ustat import complete_ustat, decomposition_identity_check
 
+from recipes import _RECIPES
+
 
 def _conclude(num, label, checks):
     """Print the verdict line, then raise with every broken condition."""
@@ -51,89 +53,7 @@ def _conclude(num, label, checks):
 
 
 # ---------------------------------------------------------------------------
-# frozen experiment recipes, shared with the determinism test
-
-_RECIPES = {
-    "deviation": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "deviation",
-        "t_grid": [2.0, 4.0, 7.0, 11.0, 16.0, 24.0, 36.0, 54.0],
-        "n_grid": [8, 16, 32],
-        "replications": 10000,
-        "seed": 606,
-    },
-    "deviation-scaled": {
-        "kernel": {"expr": "3 * x1 * x2", "m": 2, "symmetric": True},
-        "distribution": {"family": "rademacher"},
-        "experiment": "deviation",
-        "t_grid": [6.0, 12.0, 21.0, 33.0, 48.0, 72.0, 108.0, 162.0],
-        "n_grid": [8, 16, 32],
-        "replications": 10000,
-        "seed": 606,
-    },
-    "moment-p15": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "moment",
-        "p": 1.5,
-        "q": 1.5,
-        "n_grid": [8, 16, 32, 64],
-        "moment_replications": 1000,
-        "seed": 707,
-    },
-    "moment-p20": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "moment",
-        "p": 2.0,
-        "q": 2.0,
-        "n_grid": [8, 16, 32, 64],
-        "moment_replications": 1000,
-        "seed": 707,
-    },
-    "lln": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "lln",
-        "p": 1.5,
-        "n_grid": [256, 512, 1024],
-        "replications": 500,
-        "seed": 808,
-    },
-    "holder": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "holder",
-        "alpha": 0.3,
-        "d": 2,
-        "n_grid": [1024],
-        "replications": 1000,
-        "seed": 909,
-    },
-    "incomplete-linear": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "incomplete-moment",
-        "d": 2,
-        "p": 2.0,
-        "q": 2.0,
-        "grid": [[32, 1 / 32], [64, 1 / 64], [128, 1 / 128], [256, 1 / 256]],
-        "moment_replications": 1000,
-        "seed": 1212,
-    },
-    "incomplete-quadratic": {
-        "kernel": {"name": "product", "m": 2},
-        "distribution": {"family": "rademacher"},
-        "experiment": "incomplete-moment",
-        "d": 2,
-        "p": 2.0,
-        "q": 2.0,
-        "grid": [[32, 32**-2], [64, 64**-2], [128, 128**-2], [256, 256**-2]],
-        "moment_replications": 1000,
-        "seed": 1212,
-    },
-}
+# reports of the frozen recipes, cached for the determinism test
 
 _REPORT_CACHE = {}
 

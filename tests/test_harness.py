@@ -12,6 +12,7 @@ from ustatkit.harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _norms_in_place,
     _tail_block,
     deviation_experiment,
     moment_experiment,
@@ -23,6 +24,7 @@ from ustatkit.kernels import (
     kernel_from_expression,
     stream,
 )
+from ustatkit.spaces import BanachSpaceDescriptor
 
 PRODUCT2 = {"name": "product", "m": 2}
 RADEMACHER = {"family": "rademacher"}
@@ -372,6 +374,74 @@ def test_deviation_weighted_rhs_matches_direct_formula(distribution, t_grid, q, 
         col = cfg.n_grid.index(row["N"])
         assert row["lhs"] == float(np.mean(maxima[:, col] > row["t"]))
         assert row["rhs"] == pytest.approx(rhs[row["N"], row["t"]], rel=1e-12, abs=0)
+
+
+# The defaults give one tile on Rademacher data and 16-tuple tiles on
+# Gaussian data; 1, 3 and 5 tuples' worth give 4-, 4- and 8-tuple tiles.
+@pytest.mark.parametrize("distribution, t_grid, draws", [
+    (RADEMACHER, [0.07, 0.125, 0.3, 0.8], 4),
+    ({"family": "gaussian"}, [0.01, 0.05, 0.2, 0.6], 64 * 256),
+])
+def test_deviation_weighted_independent_of_tile_size(monkeypatch, distribution,
+                                                      t_grid, draws):
+    from ustatkit import harness
+
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": "x1 * x2 / (i1 + i2)", "m": 2},
+        "distribution": distribution, "experiment": "deviation",
+        "n_grid": [5, 9], "t_grid": t_grid, "p": 1.5,
+        "replications": 200, "inner": 256, "outer": 64, "seed": 13,
+    })
+    # `draws` is both the first group's draws per tuple and the middle
+    # groups' outer x inner grid (2 x 2 atoms on Rademacher data)
+    default = run_experiment(cfg)
+    for tuples in (1, 3, 5):
+        monkeypatch.setattr(harness, "_WEIGHTED_TILE_ENTRIES", tuples * draws)
+        tiled = run_experiment(cfg)
+        assert tiled.passed == default.passed
+        for row, ref in zip(tiled.rows, default.rows, strict=True):
+            assert (row["t"], row["N"]) == (ref["t"], ref["N"])
+            assert row["lhs"] == ref["lhs"] and row["lhs_se"] == ref["lhs_se"]
+            assert row["rhs"] == pytest.approx(ref["rhs"], rel=1e-14, abs=0)
+
+
+def _column_view():
+    return np.random.default_rng(3).standard_normal((6, 4))[:, 1]
+
+
+def _read_only_broadcast():
+    return np.broadcast_to(np.random.default_rng(4).standard_normal(5), (3, 5))
+
+
+def _trailing_unit_axis():
+    return np.random.default_rng(5).standard_normal((6, 1))
+
+
+def _trailing_unit_axis_view():
+    return np.random.default_rng(6).standard_normal((6, 3))[:, 1:2]
+
+
+@pytest.mark.parametrize("make_batch, dimension", [
+    (_column_view, 1),
+    (_read_only_broadcast, 1),
+    (_trailing_unit_axis, 1),
+    (_trailing_unit_axis_view, 1),
+    (lambda: np.random.default_rng(7).standard_normal((4, 5, 3)), 3),
+])
+def test_norms_in_place_equal_space_norms(make_batch, dimension):
+    space = BanachSpaceDescriptor(dimension=dimension, norm_exponent=1.5)
+    batch = make_batch()
+    owner = batch if batch.flags.owndata else batch.base
+    kept = owner.copy()
+    expected = space.norms(batch.copy())
+    got = _norms_in_place(space, batch)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    # it writes only over a scalar block that owns its memory
+    if dimension == 1 and batch.flags.owndata and batch.flags.writeable:
+        assert np.shares_memory(got, batch)
+    else:
+        assert np.array_equal(owner, kept)
+        assert not np.shares_memory(got, owner)
 
 
 # ---------------------------------------------------------------------------

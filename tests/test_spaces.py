@@ -39,6 +39,13 @@ def test_vector_norms_batch():
         sp.norms(np.zeros((4, 3)))
 
 
+def test_vector_norms_keep_the_leading_shape():
+    sp = BanachSpaceDescriptor(dimension=3, norm_exponent=1.5)
+    assert sp.norms(np.ones((4, 3))).shape == (4,)
+    assert sp.norms(np.ones((2, 5, 3))).shape == (2, 5)
+    assert real_line().norms(np.ones((2, 5))).shape == (2, 5)
+
+
 def test_smoothness_capped_at_two():
     assert BanachSpaceDescriptor(2, norm_exponent=1.5).smoothness == 1.5
     assert BanachSpaceDescriptor(2, norm_exponent=2.0).smoothness == 2.0

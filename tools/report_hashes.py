@@ -1,0 +1,66 @@
+"""Print the sha256 of each report.json that a fixed set of runs writes.
+
+    python3 tools/report_hashes.py
+
+Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, and
+every benchmark workload (perfbench/workloads.py, read only) at its
+default seed.  Each run is one `ustat experiment run` in a fresh process
+that imports ustatkit from the `src` directory of this checkout.  Prints
+one `name sha256` line per report, so two checkouts give the same lines
+exactly when their reports are byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _configs():
+    """(name, config) of every run, recipes first."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
+    from recipes import _RECIPES
+    from workloads import DEFAULT_SEEDS, make_config
+
+    for key, recipe in _RECIPES.items():
+        for threads in (1, 8):
+            yield f"{key}-t{threads}", {**recipe, "threads": threads}
+    for key, seed in DEFAULT_SEEDS.items():
+        yield f"{key}-s{seed}", make_config(key, seed)
+
+
+def report_hash(config: dict, wdir: str) -> str:
+    """sha256 of the report.json that `ustat experiment run` writes for config."""
+    config_path = os.path.join(wdir, "config.json")
+    out = os.path.join(wdir, "out")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    env.pop("USTAT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ustatkit.cli", "experiment", "run",
+         "--config", config_path, "--out", out],
+        env=env, cwd=wdir, capture_output=True, text=True)
+    # 0 and 1 both write a report: a passed and a failed verdict
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"exit {proc.returncode}:\n{proc.stderr}")
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    for name, config in _configs():
+        with tempfile.TemporaryDirectory() as wdir:
+            print(name, report_hash(config, wdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
