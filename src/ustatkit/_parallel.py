@@ -19,13 +19,21 @@ __all__ = ["parallel_map", "resolve_threads"]
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit count wins; USTAT_THREADS is the fallback; default 1."""
+    """Explicit count wins; USTAT_THREADS is the fallback; default 1.
+
+    Raises ValueError naming the source when the count is not a positive
+    integer.
+    """
     if threads is not None:
-        n = int(threads)
+        source, n = "thread count", int(threads)
     else:
-        n = int(os.environ.get("USTAT_THREADS", "1"))
+        source, text = "USTAT_THREADS", os.environ.get("USTAT_THREADS", "1")
+        try:
+            n = int(text)
+        except ValueError:
+            raise ValueError(f"USTAT_THREADS: expected an integer, got {text!r}") from None
     if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
+        raise ValueError(f"{source}: must be at least 1, got {n}")
     return n
 
 

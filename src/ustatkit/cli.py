@@ -71,6 +71,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _check_threads(threads: int | None) -> None:
+    """A bad USTAT_THREADS is a usage error, not an internal one."""
+    try:
+        resolve_threads(threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_config(path: str | None) -> tuple[bytes, dict]:
     if path is None:
         raise ConfigError("--config: a config file is required")
@@ -239,7 +247,7 @@ def cmd_compute(args) -> int:
     _, raw = _load_config(args.config)
     kernel = _parse_kernel(raw)
     seed = _effective_seed(args, raw)
-    resolve_threads(args.threads)  # validates the flag even though compute is serial
+    _check_threads(args.threads)  # validates the setting even though compute is serial
     sample = _load_sample(raw, seed)
 
     design = None
@@ -285,7 +293,7 @@ def cmd_decompose(args) -> int:
     dist = _parse_distribution(raw)
     space = _parse_space(raw)
     seed = _effective_seed(args, raw)
-    resolve_threads(args.threads)
+    _check_threads(args.threads)
     inner = _int_field(raw, "inner", 1024)
     outer = _int_field(raw, "outer", 256)
 
@@ -334,6 +342,7 @@ def cmd_experiment(args) -> int:
         overrides["moment_replications"] = args.replications
     if overrides:
         config = dataclasses.replace(config, **overrides)
+    _check_threads(config.threads)
 
     started = _utcnow()
     report = run_experiment(config)

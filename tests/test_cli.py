@@ -433,3 +433,31 @@ def test_mid_run_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert code == 3
     assert "internal error" in err and str(exc) in err
     assert "config error" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("command", ["compute", "decompose", "experiment"])
+def test_bad_ustat_threads_exits_2(tmp_path, capsys, monkeypatch, value, command):
+    monkeypatch.setenv("USTAT_THREADS", value)
+    if command == "experiment":
+        cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
+        args = ["experiment", "run", "--config", cfg, "--out", str(tmp_path / "o")]
+    else:
+        cfg = write_config(tmp_path, "c.json", {
+            "kernel": {"name": "product", "m": 2},
+            "distribution": {"family": "rademacher"},
+            "data": [1, -1, 2],
+        })
+        args = [command, "--config", cfg]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "USTAT_THREADS" in err and "internal error" not in err
+
+
+def test_config_threads_override_a_bad_ustat_threads(tmp_path, capsys, monkeypatch):
+    # the environment is only the fallback, so it is not read at all here
+    monkeypatch.setenv("USTAT_THREADS", "abc")
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "threads": 1})
+    code, _, _ = run(["experiment", "run", "--config", cfg,
+                      "--out", str(tmp_path / "o")], capsys)
+    assert code == 0

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ustatkit.hoeffding import project_component
@@ -305,6 +306,18 @@ def _block_kernel(kind, m):
     from ustatkit.kernels import Kernel
     if kind == "product":
         return builtin_kernel("product", m)
+    if kind == "product-generic":
+        # the engine's strided slices, which the separable path skips
+        return replace(builtin_kernel("product", m), factors=None)
+    if kind == "nonseparable":
+        # x1 * x2 + abs(x1 - x2) at m = 2, the same shape at other arities
+        def mixed(xs, idx):
+            prod = xs[0]
+            for x in xs[1:]:
+                prod = prod * x
+            return prod + np.abs(xs[0] - xs[-1])
+
+        return Kernel(m, mixed)
     if kind == "weighted":
         # x1 * x2 / (i1 + i2) at m = 2, the same shape at other arities
         xs = " * ".join(f"x{j + 1}" for j in range(m))
@@ -325,7 +338,8 @@ def _block_kernel(kind, m):
 @given(
     law=st.sampled_from(["gaussian", "uniform"]),
     m=st.integers(min_value=1, max_value=3),
-    kind=st.sampled_from(["product", "weighted", "vector"]),
+    kind=st.sampled_from(["product", "product-generic", "nonseparable",
+                          "weighted", "vector"]),
     rows=st.sampled_from([1, 2, 7, 40]),
     extra=st.integers(min_value=0, max_value=36),
     fortran=st.booleans(),
@@ -364,3 +378,118 @@ def test_block_broadcasts_index_only_kernel():
 def test_block_rejects_higher_rank_samples():
     with pytest.raises(ValueError, match="2-D block"):
         prefix_values(builtin_kernel("product", 2), np.zeros((2, 2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# the separable path against the generic engine
+
+
+def _fast_path_kernel(name, m):
+    if name in ("product", "sum"):
+        return builtin_kernel(name, m)
+    if name == "centered-product":
+        # a dyadic shift keeps every summand exact on Rademacher data
+        return builtin_kernel(name, m, mu=0.5)
+    if name == "covariance":
+        return builtin_kernel(name, 2)
+    return kernel_from_expression(name, m)
+
+
+# (kernel, smallest arity, integer-valued on Rademacher data)
+_FAST_KERNELS = [
+    ("product", 1, True), ("sum", 1, True), ("centered-product", 1, True),
+    ("covariance", 2, True), ("3*x1*x2", 2, True), ("x1*x2 + x1", 2, True),
+    ("(x1 - 1) * exp(x2)", 2, False),
+]
+
+
+def _draw_block(law, rows, n, rng):
+    if law == "gaussian":
+        return rng.normal(size=(rows, n))
+    if law == "uniform":
+        return rng.uniform(-1.0, 2.0, size=(rows, n))
+    if law == "three-atom":
+        # integer-valued, with zeros: a summand -1 * 0 is -0.0
+        return rng.choice([-1.0, 0.0, 2.0], size=(rows, n), p=[0.3, 0.3, 0.4])
+    return rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
+
+
+def _term_scale(h):
+    """Kernel summing |coef * f_1 * ... * f_m| over the terms of h's factors."""
+    from ustatkit.kernels import Kernel
+
+    def body(xs, idx):
+        total = 0.0
+        for coef, fs in h.factors:
+            term = abs(coef)
+            for f, x in zip(fs, xs):
+                if f is not None:
+                    term = term * np.abs(f(x))
+            total = total + term
+        return total
+
+    return Kernel(h.arity, body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    law=st.sampled_from(["gaussian", "uniform", "three-atom", "rademacher"]),
+    m=st.integers(min_value=1, max_value=3),
+    kernel=st.sampled_from(_FAST_KERNELS),
+    rows=st.sampled_from([1, 2, 7, 40]),
+    extra=st.integers(min_value=0, max_value=36),
+    fortran=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+# x^2/2 + y^2/2 - x*y cancels where x is close to y, so a pair with
+# (x - y)^2 / 2 far below x^2 / 2 would break a bound scaled by |h|
+@example(law="gaussian", m=2, kernel=("covariance", 2, True), rows=40, extra=0,
+         fortran=False, seed=1341)
+def test_separable_path_matches_generic_engine(law, m, kernel, rows, extra,
+                                               fortran, seed):
+    name, smallest, integer_valued = kernel
+    m = max(m, smallest) if name != "covariance" else 2
+    n = m + (extra if m < 3 else extra // 2)
+    block = _draw_block(law, rows, n, np.random.default_rng(seed))
+    if fortran:
+        block = np.asfortranarray(block)
+    h = _fast_path_kernel(name, m)
+    assert h.factors is not None
+    generic = replace(h, factors=None)
+    fast = prefix_values(h, block)
+    slow = prefix_values(generic, block)
+    if law in ("rademacher", "three-atom") and integer_valued:
+        assert fast.tobytes() == slow.tobytes()
+    # |U_fast - U_engine| <= 1e-12 * sum over the summands up to n, and
+    # over the terms of the factors, of |coef * f_1 * ... * f_m|
+    scale = prefix_values(_term_scale(h), block)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name,m", [("product", 2), ("sum", 3), ("covariance", 2),
+                                    ("3*x1*x2", 2), ("exp(-abs(x1)) * exp(-abs(x2))", 2)])
+def test_non_finite_block_gives_the_engine_bytes(name, m, bad):
+    # exp(-abs(inf)) is a finite factor, so only the input check sees the inf
+    block = np.random.default_rng(5).normal(size=(3, 40))
+    block[1, 4] = bad
+    h = _fast_path_kernel(name, m)
+    generic = replace(h, factors=None)
+    with np.errstate(invalid="ignore"):
+        assert prefix_values(h, block).tobytes() == prefix_values(generic, block).tobytes()
+        # columns past N are not read, so the finite prefix takes the fast path
+        np.testing.assert_allclose(prefix_values(h, block, 4),
+                                   prefix_values(generic, block, 4), rtol=1e-12)
+
+
+def test_non_finite_result_gives_the_engine_bytes():
+    # every point is finite, but exp overflows inside the cumulative sums
+    h = kernel_from_expression("exp(x1) * exp(x2) - exp(x2)", 2)
+    assert h.factors is not None
+    block = np.random.default_rng(6).normal(size=(2, 10))
+    block[0, 3] = 800.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = prefix_values(h, block)
+        slow = prefix_values(replace(h, factors=None), block)
+    assert fast.tobytes() == slow.tobytes()
+    assert not np.isfinite(fast[0, -1])

@@ -2,9 +2,10 @@
 
     python3 tools/report_hashes.py
 
-Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, and
-every benchmark workload (perfbench/workloads.py, read only) at its
-default seed.  Each run is one `ustat experiment run` in a fresh process
+Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, every
+benchmark workload (perfbench/workloads.py, read only) at its default
+seed, and four configs on non-integer data below, whose reports move in
+the last bits when a change reorders floating-point work.  Each run is one `ustat experiment run` in a fresh process
 that imports ustatkit from the `src` directory of this checkout.  Prints
 one `name sha256` line per report, so two checkouts give the same lines
 exactly when their reports are byte-identical.
@@ -21,6 +22,36 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+_PRODUCT = {"name": "product", "m": 2}
+_GAUSSIAN = {"family": "gaussian"}
+
+# Gaussian and uniform data: no recipe or workload but weighted-gauss
+# leaves the integers, so these catch reordered arithmetic in the paths
+# they take (the separable prefix path; the generic engine for the
+# projected d = 1 component).
+OFF_RADEMACHER = {
+    "gauss-product-deviation": {
+        "kernel": _PRODUCT, "distribution": _GAUSSIAN, "experiment": "deviation",
+        "n_grid": [8, 16, 32], "replications": 3000, "seed": 5,
+    },
+    "uniform-m3-product-deviation": {
+        "kernel": {"name": "product", "m": 3},
+        "distribution": {"family": "uniform", "a": -1.0, "b": 1.0},
+        "experiment": "deviation", "n_grid": [8, 16, 32], "replications": 3000,
+        "seed": 5,
+    },
+    "gauss-lln-alpha": {
+        "kernel": _PRODUCT, "distribution": _GAUSSIAN, "experiment": "lln",
+        "p": 1.5, "alpha": 0.4, "n_grid": [64, 128, 256], "replications": 200,
+        "seed": 5,
+    },
+    "holder-projected-d1": {
+        "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
+        "distribution": _GAUSSIAN, "experiment": "holder", "alpha": 0.3, "d": 1,
+        "n_grid": [64, 128], "replications": 40, "seed": 5,
+    },
+}
+
 
 def _configs():
     """(name, config) of every run, recipes first."""
@@ -34,6 +65,7 @@ def _configs():
             yield f"{key}-t{threads}", {**recipe, "threads": threads}
     for key, seed in DEFAULT_SEEDS.items():
         yield f"{key}-s{seed}", make_config(key, seed)
+    yield from OFF_RADEMACHER.items()
 
 
 def report_hash(config: dict, wdir: str) -> str:
