@@ -14,7 +14,6 @@ be reconstructed independently of scheduling and thread count.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -211,9 +210,12 @@ class Kernel:
     Each f_j is a broadcast function of position j's point alone, and None
     stands for f = 1.  Only a scalar kernel that reads no index can carry
     factors; the prefix engine then sums by cumulative sums instead of
-    evaluating the body on every tuple (see the ustat module).  The
-    builtin zoo declares its factors and the expression compiler proves
-    them; None, the default, keeps every engine on the body.
+    evaluating the body on every tuple (see the ustat module).  Its error
+    scales with the sum of the terms' absolute values, which is the sum of
+    |h| for one term but can be far larger when terms cancel: covariance as
+    x^2/2 + y^2/2 - x*y loses about eps * mu^2 / sigma^2 of U_n on data
+    with mean mu and spread sigma.  So the builtin product declares its one
+    term, and no other builtin and no compiled expression declares any.
     """
 
     arity: int
@@ -298,10 +300,6 @@ def _identity(x):
     return x
 
 
-def _square(x):
-    return x * x
-
-
 def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
     """Construct a kernel from the builtin zoo.
 
@@ -312,20 +310,17 @@ def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
                          under a nondegenerate law.
       centered-product   (x_1 - mu) * ... * (x_m - mu) with mu a parameter;
                          degenerate of full order when mu is the law's mean.
-      covariance         (x - y)^2 / 2, arity 2; factored as
-                         x^2/2 + y^2/2 - x*y.
+      covariance         (x - y)^2 / 2, arity 2.
       sign               sign(y - x), arity 2; antisymmetric, so the
                          symmetric flag stays off.
 
-    All but sign declare their factors.
+    Only product declares factors (see Kernel).
     """
     if name == "product":
         return Kernel(m, _product_body, symmetric=True, name="product",
                       factors=((1.0, (_identity,) * m),))
     if name == "sum":
-        terms = tuple((1.0, tuple(_identity if k == j else None for k in range(m)))
-                      for j in range(m))
-        return Kernel(m, _sum_body, symmetric=True, name="sum", factors=terms)
+        return Kernel(m, _sum_body, symmetric=True, name="sum")
     if name == "centered-product":
         mu = float(params.get("mu", 0.0))
 
@@ -335,18 +330,12 @@ def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
                 out = out * (x - _mu)
             return out
 
-        def shifted(x, _mu=mu):
-            return x - _mu
-
-        return Kernel(m, centered, symmetric=True, name="centered-product",
-                      factors=((1.0, (shifted,) * m),))
+        return Kernel(m, centered, symmetric=True, name="centered-product")
     if name == "covariance":
         if m != 2:
             raise ValueError("covariance kernel has arity 2")
         return Kernel(2, lambda xs, idx: 0.5 * (xs[0] - xs[1]) ** 2,
-                      symmetric=True, name="covariance",
-                      factors=((0.5, (_square, None)), (0.5, (None, _square)),
-                               (-1.0, (_identity, _identity))))
+                      symmetric=True, name="covariance")
     if name == "sign":
         if m != 2:
             raise ValueError("sign kernel has arity 2")
@@ -386,58 +375,14 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-@dataclass(frozen=True)
-class _Node:
-    """A parsed subtree: its evaluator over an env dict, the variables it
-    reads, and its separable form ((coef, {position: f}), ...) or None."""
-
-    fn: Callable
-    reads: frozenset
-    terms: tuple | None
-
-
-def _node(fn, reads, terms=None) -> _Node:
-    """Wrap an evaluator with its separable form.
-
-    A subtree that reads no variable is a constant coefficient (when
-    finite), one that reads a single x variable is one factor whatever its
-    operators, and one that reads an index variable is not separable;
-    otherwise the form is the `terms` its operator built from its children.
-    """
-    if any(name.startswith("i") for name in reads):
-        terms = None
-    elif not reads:
-        with np.errstate(all="ignore"):
-            coef = float(fn({}))
-        terms = ((coef, {}),) if math.isfinite(coef) else None
-    elif len(reads) == 1:
-        (name,) = reads
-        terms = ((1.0, {int(name[1:]) - 1: lambda x, _fn=fn, _n=name: _fn({_n: x})}),)
-    return _Node(fn, frozenset(reads), terms)
-
-
-def _negated(terms):
-    return None if terms is None else tuple((-c, f) for c, f in terms)
-
-
-def _plus(a, b):
-    return None if a is None or b is None else a + b
-
-
-def _times(a: _Node, b: _Node):
-    """Product form of two subtrees; only over disjoint variables."""
-    if a.terms is None or b.terms is None or a.reads & b.reads:
-        return None
-    return tuple((ca * cb, {**fa, **fb}) for ca, fa in a.terms for cb, fb in b.terms)
-
-
 class _Parser:
-    """Recursive-descent parser producing _Node trees of closures over an env dict."""
+    """Recursive-descent parser producing closure trees over an env dict."""
 
     def __init__(self, text: str, variables: set[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
+        self.used: set[str] = set()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -452,97 +397,89 @@ class _Parser:
         if kind != "op" or text != op:
             raise ValueError(f"expected {op!r}, got {text!r}")
 
-    def parse(self) -> _Node:
+    def parse(self):
         node = self.additive()
         kind, text = self.peek()
         if kind != "end":
             raise ValueError(f"trailing input at {text!r}")
         return node
 
-    def additive(self) -> _Node:
+    def additive(self):
         node = self.multiplicative()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.advance()[1]
             rhs = self.multiplicative()
-            reads = node.reads | rhs.reads
             if op == "+":
-                node = _node(lambda env, a=node.fn, b=rhs.fn: a(env) + b(env),
-                             reads, _plus(node.terms, rhs.terms))
+                node = (lambda env, a=node, b=rhs: a(env) + b(env))
             else:
-                node = _node(lambda env, a=node.fn, b=rhs.fn: a(env) - b(env),
-                             reads, _plus(node.terms, _negated(rhs.terms)))
+                node = (lambda env, a=node, b=rhs: a(env) - b(env))
         return node
 
-    def multiplicative(self) -> _Node:
+    def multiplicative(self):
         node = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.advance()[1]
             rhs = self.unary()
-            reads = node.reads | rhs.reads
             if op == "*":
-                node = _node(lambda env, a=node.fn, b=rhs.fn: a(env) * b(env),
-                             reads, _times(node, rhs))
+                node = (lambda env, a=node, b=rhs: a(env) * b(env))
             else:
-                node = _node(lambda env, a=node.fn, b=rhs.fn: a(env) / b(env), reads)
+                node = (lambda env, a=node, b=rhs: a(env) / b(env))
         return node
 
-    def unary(self) -> _Node:
+    def unary(self):
         if self.peek() == ("op", "-"):
             self.advance()
             inner = self.unary()
-            return _node(lambda env, a=inner.fn: -a(env), inner.reads,
-                         _negated(inner.terms))
+            return lambda env, a=inner: -a(env)
         if self.peek() == ("op", "+"):
             self.advance()
             return self.unary()
         return self.power()
 
-    def power(self) -> _Node:
+    def power(self):
         base = self.primary()
         if self.peek() == ("op", "^"):
             self.advance()
             exponent = self.unary()
-            return _node(lambda env, a=base.fn, b=exponent.fn: np.power(a(env), b(env)),
-                         base.reads | exponent.reads)
+            return lambda env, a=base, b=exponent: np.power(a(env), b(env))
         return base
 
-    def primary(self) -> _Node:
+    def primary(self):
         kind, text = self.advance()
         if kind == "num":
             value = np.float64(text)
-            return _node(lambda env, v=value: v, frozenset())
+            return lambda env, v=value: v
         if kind == "name":
             if self.peek() == ("op", "("):
                 return self.call(text)
             if text not in self.variables:
                 allowed = ", ".join(sorted(self.variables))
                 raise ValueError(f"unknown variable {text!r}; allowed: {allowed}")
-            return _node(lambda env, name=text: env[name], {text})
+            self.used.add(text)
+            return lambda env, name=text: env[name]
         if (kind, text) == ("op", "("):
             node = self.additive()
             self.expect_op(")")
             return node
         raise ValueError(f"unexpected token {text!r}")
 
-    def call(self, fname: str) -> _Node:
+    def call(self, fname: str):
         self.expect_op("(")
         args = [self.additive()]
         while self.peek() == ("op", ","):
             self.advance()
             args.append(self.additive())
         self.expect_op(")")
-        reads = frozenset().union(*(a.reads for a in args))
         if fname in _UNARY_FUNCS:
             if len(args) != 1:
                 raise ValueError(f"{fname} takes one argument")
             fn = _UNARY_FUNCS[fname]
-            return _node(lambda env, a=args[0].fn, f=fn: f(a(env)), reads)
+            return lambda env, a=args[0], f=fn: f(a(env))
         if fname in _BINARY_FUNCS:
             if len(args) != 2:
                 raise ValueError(f"{fname} takes two arguments")
             fn = _BINARY_FUNCS[fname]
-            return _node(lambda env, a=args[0].fn, b=args[1].fn, f=fn: f(a(env), b(env)),
-                         reads)
+            return lambda env, a=args[0], b=args[1], f=fn: f(a(env), b(env))
         raise ValueError(f"unknown function {fname!r}")
 
 
@@ -559,40 +496,29 @@ def kernel_from_expression(
     + - * / ^ with the functions abs, sign, exp, min, max.  Arithmetic is
     IEEE: division by zero and invalid powers propagate inf/nan rather
     than raising.
-
-    The compiled kernel carries factors when the parse proves the body a
-    sum of products of one-variable functions: a subtree that reads one x
-    variable is one factor, a product of subtrees over disjoint variables
-    multiplies their forms, a sum or difference concatenates them, and
-    unary minus and finite constants scale the coefficient.  So
-    `3 * x1 * x2` and `x1 * x2 + x1` carry factors, while `sign(x2 - x1)`,
-    `min(x1, x2)`, `exp(x1 * x2)` and anything that reads i1..im do not.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     xvars = {f"x{j + 1}" for j in range(m)}
     ivars = {f"i{j + 1}" for j in range(m)}
-    node = _Parser(text, xvars | ivars).parse()
-    weighted = bool(node.reads & ivars)
-    codomain = codomain if codomain is not None else real_line()
-    factors = None
-    if node.terms is not None and codomain.dimension == 1:
-        factors = tuple((c, tuple(f.get(j) for j in range(m))) for c, f in node.terms)
+    parser = _Parser(text, xvars | ivars)
+    node = parser.parse()
+    used_ivars = sorted(parser.used & ivars)
+    weighted = bool(used_ivars)
 
-    def body(xs, idx, _fn=node.fn, _m=m):
+    def body(xs, idx, _node=node, _m=m):
         env = {f"x{j + 1}": xs[j] for j in range(_m)}
         if idx is not None:
             env.update({f"i{j + 1}": idx[j] for j in range(_m)})
-        return _fn(env)
+        return _node(env)
 
     return Kernel(
         arity=m,
         body=body,
         weighted=weighted,
         symmetric=symmetric,
-        codomain=codomain,
+        codomain=codomain if codomain is not None else real_line(),
         name=f"expr:{text}",
-        factors=factors,
     )
 
 

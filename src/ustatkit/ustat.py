@@ -24,23 +24,31 @@ taken position by position)
 one cumulative sum per position and term, so U_n = sum_t coef_t E_m^t[n]
 costs O(m B N) work per term instead of B C(N, m) kernel evaluations.
 Non-symmetric products are covered, since position j only ever sees f_j.
-prefix_values takes this path whenever the kernel carries factors (which
-only a scalar kernel that reads no index can) and the block's first N
-columns are all finite; a block with inf or NaN, or a result that comes
-out non-finite, goes to the engine, which stays the reference.
+prefix_values takes this path whenever m >= 2, the kernel carries factors
+(which only a scalar kernel that reads no index can) and the block's
+first N columns are all finite; a block with inf or NaN, or a result that
+comes out non-finite, goes to the engine, which stays the reference.
+Arity 1 stays on the engine too: its compensated sum of one summand per
+step stays accurate up to the cap, N = 10^8, where the blocked sums below
+could err by 2e-12 of sum |h|.
 
-Accuracy of the separable path: the cumulative sums are plain float64
-sums.  On integer-valued data every product and partial sum is an exact
-integer (below 2^53), so the result is bit-equal to the engine's; on
-other data, at every n,
+Accuracy of the separable path.  Each cumulative sum runs in blocks of
+about sqrt(N) columns (a plain sum inside a block, then the running block
+totals), so it errs by at most about 2 sqrt(N) u of the sum of its terms'
+absolute values (u = 2^-53), against N u for one plain running sum.  On
+integer-valued data every product and partial sum is an exact integer
+(below 2^53), so the result is bit-equal to the engine's.  On other data,
+for a one-term kernel such as the product, at every n and to first order,
 
-    |U_fast - U_engine| <= 1e-12 * sum over tuples up to n and terms t
-                                   of |coef_t f_1^t ... f_m^t|,
+    |U_fast - U_engine| <= (2 m (sqrt(N) + 2) + log2 N + 4) u
+                           * sum over tuples up to n of |h|,
 
-which is 1e-12 * sum of |h| for a one-term kernel such as the product.
-A sum of terms can cancel where h is small: covariance, factored as
-x^2/2 + y^2/2 - x*y, is off by about 1e-16 * x^2 on a pair with x close
-to y, however small (x - y)^2 / 2 is.
+where log2 N + 4 covers the engine's own pairwise and compensated sums.  At
+every horizon the 10^8-summand cap allows with m >= 2 (N <= 14,142 at
+m = 2) that is below 1e-13 of sum |h|, so within the 1e-12 * sum |h| the
+tests check.  A kernel of several terms errs in the sum of the terms'
+absolute values instead, which is far larger than sum |h| when they
+cancel (see Kernel).
 
 Evaluation refuses more than 10^8 summands on either path; incomplete
 designs (see the incomplete module) are the intended tool past that size.
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -176,10 +184,10 @@ def prefix_values(h: Kernel, sample, N: int | None = None) -> np.ndarray:
 
     A sample of shape (N',) gives shape (N+1,) or (N+1, dim); a block of
     shape (B, N') gives one trajectory per row, shape (B, N+1) or
-    (B, N+1, dim).  U_n is zero for n < m.  A kernel with factors on a
-    finite block takes the separable path (see the module docstring);
-    otherwise each step adds the block of summands whose last coordinate
-    is the newly revealed point.  A 1-D sample is the B = 1 block, and on
+    (B, N+1, dim).  U_n is zero for n < m.  A kernel of arity 2 or more
+    with factors, on a finite block, takes the separable path (see the
+    module docstring); otherwise each step adds the block of summands
+    whose last coordinate is the newly revealed point.  A 1-D sample is the B = 1 block, and on
     either path every row of a block is bit-identical to the trajectory of
     that row alone: the cumulative sums run along each row, and the engine
     makes each step's values C-contiguous, so each row's summands are
@@ -200,7 +208,7 @@ def prefix_values(h: Kernel, sample, N: int | None = None) -> np.ndarray:
             f"{MAX_EVALUATION_TERMS}"
         )
     out = None
-    if h.factors is not None:
+    if h.factors is not None and m > 1:
         out = _separable_prefix(h.factors, block[:, :N])
     if out is None:
         out = _engine_prefix(h, block, N)
@@ -222,9 +230,26 @@ def _separable_prefix(factors, block: np.ndarray) -> np.ndarray | None:
             if f is not None:
                 terms = terms * f(block[:, j - 1:])
             e = np.zeros((rows, N + 1))
-            np.cumsum(terms, axis=1, out=e[:, j:])
+            e[:, j:] = _blocked_cumsum(terms)
         out += coef * e  # 0.0 + (-0.0) = 0.0, as in the engine
     return out if np.isfinite(out).all() else None
+
+
+def _blocked_cumsum(a: np.ndarray) -> np.ndarray:
+    """Cumulative sums along axis 1 in blocks of s = ceil(sqrt(n)) columns.
+
+    Each block is summed from its start and then shifted by the running
+    sum of the earlier blocks' totals, so every partial sum is rounded
+    about 2 sqrt(n) times rather than n times.
+    """
+    rows, n = a.shape
+    s = isqrt(n - 1) + 1 if n else 1
+    nb = -(-n // s)
+    padded = np.zeros((rows, nb * s))
+    padded[:, :n] = a
+    sums = np.cumsum(padded.reshape(rows, nb, s), axis=2)
+    sums[:, 1:] += np.cumsum(sums[:, :-1, -1], axis=1)[:, :, None]
+    return sums.reshape(rows, nb * s)[:, :n]
 
 
 def _engine_prefix(h: Kernel, block: np.ndarray, N: int) -> np.ndarray:

@@ -27,8 +27,8 @@ _GAUSSIAN = {"family": "gaussian"}
 
 # Gaussian and uniform data: no recipe or workload but weighted-gauss
 # leaves the integers, so these catch reordered arithmetic in the paths
-# they take (the separable prefix path; the generic engine for the
-# projected d = 1 component).
+# they take (the separable prefix path for the product; the generic
+# engine for the expression kernel and its projected d = 1 component).
 OFF_RADEMACHER = {
     "gauss-product-deviation": {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN, "experiment": "deviation",
