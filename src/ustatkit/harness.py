@@ -27,13 +27,16 @@ Five experiment families live here:
                      the dyadic increment exceedance curve.
 
 Experiments draw through per-replication streams derived from the master
-seed: replication r reads its sample from stream(seed, *path, r), one Philox
-stream per row.  Trajectories are simulated in blocks of replications whose
-size depends only on the horizon N and the arity m, one prefix-engine call
-per block, and worker threads map over whole blocks.  Every row of a block is
-bit-identical to the trajectory of that replication alone, so a report is
-bit-for-bit reproducible for a fixed config and depends neither on the
-worker thread count nor on the block size.
+seed: replication r reads its sample from the stream of (seed, *path, r).
+Trajectories are simulated in blocks of replications whose size depends
+only on the horizon N and the arity m, one prefix-engine call per block,
+and worker threads map over whole blocks.  A block derives all its rows'
+Philox keys in one stream_keys pass and re-keys one bit generator of its
+own per row (kernels.streams), which draws exactly what stream(seed, *path,
+r) would.  Every row of a block is bit-identical to the trajectory of that
+replication alone, so a report is bit-for-bit reproducible for a fixed
+config and depends neither on the worker thread count nor on the block
+size.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from .holder import (
     holder_norms,
 )
 from .incomplete import SamplingDesign, incomplete_moment_experiment
-from .kernels import Distribution, Kernel, evaluate_batch, kernel_from_config, stream, support_grid
+from .kernels import (
+    Distribution, Kernel, evaluate_batch, kernel_from_config, stream, streams, support_grid,
+)
 from .reporting import InequalityReport, ratio_summary
 from .spaces import BanachSpaceDescriptor
 from .tails import (
@@ -363,16 +368,18 @@ def _block_rows(n: int, m: int) -> int:
 def _simulate(h, dist, n, replications, seed, path, threads, reduce):
     """Trajectory statistics of every replication, in replication order.
 
-    Replication r draws n points from stream(seed, *path, r).  Each block of
-    replications runs through the prefix engine once, and
-    reduce(trajectories, samples) turns the block into a tuple of arrays
-    with one row per replication; the blocks' arrays are stacked in order.
+    Replication r draws n points from the stream of (seed, *path, r); a
+    block takes its rows from streams(seed, *path, reps), one re-keyed bit
+    generator of its own.  Each block of replications runs through the
+    prefix engine once, and reduce(trajectories, samples) turns the block
+    into a tuple of arrays with one row per replication; the blocks' arrays
+    are stacked in order.
     """
     rows = _block_rows(n, h.arity)
 
     def one(block: int) -> tuple:
-        reps = range(block * rows, min((block + 1) * rows, replications))
-        sample = np.vstack([dist.sample(stream(seed, *path, r), n) for r in reps])
+        reps = np.arange(block * rows, min((block + 1) * rows, replications))
+        sample = np.vstack([dist.sample(rng, n) for rng in streams(seed, *path, reps)])
         return reduce(prefix_values(h, sample, n), sample)
 
     blocks = parallel_map(one, -(-replications // rows), threads)

@@ -8,7 +8,19 @@ package relies on that for throughput.
 
 Randomness is counter-based: a stream is keyed by the master seed plus a
 path of integers (replication index, purpose tag, ...), so any stream can
-be reconstructed independently of scheduling and thread count.
+be reconstructed independently of scheduling and thread count.  The stream
+of (seed, path) is Philox (Salmon et al., SC 2011) at counter 0 under the
+128-bit key SeedSequence(entropy=seed, spawn_key=path).generate_state(2,
+np.uint64).  That key is a fixed uint32 hash of the entropy words (M. E.
+O'Neill's seed_seq design as numpy implements it), so stream_keys computes
+it directly and, when a path element is an array, for every element at
+once: the seed's words enter the pool once, and the path's words are mixed
+into whole arrays.  A Philox's state is its key, its counter and a small
+output buffer, so setting counter 0, a new key and an empty buffer makes a
+used bit generator draw exactly what a fresh stream of that key draws.
+streams() re-keys one bit generator that way for each row of a block; each
+generator it yields is used up before the next is taken and never leaves
+the block, or the thread, that asked for it.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ __all__ = [
     "kernel_from_expression",
     "sample_iid",
     "stream",
+    "stream_keys",
+    "streams",
     "support_grid",
 ]
 
@@ -39,7 +53,17 @@ __all__ = [
 # random streams
 
 
-def _path_element(x) -> int:
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def _path_element(x):
+    """An int for an int or str element; a uint64 vector for an int array."""
     if isinstance(x, (int, np.integer)):
         if x < 0:
             raise ValueError("stream path elements must be nonnegative")
@@ -47,15 +71,136 @@ def _path_element(x) -> int:
     if isinstance(x, str):
         digest = hashlib.sha256(x.encode("utf8")).digest()
         return int.from_bytes(digest[:4], "big")
-    raise TypeError(f"stream path element {x!r} must be an int or str")
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
+        if x.size and x.min() < 0:
+            raise ValueError("stream path elements must be nonnegative")
+        return x.astype(np.uint64)
+    raise TypeError(f"stream path element {x!r} must be an int, str or 1-D int array")
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian uint32 words of n >= 0, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _key(words: list) -> np.ndarray:
+    """SeedSequence's pool of `words`, hashed out to one Philox key per row.
+
+    A word is a Python int or a uint32 array, and at least one is an
+    array.  The first pool-size words are the seed's, always ints, so the
+    pool's set-up and all-pairs mixing run once on Python ints, as does
+    every int word before the first array.  The masks keep Python ints to
+    32 bits; uint32 arrays wrap by themselves.
+    """
+    c = _INIT_A
+
+    def hashmix(value):
+        nonlocal c
+        value = value ^ c
+        c = c * _MULT_A & _MASK32
+        value = value * c & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return out ^ out >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(2, np.uint64): four words, paired little-endian
+    c = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ c
+        c = c * _MULT_B & _MASK32
+        value = value * c & _MASK32
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def stream_keys(seed: int, *path) -> np.ndarray:
+    """Philox key of the stream (seed, path), or one key per array row.
+
+    Equals SeedSequence(entropy=seed, spawn_key=path).generate_state(2,
+    np.uint64) after each str element becomes its 32-bit tag.  Path
+    elements are nonnegative ints, strs, or 1-D int arrays; arrays
+    broadcast, and the result has shape (2,) without arrays and (R, 2)
+    with R rows, row r being the key of the path with each array replaced
+    by its r-th value.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    elements = [_path_element(x) for x in path]
+    at = [i for i, e in enumerate(elements) if isinstance(e, np.ndarray)]
+    if not at:
+        return np.random.SeedSequence(seed, spawn_key=elements).generate_state(2, np.uint64)
+
+    # SeedSequence pads a short seed to the pool size when a path follows
+    head = _words(seed)
+    head += [0] * (_POOL_SIZE - len(head))
+    columns = np.broadcast_arrays(*(elements[i] for i in at))
+    # a value of 2^32 or more spans two words, so rows split by which do
+    wide = sum((col > _MASK32).astype(np.int64) << j for j, col in enumerate(columns))
+    keys = np.empty((len(wide), 2), dtype=np.uint64)
+    for pattern in np.flatnonzero(np.bincount(wide)):
+        rows = wide == pattern
+        words = list(head)
+        for i, e in enumerate(elements):
+            if i not in at:
+                words += _words(e)
+                continue
+            j = at.index(i)
+            values = columns[j][rows]
+            words.append((values & _MASK32).astype(np.uint32))
+            if pattern >> j & 1:
+                words.append((values >> 32).astype(np.uint32))
+        keys[rows] = _key(words)
+    return keys
 
 
 def stream(seed: int, *path) -> np.random.Generator:
-    """Philox generator keyed by (seed, path); independent of thread count."""
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=tuple(_path_element(x) for x in path)
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator keyed by (seed, path); independent of thread count.
+
+    The generator's own seed_seq is not the stream's; a child stream is a
+    longer path, never a spawn.
+    """
+    return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
+
+
+def streams(seed: int, *path):
+    """Yield the stream of every row of stream_keys(seed, *path), in order.
+
+    One bit generator is re-keyed for each row, so every yielded generator
+    is the same object: draw from it before taking the next, and do not
+    keep it.  Its draws equal those of stream() on the row's path.
+    """
+    keys = stream_keys(seed, *path).reshape(-1, 2)
+    if not len(keys):
+        return
+    rng = np.random.Generator(np.random.Philox(key=keys[0]))
+    for key in keys:
+        # counter 0, the new key, an empty buffer and no cached half word
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4, "key": key},
+            "buffer": _ZEROS4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,19 @@ def test_max_norm_matrix_independent_of_threads_and_blocks(monkeypatch, kernel):
         assert want.tobytes() == base[rep].tobytes()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_block_samples_are_the_per_replication_streams(threads):
+    from ustatkit import harness
+    from ustatkit.kernels import stream
+
+    dist, n, reps, seed = Distribution.gaussian(), 32, 1100, 17
+    assert harness._block_rows(n, 2) * 2 < reps  # three blocks, the last short
+    (samples,) = harness._simulate(builtin_kernel("product", 2), dist, n, reps, seed,
+                                   ("deviation",), threads, lambda traj, sample: (sample,))
+    want = np.vstack([dist.sample(stream(seed, "deviation", r), n) for r in range(reps)])
+    assert samples.tobytes() == want.tobytes()
+
+
 def test_block_rows_depend_on_horizon_and_arity_only():
     from ustatkit import harness
     assert harness._block_rows(32, 2) == harness._BLOCK_ELEMENTS // 32

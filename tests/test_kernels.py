@@ -1,7 +1,11 @@
 """Kernel zoo, expression compiler, sampling laws, and seeded streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatkit.kernels import (
     Distribution,
@@ -13,6 +17,8 @@ from ustatkit.kernels import (
     kernel_from_expression,
     sample_iid,
     stream,
+    stream_keys,
+    streams,
 )
 from ustatkit.spaces import BanachSpaceDescriptor
 
@@ -271,6 +277,93 @@ def test_stream_string_path_elements():
     a = stream(7, "alpha", 2).random(3)
     b = stream(7, "beta", 2).random(3)
     assert not np.array_equal(a, b)
+
+
+def _numpy_key(seed, path):
+    """The Philox key numpy's own SeedSequence gives (seed, path)."""
+    words = tuple(
+        int.from_bytes(hashlib.sha256(x.encode("utf8")).digest()[:4], "big")
+        if isinstance(x, str) else int(x)
+        for x in path
+    )
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=words)
+    return ss.generate_state(2, np.uint64)
+
+
+_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_ELEMENTS = (st.text(max_size=6) | st.integers(0, 2**32 - 1)
+             | st.integers(2**32, 2**70))
+_VALUES = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.lists(_ELEMENTS, max_size=4))
+def test_stream_keys_match_seed_sequence(seed, path):
+    key = stream_keys(seed, *path)
+    assert key.dtype == np.uint64 and key.shape == (2,)
+    np.testing.assert_array_equal(key, _numpy_key(seed, path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.lists(_ELEMENTS, max_size=3), st.data())
+def test_stream_keys_of_an_array_element_match_seed_sequence(seed, path, data):
+    values = data.draw(st.lists(_VALUES, max_size=5))
+    arrays = [np.array(values, dtype=np.uint64)]
+    if all(v < 2**63 for v in values):
+        arrays.append(np.array(values, dtype=np.int64))
+    at = data.draw(st.integers(0, len(path)))
+    for column in arrays:
+        keys = stream_keys(seed, *path[:at], column, *path[at:])
+        assert keys.dtype == np.uint64 and keys.shape == (len(values), 2)
+        for row, v in enumerate(values):
+            want = _numpy_key(seed, path[:at] + [v] + path[at:])
+            np.testing.assert_array_equal(keys[row], want)
+
+
+def test_stream_keys_broadcast_two_arrays():
+    a = np.array([0, 2**32 + 5, 7])
+    b = np.array([2**40, 3, 9], dtype=np.uint64)
+    keys = stream_keys(2**64 - 1, "x", a, 4, b)
+    for row in range(3):
+        want = _numpy_key(2**64 - 1, ["x", int(a[row]), 4, int(b[row])])
+        np.testing.assert_array_equal(keys[row], want)
+    np.testing.assert_array_equal(stream_keys(5, np.array([3]), 2)[0],
+                                  _numpy_key(5, [3, 2]))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (-1, ValueError),
+    (np.array([1, -1]), ValueError),
+    (1.0, TypeError),
+    (np.array([1.0]), TypeError),
+    (np.array([True]), TypeError),
+    (np.zeros((2, 2), dtype=np.int64), TypeError),
+])
+def test_stream_keys_reject_bad_path_elements(bad, error):
+    with pytest.raises(error):
+        stream_keys(1, "tag", bad)
+    with pytest.raises(error):
+        stream(1, bad)
+
+
+@pytest.mark.parametrize("dist", [
+    Distribution.rademacher(),
+    Distribution.uniform(-1.0, 2.0),
+    Distribution.gaussian(0.5, 2.0),
+    Distribution.finite([0.0, 1.0, 3.0], [0.2, 0.5, 0.3]),
+])
+def test_rekeyed_generator_draws_like_a_fresh_stream(dist):
+    reps = np.array([0, 1, 5, 2**33])
+    for r, rng in zip(reps, streams(11, "rekey", reps, 3)):
+        fresh = dist.sample(stream(11, "rekey", int(r), 3), 40)
+        assert dist.sample(rng, 40).tobytes() == fresh.tobytes()
+        # leave the bit generator with an advanced counter and a cached half
+        # word; the next row's re-key must clear both
+        rng.integers(0, 2, 3)
+        rng.standard_normal()
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["state"]["counter"].any()
+    assert list(streams(11, "rekey", np.array([], dtype=np.int64))) == []
 
 
 def test_sample_iid_reproducible():

@@ -4,11 +4,12 @@
 
 Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, every
 benchmark workload (perfbench/workloads.py, read only) at its default
-seed, and four configs on non-integer data below, whose reports move in
-the last bits when a change reorders floating-point work.  Each run is one `ustat experiment run` in a fresh process
-that imports ustatkit from the `src` directory of this checkout.  Prints
-one `name sha256` line per report, so two checkouts give the same lines
-exactly when their reports are byte-identical.
+seed, and five configs on non-integer data below, whose reports move in
+the last bits when a change reorders floating-point work.  Each run is one
+`ustat experiment run` in a fresh process that imports ustatkit from the
+`src` directory of this checkout.  Prints one `name sha256` line per
+report, so two checkouts give the same lines exactly when their reports
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ _GAUSSIAN = {"family": "gaussian"}
 # leaves the integers, so these catch reordered arithmetic in the paths
 # they take (the separable prefix path for the product; the generic
 # engine for the expression kernel and its projected d = 1 component).
+# The Gaussian ones also draw through the ziggurat sampler, which reads
+# the stream differently from the Rademacher integers.
 OFF_RADEMACHER = {
     "gauss-product-deviation": {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN, "experiment": "deviation",
@@ -49,6 +52,11 @@ OFF_RADEMACHER = {
         "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
         "distribution": _GAUSSIAN, "experiment": "holder", "alpha": 0.3, "d": 1,
         "n_grid": [64, 128], "replications": 40, "seed": 5,
+    },
+    "gauss-incomplete-moment": {
+        "kernel": _PRODUCT, "distribution": _GAUSSIAN,
+        "experiment": "incomplete-moment", "grid": [[64, 0.05], [128, 0.02]],
+        "p": 1.5, "q": 2.0, "d": 2, "moment_replications": 300, "seed": 5,
     },
 }
 
