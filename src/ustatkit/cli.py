@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import ConfigError, ExperimentConfig, config_field, nested_draws, run_experiment
 from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
 from .kernels import Distribution, kernel_from_config, stream
@@ -164,48 +164,10 @@ class RunManifest:
         }
 
 
-def _parse_kernel(raw: dict):
-    if "kernel" not in raw:
-        raise ConfigError("kernel: missing")
-    try:
-        return kernel_from_config(raw["kernel"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
-
-
-def _parse_distribution(raw: dict) -> Distribution:
-    if "distribution" not in raw:
-        raise ConfigError("distribution: missing")
-    try:
-        return Distribution.from_dict(raw["distribution"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"distribution: {exc}") from exc
-
-
-def _parse_space(raw: dict) -> BanachSpaceDescriptor | None:
-    if raw.get("space") is None:
-        return None
-    try:
-        return BanachSpaceDescriptor.from_dict(raw["space"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"space: {exc}") from exc
-
-
-def _int_field(raw: dict, key: str, default=None) -> int:
-    try:
-        return int(raw.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _effective_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
-    seed = raw.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed: {exc}") from exc
+    seed = config_field(raw, "seed", int, 0)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {seed}")
     return seed
@@ -218,11 +180,7 @@ def _effective_seed(args, raw: dict) -> int:
 def _load_sample(raw: dict, seed: int) -> np.ndarray:
     have = [key for key in ("data", "data_file", "distribution") if key in raw]
     if "data" in raw:
-        try:
-            sample = np.asarray(raw["data"], dtype=np.float64).ravel()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"data: {exc}") from exc
-        return sample
+        return config_field(raw, "data", lambda data: np.asarray(data, dtype=np.float64).ravel())
     if "data_file" in raw:
         try:
             sample = np.loadtxt(raw["data_file"], delimiter=",", ndmin=1)
@@ -230,10 +188,8 @@ def _load_sample(raw: dict, seed: int) -> np.ndarray:
             raise ConfigError(f"data_file: {exc}") from exc
         return np.asarray(sample, dtype=np.float64).ravel()
     if "distribution" in raw:
-        if "n" not in raw:
-            raise ConfigError("n: required when sampling from a distribution")
-        dist = _parse_distribution(raw)
-        n = _int_field(raw, "n")
+        dist = config_field(raw, "distribution", Distribution.from_dict)
+        n = config_field(raw, "n", int)
         if n < 0:
             raise ConfigError(f"n: must be nonnegative, got {n}")
         return dist.sample(stream(seed, "compute-sample"), n)
@@ -245,17 +201,11 @@ def _load_sample(raw: dict, seed: int) -> np.ndarray:
 
 def cmd_compute(args) -> int:
     _, raw = _load_config(args.config)
-    kernel = _parse_kernel(raw)
+    kernel = config_field(raw, "kernel", kernel_from_config)
     seed = _effective_seed(args, raw)
     _check_threads(args.threads)  # validates the setting even though compute is serial
     sample = _load_sample(raw, seed)
-
-    design = None
-    if raw.get("design") is not None:
-        try:
-            design = SamplingDesign.from_dict(raw["design"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"design: {exc}") from exc
+    design = config_field(raw, "design", SamplingDesign.from_dict, None)
 
     try:
         if design is None:
@@ -289,13 +239,13 @@ def cmd_compute(args) -> int:
 
 def cmd_decompose(args) -> int:
     _, raw = _load_config(args.config)
-    kernel = _parse_kernel(raw)
-    dist = _parse_distribution(raw)
-    space = _parse_space(raw)
+    kernel = config_field(raw, "kernel", kernel_from_config)
+    dist = config_field(raw, "distribution", Distribution.from_dict)
+    space = config_field(raw, "space", BanachSpaceDescriptor.from_dict, None)
     seed = _effective_seed(args, raw)
     _check_threads(args.threads)
-    inner = _int_field(raw, "inner", 1024)
-    outer = _int_field(raw, "outer", 256)
+    inner = config_field(raw, "inner", nested_draws, 1024)
+    outer = config_field(raw, "outer", nested_draws, 256)
 
     try:
         report = check_degeneracy(kernel, dist, inner=inner, outer=outer,
@@ -304,8 +254,8 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"kernel: {exc}") from exc
     payload = report.to_dict()
 
-    if raw.get("level") is not None:
-        level = _int_field(raw, "level")
+    level = config_field(raw, "level", int, None)
+    if level is not None:
         if not kernel.symmetric:
             raise ConfigError("level: level projections need a symmetric kernel")
         try:

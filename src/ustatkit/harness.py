@@ -42,7 +42,7 @@ size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from math import comb, floor, inf, log2, sqrt
 
 import numpy as np
@@ -60,7 +60,7 @@ from .incomplete import SamplingDesign, incomplete_moment_experiment
 from .kernels import (
     Distribution, Kernel, evaluate_batch, kernel_from_config, stream, streams, support_grid,
 )
-from .reporting import InequalityReport, ratio_summary
+from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
 from .tails import (
     EmpiricalTail,
@@ -78,10 +78,12 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "InequalityReport",
+    "config_field",
     "deviation_experiment",
     "holder_tightness_experiment",
     "lln_experiment",
     "moment_experiment",
+    "nested_draws",
     "order_d_deviation_experiment",
     "run_experiment",
 ]
@@ -109,11 +111,35 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad field."""
 
 
-def _converted(field: str, conv, values) -> tuple:
+# config parts built from a JSON object by their from_dict-style builders
+_OBJECT_KEYS = frozenset({"kernel", "distribution", "space", "design"})
+
+
+def config_field(raw: dict, key: str, build, default=MISSING):
+    """build(raw[key]); whatever goes wrong is a ConfigError naming key.
+
+    An absent or null key gives default, or "<key>: missing" when there is
+    none.  Kernel, distribution, space and design must be JSON objects.
+    """
+    value = raw.get(key)
+    if value is None:
+        if default is MISSING:
+            raise ConfigError(f"{key}: missing")
+        return default
+    if key in _OBJECT_KEYS and not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {type(value).__name__}")
     try:
-        return tuple(conv(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+        return build(value)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def nested_draws(draws) -> int:
+    """An inner or outer Monte Carlo budget: an int of at least 2."""
+    draws = int(draws)
+    if draws < 2:
+        raise ValueError(f"nested estimates need at least 2 draws, got {draws}")
+    return draws
 
 
 @dataclass(frozen=True)
@@ -177,14 +203,12 @@ class ExperimentConfig:
         if self.eps is not None and not self.eps > 0:
             raise ConfigError(f"eps: must be positive, got {self.eps}")
         if self.t_grid is not None:
-            object.__setattr__(self, "t_grid", _converted("t_grid", float, self.t_grid))
             if len(self.t_grid) == 0:
                 raise ConfigError("t_grid: must not be empty when given")
             if any(t <= 0 for t in self.t_grid):
                 raise ConfigError("t_grid: thresholds must be positive")
             if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
                 raise ConfigError("t_grid: thresholds must be strictly increasing")
-        object.__setattr__(self, "n_grid", _converted("n_grid", int, self.n_grid))
         if any(n < self.kernel.arity for n in self.n_grid):
             raise ConfigError(
                 f"n_grid: horizons must be at least the kernel arity {self.kernel.arity}"
@@ -194,13 +218,6 @@ class ExperimentConfig:
         if self.experiment == "holder":
             _check_holder_horizons(self.n_grid)
         if self.grid is not None:
-            cells = []
-            for entry in self.grid:
-                if len(entry) != 2:
-                    raise ConfigError("grid: entries must be (n, p_n) pairs")
-                n, rate = _converted("grid", float, entry)
-                cells.append((int(n), rate))
-            object.__setattr__(self, "grid", tuple(cells))
             for n, rate in self.grid:
                 if n < self.kernel.arity:
                     raise ConfigError(f"grid: n={n} below the kernel arity")
@@ -214,10 +231,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"moment_replications: must be at least 1, got {self.moment_replications}"
             )
-        if self.inner < 2:
-            raise ConfigError(f"inner: nested estimates need at least 2 draws, got {self.inner}")
-        if self.outer < 2:
-            raise ConfigError(f"outer: nested estimates need at least 2 draws, got {self.outer}")
+        for key in ("inner", "outer"):
+            config_field(vars(self), key, nested_draws)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {self.seed}")
         if self.threads is not None and self.threads < 1:
@@ -225,15 +240,20 @@ class ExperimentConfig:
         if not self.stability_factor > 0:
             raise ConfigError(f"stability_factor: must be positive, got {self.stability_factor}")
 
-    _KEYS = frozenset(
-        {
-            "kernel", "distribution", "space", "design", "experiment",
-            "p", "q", "d", "alpha", "gamma", "eps",
-            "t_grid", "n_grid", "grid", "t_points",
-            "replications", "moment_replications", "inner", "outer",
-            "seed", "threads", "stability_factor",
-        }
-    )
+    # config key -> the builder of its field's value; a key that is absent
+    # or null takes the field's default
+    _BUILDERS = {
+        "kernel": kernel_from_config, "distribution": Distribution.from_dict,
+        "space": BanachSpaceDescriptor.from_dict, "design": SamplingDesign.from_dict,
+        "experiment": lambda name: name,
+        "p": float, "q": float, "d": int, "alpha": float, "gamma": float, "eps": float,
+        "t_points": int, "replications": int, "moment_replications": int,
+        "inner": int, "outer": int, "seed": int, "threads": int, "stability_factor": float,
+        "t_grid": lambda ts: tuple(float(t) for t in ts),
+        "n_grid": lambda ns: tuple(int(n) for n in ns),
+        "grid": lambda cells: tuple((int(float(n)), float(rate)) for n, rate in cells),
+    }
+    _KEYS = frozenset(_BUILDERS)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -243,66 +263,11 @@ class ExperimentConfig:
         for key in raw:
             if key not in cls._KEYS:
                 raise ConfigError(f"{key}: unknown config field")
-        if "kernel" not in raw:
-            raise ConfigError("kernel: missing")
-        try:
-            kernel = kernel_from_config(raw["kernel"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
-        if "distribution" not in raw:
-            raise ConfigError("distribution: missing")
-        try:
-            dist = Distribution.from_dict(raw["distribution"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"distribution: {exc}") from exc
-        space = None
-        if raw.get("space") is not None:
-            try:
-                space = BanachSpaceDescriptor.from_dict(raw["space"])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"space: {exc}") from exc
-        design = None
-        if raw.get("design") is not None:
-            try:
-                design = SamplingDesign.from_dict(raw["design"])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"design: {exc}") from exc
-
-        def number(key, conv, default):
-            if key not in raw or raw[key] is None:
-                return default
-            try:
-                return conv(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-
-        kwargs = dict(
-            kernel=kernel,
-            dist=dist,
-            space=space,
-            design=design,
-            experiment=raw.get("experiment"),
-            p=number("p", float, 1.5),
-            q=number("q", float, None),
-            d=number("d", int, None),
-            alpha=number("alpha", float, None),
-            gamma=number("gamma", float, 0.0),
-            eps=number("eps", float, None),
-            t_points=number("t_points", int, 8),
-            replications=number("replications", int, 10_000),
-            moment_replications=number("moment_replications", int, 1_000),
-            inner=number("inner", int, 1024),
-            outer=number("outer", int, 256),
-            seed=number("seed", int, 0),
-            threads=number("threads", int, None),
-            stability_factor=number("stability_factor", float, 10.0),
-        )
-        if raw.get("t_grid") is not None:
-            kwargs["t_grid"] = tuple(raw["t_grid"])
-        if raw.get("n_grid") is not None:
-            kwargs["n_grid"] = tuple(raw["n_grid"])
-        if raw.get("grid") is not None:
-            kwargs["grid"] = tuple(tuple(cell) for cell in raw["grid"])
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs = {}
+        for key, build in cls._BUILDERS.items():
+            name = "dist" if key == "distribution" else key
+            kwargs[name] = config_field(raw, key, build, defaults[name])
         return cls(**kwargs)
 
 
@@ -503,23 +468,14 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
         return total
 
     rows = _frequency_rows(maxima, t_grid, n_grid, lambda t, n: t, rhs)
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
-    return InequalityReport(
-        kind="deviation",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted) and stability <= config.stability_factor),
-        details={
-            "mode": "same-kernel",
-            "p": p,
-            "q": q,
-            "replications": config.replications,
-            "t_grid": [float(t) for t in t_grid],
-            "ratio_spread": spread,
-            "degeneracy_exact": deg.exact,
-        },
-    )
+    return ratio_report("deviation", rows, {
+        "mode": "same-kernel",
+        "p": p,
+        "q": q,
+        "replications": config.replications,
+        "t_grid": [float(t) for t in t_grid],
+        "degeneracy_exact": deg.exact,
+    }, config.stability_factor)
 
 
 def _frozen_index_kernel(h: Kernel, index: tuple[int, ...]) -> Kernel:
@@ -620,14 +576,7 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
     t_arr = np.asarray(t_grid, dtype=np.float64)
     n_t = t_arr.size
 
-    if support is not None:
-        atoms, probs = np.asarray(support[0]), np.asarray(support[1])
-        value_table, draw_w = support_grid(atoms, probs, m)
-    else:
-        flat = dist.sample(stream(seed, "deviation-weighted", 0),
-                           _WEIGHTED_MC_DRAWS * m)
-        value_table = flat.reshape(_WEIGHTED_MC_DRAWS, m)
-        draw_w = np.full(_WEIGHTED_MC_DRAWS, 1.0 / _WEIGHTED_MC_DRAWS)
+    value_table, draw_w = dist.nodes(m, _WEIGHTED_MC_DRAWS, seed, "deviation-weighted", 0)
 
     # first and third bound groups: per-tuple norm tails and p-th moments,
     # prefix-summable over colex rank because Inc^m_N is a colex prefix.
@@ -658,19 +607,11 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
     for j_size in range(1, m):
         for positions in itertools.combinations(range(m), j_size):
             rest = [k for k in range(m) if k not in positions]
-            if support is not None:
-                outer_cols, outer_w = support_grid(atoms, probs, j_size)
-                inner_cols, inner_w = support_grid(atoms, probs, m - j_size)
-            else:
-                tag = sum(1 << k for k in positions)
-                outer_cols = dist.sample(
-                    stream(seed, "deviation-weighted", 1, tag),
-                    config.outer * j_size).reshape(config.outer, j_size)
-                outer_w = np.full(config.outer, 1.0 / config.outer)
-                inner_cols = dist.sample(
-                    stream(seed, "deviation-weighted", 2, tag),
-                    config.inner * (m - j_size)).reshape(config.inner, m - j_size)
-                inner_w = np.full(config.inner, 1.0 / config.inner)
+            tag = sum(1 << k for k in positions)
+            outer_cols, outer_w = dist.nodes(
+                j_size, config.outer, seed, "deviation-weighted", 1, tag)
+            inner_cols, inner_w = dist.nodes(
+                m - j_size, config.inner, seed, "deviation-weighted", 2, tag)
             o_n = outer_cols.shape[0]
             i_n = inner_cols.shape[0]
 
@@ -703,39 +644,21 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
                     # one tail integral per restriction, summed over all of them
                     middle[col_idx, ti] += float(((u ** q) @ outer_w).sum() / q)
 
-    rows = []
-    for col_idx, n in enumerate(n_grid):
-        t_n = comb(n, m)
-        vals = maxima[:, col_idx]
-        for ti, t in enumerate(t_grid):
-            lhs = float(np.mean(vals > t))
-            se = sqrt(lhs * (1.0 - lhs) / config.replications)
-            rhs = float(
-                cum_one[t_n - 1, ti]
-                + middle[col_idx, ti]
-                + t ** (-q) * cum_pm[t_n - 1] ** (q / p)
-            )
-            rows.append({"t": float(t), "N": int(n), "lhs": lhs, "lhs_se": se,
-                         "rhs": rhs, "ratio": _ratio(lhs, rhs)})
+    def rhs(t: float, n: int) -> float:
+        t_n, ti = comb(n, m), t_grid.index(t)
+        return (cum_one[t_n - 1, ti] + middle[n_grid.index(n), ti]
+                + t ** (-q) * cum_pm[t_n - 1] ** (q / p))
 
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
-    return InequalityReport(
-        kind="deviation",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted) and stability <= config.stability_factor),
-        details={
-            "mode": "index-weighted",
-            "p": p,
-            "q": q,
-            "replications": config.replications,
-            "t_grid": [float(t) for t in t_grid],
-            "ratio_spread": spread,
-            "tuples": total,
-            "exact_tails": support is not None,
-        },
-    )
+    rows = _frequency_rows(maxima, t_grid, n_grid, lambda t, n: t, rhs)
+    return ratio_report("deviation", rows, {
+        "mode": "index-weighted",
+        "p": p,
+        "q": q,
+        "replications": config.replications,
+        "t_grid": [float(t) for t in t_grid],
+        "tuples": total,
+        "exact_tails": support is not None,
+    }, config.stability_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -822,24 +745,15 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     rows = _frequency_rows(
         maxima, t_grid, n_grid,
         lambda t, n: t * float(n) ** lhs_expo, rhs)
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
-    return InequalityReport(
-        kind="order-d-deviation",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted) and stability <= config.stability_factor),
-        details={
-            "p": p,
-            "q": q,
-            "d": d,
-            "threshold_exponent": lhs_expo,
-            "replications": config.replications,
-            "t_grid": [float(t) for t in t_grid],
-            "ratio_spread": spread,
-            "degeneracy_exact": deg.exact,
-        },
-    )
+    return ratio_report("order-d-deviation", rows, {
+        "p": p,
+        "q": q,
+        "d": d,
+        "threshold_exponent": lhs_expo,
+        "replications": config.replications,
+        "t_grid": [float(t) for t in t_grid],
+        "degeneracy_exact": deg.exact,
+    }, config.stability_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -920,22 +834,13 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
         rows.append({"N": int(n), "lhs": lhs, "lhs_se": se, "rhs": rhs,
                      "ratio": _ratio(lhs, rhs)})
 
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
-    return InequalityReport(
-        kind="moment",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted) and spread <= config.stability_factor),
-        details={
-            "p": p,
-            "q": q,
-            "mode": mode,
-            "replications": reps,
-            "ratio_spread": spread,
-            "degeneracy_exact": deg.exact,
-        },
-    )
+    return ratio_report("moment", rows, {
+        "p": p,
+        "q": q,
+        "mode": mode,
+        "replications": reps,
+        "degeneracy_exact": deg.exact,
+    }, config.stability_factor, score="spread")
 
 
 # ---------------------------------------------------------------------------
@@ -1016,13 +921,11 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
             "terminal_median": float(np.median(terminal[:, col])),
         })
 
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
     medians = [row["terminal_median"] for row in rows]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     details = {
         "p": p,
         "replications": reps,
-        "ratio_spread": spread,
         "terminal_decreasing": decreasing,
         "degeneracy_exact": deg.exact,
     }
@@ -1056,17 +959,8 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
                     need[str(j)] = None
             series["required_integrability"] = need
         details["rate_series"] = series
-
-    return InequalityReport(
-        kind="lln",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted)
-                    and spread <= config.stability_factor
-                    and decreasing),
-        details=details,
-    )
+    return ratio_report("lln", rows, details, config.stability_factor,
+                        score="spread", extra=decreasing)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,7 +1121,7 @@ def run_experiment(config: ExperimentConfig, name: str | None = None) -> Inequal
     chosen = name if name is not None else config.experiment
     if chosen is None:
         raise ConfigError("experiment: no experiment name given")
-    if chosen not in EXPERIMENTS:
+    if not isinstance(chosen, str) or chosen not in EXPERIMENTS:
         options = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"experiment: unknown name {chosen!r}; expected one of {options}")
     return EXPERIMENTS[chosen](config)

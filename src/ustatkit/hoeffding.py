@@ -75,15 +75,11 @@ class _ConditionalEstimator:
         support = dist.support()
         self.exact = support is not None
         if self.exact:
-            atoms, probs = support
-            self.atoms = np.asarray(atoms, dtype=np.float64)
-            self.probs = np.asarray(probs, dtype=np.float64)
-            self.table = None
+            self.atoms, self.probs = support
         else:
             if inner < 2:
                 raise ValueError("inner Monte Carlo size must be at least 2")
-            rng = stream(seed, "hoeffding-table")
-            self.table = dist.sample(rng, inner * self.m).reshape(inner, self.m)
+            self.table, self.weights = dist.nodes(self.m, inner, seed, "hoeffding-table")
         self.inner = inner
 
     def _index_columns(self):
@@ -102,20 +98,16 @@ class _ConditionalEstimator:
             combos, weights = support_grid(self.atoms, self.probs, len(free))
             for a, j in enumerate(free):
                 cols[j] = combos[:, a]
-            out = evaluate_batch(self.h, cols, self._index_columns())
-            if raw:
-                return out, weights
-            if self.vector:
-                return np.einsum("...kd,k->...d", out, weights)
-            return out @ weights
-        for j in free:
-            cols[j] = self.table[:, j]
+        else:
+            weights = self.weights
+            for j in free:
+                cols[j] = self.table[:, j]
         out = evaluate_batch(self.h, cols, self._index_columns())
         if raw:
-            return out, np.full(self.inner, 1.0 / self.inner)
-        if self.vector:
-            return out.mean(axis=-2)
-        return out.mean(axis=-1)
+            return out, weights
+        if not self.exact:
+            return out.mean(axis=-2 if self.vector else -1)
+        return np.einsum("...kd,k->...d", out, weights) if self.vector else out @ weights
 
 
 @dataclass
@@ -432,19 +424,13 @@ def check_degeneracy(
     support = dist.support()
     exact = support is not None
 
-    if exact:
-        atoms, probs = support
-        full_cols, full_w = support_grid(np.asarray(atoms), np.asarray(probs), m)
-        vals = evaluate_batch(h, [full_cols[:, k] for k in range(m)])
-        scale = float(np.dot(space.norms(vals), full_w))
-    else:
-        draws = dist.sample(stream(seed, "degeneracy-scale"), 4096 * m).reshape(4096, m)
-        scale = float(space.norms(evaluate_batch(h, [draws[:, k] for k in range(m)])).mean())
+    points, weights = dist.nodes(m, 4096, seed, "degeneracy-scale")
+    vals = evaluate_batch(h, [points[:, k] for k in range(m)])
+    scale = float(np.dot(space.norms(vals), weights))
 
     def entry_for(conditioned: list[int], label: str, tag: int) -> DegeneracyEntry:
         if exact:
-            t = _exact_conditional_norms(h, np.asarray(atoms), np.asarray(probs),
-                                         conditioned, space)
+            t = _exact_conditional_norms(h, *support, conditioned, space)
             return DegeneracyEntry(
                 label=label, norm_estimate=t, squared_statistic=t * t,
                 squared_se=0.0, verdict=_verdict_exact(t, scale),

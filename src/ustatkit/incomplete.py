@@ -41,7 +41,7 @@ import numpy as np
 
 from .combinatorics import count_tuples, unrank_many, unrank_tuple
 from .kernels import Distribution, Kernel, stream, streams
-from .reporting import InequalityReport, ratio_summary
+from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
 from .ustat import (
     MAX_EVALUATION_TERMS,
@@ -466,19 +466,11 @@ def incomplete_moment_experiment(
             }
         )
 
-    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
-    return InequalityReport(
-        kind="incomplete-moment",
-        rows=rows,
-        fitted_constant=fitted,
-        stability=stability,
-        passed=bool(np.isfinite(fitted) and fitted > 0 and spread <= stability_factor),
-        details={
-            "p": p,
-            "q": q,
-            "d": d,
-            "m": m,
-            "replications": replications,
-            "ratio_spread": spread,
-        },
-    )
+    # the fitted constant, the largest ratio, must be positive
+    return ratio_report("incomplete-moment", rows, {
+        "p": p,
+        "q": q,
+        "d": d,
+        "m": m,
+        "replications": replications,
+    }, stability_factor, score="spread", extra=any(row["ratio"] > 0 for row in rows))

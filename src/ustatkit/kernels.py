@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -207,6 +208,42 @@ def streams(seed: int, *path):
 # distributions
 
 
+_REQUIRED = object()
+# One record per family: its config keys paired with their defaults
+# (_REQUIRED where the key must be given), which the classmethod named
+# after the family validates into params; sample(rng, size, *params);
+# mean(*params); and, for a finite support only, support(*params) giving
+# the atoms and their probabilities.
+_Family = namedtuple("_Family", "keys sample mean support", defaults=(None,))
+
+
+def _sample_finite(rng, size, values, probs):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return np.asarray(values, dtype=np.float64)[idx]
+
+
+def _atoms(values, probs):
+    return np.asarray(values, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+
+
+_FAMILIES = {
+    "rademacher": _Family(
+        (), lambda rng, size: rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0,
+        lambda: 0.0, lambda: _atoms((-1.0, 1.0), (0.5, 0.5))),
+    "uniform": _Family(
+        (("a", _REQUIRED), ("b", _REQUIRED)),
+        lambda rng, size, a, b: rng.uniform(a, b, size=size), lambda a, b: 0.5 * (a + b)),
+    "gaussian": _Family(
+        (("mean", 0.0), ("sd", 1.0)),
+        lambda rng, size, mean, sd: rng.normal(mean, sd, size=size), lambda mean, sd: mean),
+    "finite": _Family(
+        (("values", _REQUIRED), ("probabilities", _REQUIRED)),
+        _sample_finite, lambda values, probs: float(np.dot(values, probs)), _atoms),
+}
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A one-dimensional sampling law for the i.i.d. inputs.
@@ -219,6 +256,10 @@ class Distribution:
 
     family: str
     params: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown distribution family {self.family!r}")
 
     @classmethod
     def rademacher(cls) -> "Distribution":
@@ -247,68 +288,43 @@ class Distribution:
         return cls("finite", (v, p))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == "rademacher":
-            return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-        if self.family == "uniform":
-            a, b = self.params
-            return rng.uniform(a, b, size=size)
-        if self.family == "gaussian":
-            mean, sd = self.params
-            return rng.normal(mean, sd, size=size)
-        if self.family == "finite":
-            values, probs = self.params
-            cum = np.cumsum(probs)
-            cum[-1] = 1.0
-            idx = np.searchsorted(cum, rng.random(size), side="right")
-            return np.asarray(values, dtype=np.float64)[idx]
-        raise ValueError(f"unknown family {self.family!r}")
+        return _FAMILIES[self.family].sample(rng, size, *self.params)
 
     def support(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Atoms and probabilities for finite-support laws, else None."""
-        if self.family == "rademacher":
-            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        if self.family == "finite":
-            values, probs = self.params
-            return np.asarray(values, dtype=np.float64), np.asarray(probs, dtype=np.float64)
-        return None
+        support = _FAMILIES[self.family].support
+        return None if support is None else support(*self.params)
 
     def mean(self) -> float:
-        if self.family == "rademacher":
-            return 0.0
-        if self.family == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        if self.family == "gaussian":
-            return self.params[0]
-        if self.family == "finite":
-            values, probs = self.params
-            return float(np.dot(values, probs))
-        raise ValueError(f"unknown family {self.family!r}")
+        return _FAMILIES[self.family].mean(*self.params)
+
+    def nodes(self, k: int, draws: int, seed: int, *path) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature rule for E f(xi_1, ..., xi_k): points (K, k), weights (K,).
+
+        A finite law gives its support_grid, every k-tuple of atoms with
+        its product probability.  Any other law gives `draws` rows of k
+        points from self.sample on the stream of (seed, *path), read row by
+        row, each of weight 1 / draws.
+        """
+        support = self.support()
+        if support is not None:
+            return support_grid(*support, k)
+        points = self.sample(stream(seed, *path), draws * k).reshape(draws, k)
+        return points, np.full(draws, 1.0 / draws)
 
     def to_dict(self) -> dict:
-        if self.family == "rademacher":
-            return {"family": "rademacher"}
-        if self.family == "uniform":
-            a, b = self.params
-            return {"family": "uniform", "a": a, "b": b}
-        if self.family == "gaussian":
-            mean, sd = self.params
-            return {"family": "gaussian", "mean": mean, "sd": sd}
-        values, probs = self.params
-        return {"family": "finite", "values": list(values), "probabilities": list(probs)}
+        keys = [key for key, _ in _FAMILIES[self.family].keys]
+        params = [list(v) if isinstance(v, tuple) else v for v in self.params]
+        return {"family": self.family, **dict(zip(keys, params))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Distribution":
         family = d.get("family")
-        if family == "rademacher":
-            return cls.rademacher()
-        if family == "uniform":
-            return cls.uniform(d["a"], d["b"])
-        if family == "gaussian":
-            return cls.gaussian(d.get("mean", 0.0), d.get("sd", 1.0))
-        if family == "finite":
-            return cls.finite(d["values"], d["probabilities"])
-        raise ValueError(f"unknown distribution family {family!r}")
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown distribution family {family!r}")
+        args = [d[key] if default is _REQUIRED else d.get(key, default)
+                for key, default in _FAMILIES[family].keys]
+        return getattr(cls, family)(*args)
 
 
 def support_grid(atoms, probs, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["InequalityReport", "ratio_summary"]
+__all__ = ["InequalityReport", "ratio_report", "ratio_summary"]
 
 
 def ratio_summary(ratios) -> tuple[float, float, float]:
@@ -76,3 +76,24 @@ class InequalityReport:
             "passed": self.passed,
             "details": self.details,
         }
+
+
+def ratio_report(kind: str, rows: list, details: dict, factor: float,
+                 score: str = "stability", extra: bool = True) -> InequalityReport:
+    """The report of a ratio-based experiment, verdict included.
+
+    ratio_summary over the rows' "ratio" values gives the fitted constant
+    and the stability, and details gains its "ratio_spread".  The report
+    passes when the fitted constant is finite, the named score
+    ("stability" or "spread") is at most factor, and extra holds.
+    """
+    fitted, stability, spread = ratio_summary([row["ratio"] for row in rows])
+    scored = spread if score == "spread" else stability
+    return InequalityReport(
+        kind=kind,
+        rows=rows,
+        fitted_constant=fitted,
+        stability=stability,
+        passed=bool(math.isfinite(fitted) and scored <= factor and extra),
+        details={**details, "ratio_spread": spread},
+    )

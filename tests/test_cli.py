@@ -419,6 +419,50 @@ def test_decompose_unparsable_budget_exits_2(tmp_path, capsys):
     assert "inner" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "decompose"])
+def test_non_object_kernel_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": "product",
+        "distribution": {"family": "rademacher"},
+        "data": [1, -1, 2],
+    })
+    code, _, err = run([command, "--config", cfg], capsys)
+    assert code == 2
+    assert "kernel: expected a JSON object" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kernel", None), ("kernel", "product"), ("distribution", ["rademacher"]),
+    ("space", 3), ("design", "x"), ("n_grid", 8), ("grid", [5]),
+    ("experiment", ["deviation"]), ("replications", 1e999),
+])
+def test_experiment_malformed_field_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, field: value})
+    out_dir = tmp_path / "o"
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert f"config error: {field}:" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("inner", 1), ("outer", 0), ("outer", 1), ("outer", -1),
+])
+def test_decompose_budgets_below_two_exit_2(tmp_path, capsys, field, value):
+    # one outer row has a zero standard error, so any nonzero statistic
+    # would read "nonzero"; ExperimentConfig refuses the same budgets
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "gaussian"},
+        field: value,
+    })
+    code, out, err = run(["decompose", "--config", cfg], capsys)
+    assert code == 2
+    assert f"config error: {field}: nested estimates need at least 2 draws" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("exc", [ValueError("bad shape"), RuntimeError("boom")])
 def test_mid_run_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
     import ustatkit.cli as cli

@@ -84,6 +84,26 @@ def test_field_errors_name_the_field():
             make(**kw)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(field=st.sampled_from(sorted(ExperimentConfig._KEYS)), value=JSON_VALUES)
+def test_any_json_value_in_one_field_is_a_config_or_a_config_error(field, value):
+    # floats include the inf and nan that json.loads reads from 1e999 and NaN
+    raw = {"kernel": PRODUCT2, "distribution": RADEMACHER, "n_grid": [4, 8],
+           field: value}
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{field}:")
+
+
 def test_grids_are_coerced_to_tuples():
     cfg = make(n_grid=[4, 8], t_grid=[0.5, 1.0], grid=[[8, 0.5]])
     assert cfg.n_grid == (4, 8)

@@ -19,6 +19,7 @@ from ustatkit.kernels import (
     stream,
     stream_keys,
     streams,
+    support_grid,
 )
 from ustatkit.spaces import BanachSpaceDescriptor
 
@@ -250,6 +251,32 @@ def test_finite_sampling_hits_only_atoms():
     xs = d.sample(stream(3, "f"), 2000)
     assert set(np.unique(xs)) <= {2.0, 5.0}
     assert abs(np.mean(xs == 5.0) - 0.75) < 0.05
+
+
+@pytest.mark.parametrize("dist", [
+    Distribution.rademacher(),
+    Distribution.finite([0.0, 1.0, 3.0], [0.2, 0.3, 0.5]),
+])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_nodes_on_a_finite_law_are_its_support_grid(dist, k):
+    points, weights = dist.nodes(k, 64, 9, "tag")
+    grid, grid_w = support_grid(*dist.support(), k)
+    assert np.array_equal(points, grid) and np.array_equal(weights, grid_w)
+
+
+@pytest.mark.parametrize("dist", [Distribution.uniform(-1.0, 2.0), Distribution.gaussian(0.5, 2.0)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nodes_on_a_sampled_law_read_the_stream_row_by_row(dist, k):
+    draws = 50
+    points, weights = dist.nodes(k, draws, 9, "tag", 4)
+    expected = dist.sample(stream(9, "tag", 4), draws * k).reshape(draws, k)
+    assert points.tobytes() == expected.tobytes()
+    assert weights.shape == (draws,) and np.all(weights == 1.0 / draws)
+
+
+def test_unknown_family_is_refused_on_construction():
+    with pytest.raises(ValueError, match="poisson"):
+        Distribution("poisson")
 
 
 def test_continuous_support_is_none_and_mean():

@@ -7,9 +7,10 @@ benchmark workload (perfbench/workloads.py, read only) at its default
 seed, and five configs on non-integer data below, whose reports move in
 the last bits when a change reorders floating-point work.  Each run is one
 `ustat experiment run` in a fresh process that imports ustatkit from the
-`src` directory of this checkout.  Prints one `name sha256` line per
-report, so two checkouts give the same lines exactly when their reports
-are byte-identical.
+`src` directory of this checkout.  Three `ustat decompose` configs follow,
+hashed by the report they print on stdout.  Prints one `name sha256` line
+per report, so two checkouts give the same lines exactly when their
+reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -60,6 +61,23 @@ OFF_RADEMACHER = {
     },
 }
 
+# `ustat decompose` reports: two exact laws, whose bytes a refactor must
+# keep, and one sampled law on the nested Monte Carlo path.
+DECOMPOSE = {
+    "decompose-rademacher-product": {
+        "kernel": _PRODUCT, "distribution": {"family": "rademacher"},
+    },
+    "decompose-finite-sign": {
+        "kernel": {"name": "sign", "m": 2},
+        "distribution": {"family": "finite", "values": [0.0, 1.0, 3.0],
+                         "probabilities": [0.2, 0.3, 0.5]},
+    },
+    "decompose-gauss-expr": {
+        "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
+        "distribution": _GAUSSIAN, "inner": 256, "outer": 64,
+    },
+}
+
 
 def _configs():
     """(name, config) of every run, recipes first."""
@@ -76,29 +94,41 @@ def _configs():
     yield from OFF_RADEMACHER.items()
 
 
-def report_hash(config: dict, wdir: str) -> str:
-    """sha256 of the report.json that `ustat experiment run` writes for config."""
+def _ustat(command: list, config: dict, wdir: str) -> bytes:
+    """stdout of `ustat <command> --config <config>` run in wdir."""
     config_path = os.path.join(wdir, "config.json")
-    out = os.path.join(wdir, "out")
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     env.pop("USTAT_THREADS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "ustatkit.cli", "experiment", "run",
-         "--config", config_path, "--out", out],
-        env=env, cwd=wdir, capture_output=True, text=True)
+        [sys.executable, "-m", "ustatkit.cli", *command, "--config", config_path],
+        env=env, cwd=wdir, capture_output=True)
     # 0 and 1 both write a report: a passed and a failed verdict
     if proc.returncode not in (0, 1):
-        raise RuntimeError(f"exit {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"exit {proc.returncode}:\n{proc.stderr.decode()}")
+    return proc.stdout
+
+
+def report_hash(config: dict, wdir: str) -> str:
+    """sha256 of the report.json that `ustat experiment run` writes for config."""
+    out = os.path.join(wdir, "out")
+    _ustat(["experiment", "run", "--out", out], config, wdir)
     with open(os.path.join(out, "report.json"), "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def decompose_hash(config: dict, wdir: str) -> str:
+    """sha256 of the report that `ustat decompose` prints for config."""
+    return hashlib.sha256(_ustat(["decompose"], config, wdir)).hexdigest()
+
+
 def main() -> int:
-    for name, config in _configs():
+    runs = [(name, config, report_hash) for name, config in _configs()]
+    runs += [(name, config, decompose_hash) for name, config in DECOMPOSE.items()]
+    for name, config, digest in runs:
         with tempfile.TemporaryDirectory() as wdir:
-            print(name, report_hash(config, wdir), flush=True)
+            print(name, digest(config, wdir), flush=True)
     return 0
 
 
