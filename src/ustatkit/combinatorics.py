@@ -130,11 +130,15 @@ def unrank_many(ranks: np.ndarray, n: int, m: int) -> list[np.ndarray]:
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size and (ranks.min() < 0 or ranks.max() >= total):
         raise ValueError(f"ranks must lie in [0, {total})")
-    cols: list[np.ndarray] = [np.empty(ranks.shape, dtype=np.int64) for _ in range(m)]
-    rem = ranks.copy()
-    for j in range(m, 0, -1):
+    if m == 0:
+        return []
+    cols: list[np.ndarray] = [ranks] * m
+    rem = ranks
+    for j in range(m, 1, -1):
         table = _binomial_column(n, j)
         idx = np.searchsorted(table, rem, side="right") - 1
-        cols[j - 1][...] = idx
+        cols[j - 1] = idx
         rem = rem - table[idx]
+    # C(c, 1) = c, so what is left of each rank is its first coordinate
+    cols[0] = rem.copy() if m == 1 else rem
     return cols

@@ -198,14 +198,14 @@ class ExperimentConfig:
             raise ConfigError(f"d: must lie in [1, {self.kernel.arity}], got {self.d}")
         if self.alpha is not None and not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha: must lie in (0, 1/2), got {self.alpha}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError(f"gamma: must be nonnegative, got {self.gamma}")
         if self.eps is not None and not self.eps > 0:
             raise ConfigError(f"eps: must be positive, got {self.eps}")
         if self.t_grid is not None:
             if len(self.t_grid) == 0:
                 raise ConfigError("t_grid: must not be empty when given")
-            if any(t <= 0 for t in self.t_grid):
+            if not all(t > 0 for t in self.t_grid):
                 raise ConfigError("t_grid: thresholds must be positive")
             if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
                 raise ConfigError("t_grid: thresholds must be strictly increasing")

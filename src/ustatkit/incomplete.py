@@ -12,8 +12,10 @@ selected set instead of C(n, m).  The distinct ranks come from Floyd's
 algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9), 1987),
 whose uniform draws do not depend on the ranks already chosen: all of
 them are taken in one numpy call over the array of per-step bounds, which
-consumes the same stream as one call per step, and when no two draws are
-equal they are the chosen ranks themselves (see _distinct_ranks).  A
+consumes the same stream as one call per step.  When no two draws are
+equal they are the chosen ranks themselves; otherwise the steps whose
+draw was already kept are found from the draw array, where only draws
+that point back at an earlier step need a loop (see _distinct_ranks).  A
 design that would select more than MAX_EVALUATION_TERMS tuples is refused
 before its ranks are drawn.
 
@@ -34,13 +36,12 @@ degenerate kernels, whose bound shape in (n, p_n) is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
 from .combinatorics import count_tuples, unrank_many, unrank_tuple
-from .kernels import Distribution, Kernel, stream, streams
+from .kernels import Distribution, Kernel, evaluate_batch, stream, streams
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
 from .ustat import (
@@ -65,6 +66,14 @@ __all__ = [
 
 # Colex ranks are manipulated as int64; leave headroom below 2^63.
 _RANK_SPACE_LIMIT = 2**62
+
+# An incomplete-moment cell evaluates its replications in batches of about
+# this many selected tuples, and of at most this many stacked sample
+# values.  Larger batches buy little speed and cost peak memory: the
+# incomplete-sparse benchmark workload peaks at 38.4 MiB with 4,096-tuple
+# batches, 39.6 MiB with 16,384 and 45.5 MiB with 65,536.
+_BATCH_TUPLES = 4096
+_BATCH_SAMPLE_VALUES = 1 << 16
 
 _VARIANTS = ("without_replacement", "with_replacement", "bernoulli")
 
@@ -200,33 +209,68 @@ class WeightSet:
 def _distinct_ranks(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
     """Uniform random count-subset of [0, total), sorted, by Floyd's algorithm.
 
-    Floyd's step j (j = total - count, ..., total - 1) draws t_j uniform
-    on {0, ..., j} and keeps t_j, or j when t_j is already kept.  The draw
-    does not depend on the kept set, so all of them are taken in one
-    rng.integers call over the array of upper bounds; numpy fills such an
-    array one element at a time, consuming the stream exactly as one
-    scalar call per step does.  If no two draws are equal they are the
-    result: by induction every kept element is an earlier draw, so no
-    t_j is ever kept already.  Otherwise the set rule runs over the draws.
+    Floyd's step j (j = lo, ..., total - 1, lo = total - count) draws t_j
+    uniform on {0, ..., j} and keeps t_j, or j when t_j is already kept:
+    step j collides.  The draw does not depend on the kept set, so all of
+    them are taken in one rng.integers call over the array of upper
+    bounds; numpy fills such an array one element at a time, consuming the
+    stream exactly as one scalar call per step does.
+
+    Before step j the kept set holds t_i for every earlier step i that did
+    not collide and i for every one that did, so t_j collides exactly when
+    it repeats an earlier draw (that value was kept at the earlier step,
+    whether it collided or not) or when lo <= t_j < j and step t_j
+    collided (t_j = j is never kept yet).  The first case marks every draw
+    but the first of its value.  The second looks back at a strictly
+    earlier step, so resolving its candidates in step order is exact.
+    Without a repeated draw nothing collides and the draws are the result.
     """
     if count > total:
         raise ValueError(f"cannot pick {count} distinct ranks out of {total}")
     if count == total:
         return np.arange(total, dtype=np.int64)
-    draws = rng.integers(0, np.arange(total - count + 1, total + 1, dtype=np.int64))
+    lo = total - count
+    draws = rng.integers(0, np.arange(lo + 1, total + 1, dtype=np.int64))
     ranks = np.sort(draws)
-    if not np.any(ranks[1:] == ranks[:-1]):
+    if not (ranks[1:] == ranks[:-1]).any():
         return ranks
-    chosen: set[int] = set()
-    for j, t in enumerate(draws.tolist(), start=total - count):
-        chosen.add(j if t in chosen else t)
-    return np.sort(np.fromiter(chosen, dtype=np.int64, count=count))
+    _, first = np.unique(draws, return_index=True)
+    collided = np.ones(count, dtype=bool)
+    collided[first] = False
+    back = np.sort(first[(draws[first] >= lo) & (draws[first] < first + lo)])
+    for j, t in zip(back.tolist(), (draws[back] - lo).tolist()):
+        collided[j] = collided[t]
+    return np.sort(np.where(collided, np.arange(lo, total, dtype=np.int64), draws))
 
 
 def _design_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return stream(seed, "design")
+
+
+def _rank_space(n: int, m: int) -> int:
+    """C(n, m), refused when its colex ranks would not fit int64 arithmetic."""
+    total = count_tuples(n, m)
+    if total > _RANK_SPACE_LIMIT:
+        raise EvaluationBudgetError(
+            f"C({n}, {m}) = {total} exceeds the int64 rank space"
+        )
+    return total
+
+
+def _capped(count: int) -> int:
+    """count, refused when that many selected tuples exceed the summand cap."""
+    if count > MAX_EVALUATION_TERMS:
+        raise EvaluationBudgetError(
+            f"{count} selected tuples exceed the cap {MAX_EVALUATION_TERMS}"
+        )
+    return count
+
+
+def _bernoulli_count(rng: np.random.Generator, total: int, rate: float) -> int:
+    """Number of tuples a Bernoulli(rate) design keeps out of total, capped."""
+    return _capped(int(rng.binomial(total, rate)) if total else 0)
 
 
 def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
@@ -236,11 +280,7 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
     already-positioned numpy Generator, which experiments use to hand each
     replication its own stream.
     """
-    total = count_tuples(n, m)
-    if total > _RANK_SPACE_LIMIT:
-        raise EvaluationBudgetError(
-            f"C({n}, {m}) = {total} exceeds the int64 rank space"
-        )
+    total = _rank_space(n, m)
     design.validate_for(n, m)
     rng = _design_rng(seed)
 
@@ -250,13 +290,9 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
         ranks, counts = np.unique(raw, return_counts=True)
         return WeightSet(n=n, m=m, ranks=ranks, weights=counts.astype(np.int64))
     if design.variant == "without_replacement":
-        count = design.draws
+        count = _capped(design.draws)
     else:
-        count = int(rng.binomial(total, design.rate)) if total else 0
-    if count > MAX_EVALUATION_TERMS:
-        raise EvaluationBudgetError(
-            f"{count} selected tuples exceed the cap {MAX_EVALUATION_TERMS}"
-        )
+        count = _bernoulli_count(rng, total, design.rate)
     ranks = _distinct_ranks(rng, total, count)
     return WeightSet(n=n, m=m, ranks=ranks, weights=np.ones(count, dtype=np.int64))
 
@@ -285,10 +321,7 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
         raise ValueError(
             f"weights address n={weights.n} points, sample has {len(sample)}"
         )
-    if weights.size > MAX_EVALUATION_TERMS:
-        raise EvaluationBudgetError(
-            f"{weights.size} selected tuples exceed the cap {MAX_EVALUATION_TERMS}"
-        )
+    _capped(weights.size)
     if weights.size == 0:
         return UStatResult(_as_value(h, _zero(h)), weights.n, weights.m, 0, 0.0)
     total, weight_total = ranked_term_sum(
@@ -301,6 +334,77 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
     return UStatResult(
         _as_value(h, total), weights.n, weights.m, weights.size, weight_total
     )
+
+
+def _powered_norms(
+    h: Kernel,
+    dist: Distribution,
+    norm,
+    q: float,
+    n: int,
+    rate: float,
+    seed: int,
+    cell_idx: int,
+    replications: int,
+) -> np.ndarray:
+    """norm(U_inc)^q of every replication of one incomplete-moment cell.
+
+    Replication r draws its sample from the stream of (seed, "inc-moment",
+    cell_idx, r, 0) and its Bernoulli(rate) design from (..., r, 1), as
+    draw_design does, and its value equals norm(incomplete_ustat(...).value)
+    ** q on them bit for bit.  Only the draws are made per replication, and
+    an empty selection keeps norm(0) ** q.  A selection of at most _CHUNK
+    tuples joins a batch (up to _BATCH_TUPLES tuples or _BATCH_SAMPLE_VALUES
+    stacked sample values), which takes one unrank, one gather and one
+    kernel call and then sums each replication's contiguous slice: the same
+    pairwise sum as ranked_term_sum takes over a single chunk.  A larger
+    selection goes through incomplete_ustat alone, for its chunked,
+    compensated sum.
+    """
+    m = h.arity
+    total = _rank_space(n, m)
+    reps = np.arange(replications)
+    samples = streams(seed, "inc-moment", cell_idx, reps, 0)
+    designs = streams(seed, "inc-moment", cell_idx, reps, 1)
+    powered = np.full(replications, norm(_zero(h)) ** q)
+    batch: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rep, sample, ranks)
+    tuples = 0
+
+    def flush():
+        counts = np.array([ranks.size for _, _, ranks in batch])
+        ranks = np.concatenate([ranks for _, _, ranks in batch])
+        ends = np.cumsum(counts)
+        increasing = np.diff(ranks) > 0
+        increasing[ends[:-1] - 1] = True  # where one replication's ranks end
+        if not increasing.all():
+            raise ValueError("ranks must be strictly increasing")
+        # unrank_many refuses ranks outside [0, C(n, m))
+        cols = unrank_many(ranks, n, m)
+        flat = np.concatenate([sample for _, sample, _ in batch])
+        offsets = np.repeat(np.arange(0, len(batch) * n, n), counts)
+        vals = evaluate_batch(h, [flat[offsets + c] for c in cols])
+        for (rep, _, _), a, b in zip(batch, (ends - counts).tolist(), ends.tolist()):
+            powered[rep] = norm(vals[a:b].sum(axis=0)) ** q
+        batch.clear()
+
+    for rep, (rng_x, rng_w) in enumerate(zip(samples, designs)):
+        sample = dist.sample(rng_x, n)
+        count = _bernoulli_count(rng_w, total, rate)
+        if count == 0:
+            continue
+        ranks = _distinct_ranks(rng_w, total, count)
+        if count > _CHUNK:
+            ws = WeightSet(n=n, m=m, ranks=ranks, weights=np.ones(count, dtype=np.int64))
+            powered[rep] = norm(incomplete_ustat(h, sample, ws).value) ** q
+            continue
+        batch.append((rep, sample, ranks))
+        tuples += count
+        if tuples >= _BATCH_TUPLES or len(batch) * n >= _BATCH_SAMPLE_VALUES:
+            flush()
+            tuples = 0
+    if batch:
+        flush()
+    return powered
 
 
 @dataclass(frozen=True)
@@ -401,10 +505,18 @@ def incomplete_moment_experiment(
     Replication r of grid entry c reads its sample from the stream of
     (seed, "inc-moment", c, r, 0) and its design from (..., r, 1); each
     entry derives all its keys in one pass and runs its replications in
-    order on two re-keyed bit generators.  threads has no effect here:
-    each replication is a few small numpy calls with Python between them,
-    so worker threads only contend for the interpreter lock and two ran
-    slower than one.
+    order on two re-keyed bit generators.  Per replication only the sample,
+    the Binomial count (checked against the cap) and the Floyd ranks are
+    drawn.  The selections then gather into batches of about 4,096 tuples,
+    each unranked, gathered and evaluated in one call, and every
+    replication's sum is its own slice of the batch; the values equal
+    those of draw_design and incomplete_ustat bit for bit.  A batch stays
+    small because it stacks its replications' samples and several int64
+    arrays per tuple: stacking a whole cell at n = 2048 would hold
+    replications x 2048 sample values and every rank of the cell.
+    threads has no effect here: the per-replication draws are small numpy
+    calls with Python between them, so worker threads only contend for the
+    interpreter lock.
     """
     if not q >= p > 1.0:
         raise ValueError(f"need q >= p > 1, got p={p}, q={q}")
@@ -432,24 +544,11 @@ def incomplete_moment_experiment(
     m = h.arity
     norm = (space if space is not None else h.codomain).norm
 
-    def run_cell(cell_idx: int, n: int, rate: float) -> tuple[float, float]:
-        design = SamplingDesign.bernoulli(rate)
-
-        reps = np.arange(replications)
-        samples = streams(seed, "inc-moment", cell_idx, reps, 0)
-        designs = streams(seed, "inc-moment", cell_idx, reps, 1)
-        powered = np.empty(replications)
-        for rep, (rng_x, rng_w) in enumerate(zip(samples, designs)):
-            sample = dist.sample(rng_x, n)
-            ws = draw_design(design, n, m, rng_w)
-            powered[rep] = norm(incomplete_ustat(h, sample, ws).value) ** q
-        est = float(powered.mean())
-        se = float(powered.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
-        return est, se
-
     rows = []
     for idx, (n, rate) in enumerate(grid):
-        est, se = run_cell(idx, n, rate)
+        powered = _powered_norms(h, dist, norm, q, n, rate, seed, idx, replications)
+        est = float(powered.mean())
+        se = float(powered.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
         shape = (
             n ** (q * (m - d) + d * q / p) * rate**q
             + n ** (m * q / p) * rate ** (q / p)

@@ -239,6 +239,17 @@ def test_experiment_bad_field_exits_2(tmp_path, capsys):
     assert "n_grid" in err
 
 
+def test_experiment_nan_threshold_exits_2(tmp_path, capsys):
+    # json writes NaN as the bare token NaN, which json.loads reads back
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "t_grid": [math.nan]})
+    out_dir = tmp_path / "o"
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert "t_grid" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_reports_identical_across_runs_and_threads(tmp_path, capsys):
     cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
     texts = []

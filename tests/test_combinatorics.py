@@ -70,6 +70,30 @@ def test_unrank_many_matches_scalar_unrank():
         assert tuple(int(c[r]) for c in cols) == scalar
 
 
+@st.composite
+def _unsorted_ranks(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 300 if m <= 2 else 60))
+    total = math.comb(n, m)
+    ranks = draw(st.lists(st.integers(0, total - 1), max_size=40))
+    return n, m, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unsorted_ranks())
+def test_unrank_many_matches_unrank_tuple_on_unsorted_ranks(case):
+    # incomplete-moment batches unrank many replications' ranks at once,
+    # so the array is sorted within each replication but not across them
+    n, m, ranks = case
+    given_ranks = np.array(ranks, dtype=np.int64)
+    cols = unrank_many(given_ranks, n, m)
+    assert len(cols) == m
+    assert all(c.dtype == np.int64 and c.shape == (len(ranks),) for c in cols)
+    got = [tuple(int(c[i]) for c in cols) for i in range(len(ranks))]
+    assert got == [unrank_tuple(r, n, m) for r in ranks]
+    assert given_ranks.tolist() == ranks  # the input is left as it was
+
+
 def test_unrank_many_binomial_column_is_cached_and_read_only():
     n, m = 40, 3
     ranks = np.arange(count_tuples(n, m))

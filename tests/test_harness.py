@@ -104,6 +104,33 @@ def test_any_json_value_in_one_field_is_a_config_or_a_config_error(field, value)
         assert str(exc).startswith(f"{field}:")
 
 
+@st.composite
+def _nan_in_a_bounded_float_field(draw):
+    """A NaN in a float field that must be positive, nonnegative or in a range."""
+    nan = float("nan")
+    field = draw(st.sampled_from(
+        ["p", "q", "alpha", "gamma", "eps", "stability_factor", "t_grid", "grid"]))
+    if field == "t_grid":
+        values = sorted(set(draw(st.lists(st.floats(0.1, 100.0), max_size=4))))
+        values.insert(draw(st.integers(0, len(values))), nan)
+    elif field == "grid":
+        values = [[n, 1.0 / n] for n in range(8, 8 + draw(st.integers(0, 3)))]
+        values.insert(draw(st.integers(0, len(values))), [16, nan])
+    else:
+        values = nan
+    return field, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nan_in_a_bounded_float_field())
+def test_nan_refused_by_every_bounded_float_field(case):
+    # a comparison with NaN is False, so each bound must be tested as
+    # "not inside" rather than "outside"
+    field, value = case
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        make(n_grid=[4, 8], **{field: value})
+
+
 def test_grids_are_coerced_to_tuples():
     cfg = make(n_grid=[4, 8], t_grid=[0.5, 1.0], grid=[[8, 0.5]])
     assert cfg.n_grid == (4, 8)

@@ -143,6 +143,7 @@ def _floyd_cases(draw):
 @given(_floyd_cases(), st.integers(0, 2**32))
 @example((12, 9), 0)  # draws 0, 3 and 4 repeat
 @example((2**40, 1000), 1)
+@example((5, 4), 81)  # draws 0, 0, 2, 3: steps 3 and 4 draw a collided step
 def test_distinct_ranks_match_scalar_floyd(case, seed):
     total, count = case
     rng, oracle_rng = stream(seed, "floyd"), stream(seed, "floyd")
@@ -167,6 +168,19 @@ def test_over_cap_design_refused_before_ranks_are_drawn(monkeypatch, design):
     # C(12, 2) = 66 tuples: at p_n = 1/2 the Binomial count is above 10
     with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
         draw_design(design, 12, 2, seed=5)
+
+
+def test_over_cap_cell_refused_before_ranks_are_drawn(monkeypatch):
+    def never(*args):
+        raise AssertionError("ranks drawn for an over-cap design")
+
+    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    monkeypatch.setattr(incomplete, "_distinct_ranks", never)
+    with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
+        incomplete_moment_experiment(
+            builtin_kernel("product", 2), Distribution.rademacher(),
+            grid=[(12, 0.5)], p=2.0, q=2.0, d=2, replications=5, seed=5,
+            certify=False)
 
 
 def test_with_replacement_capped_on_distinct_count(monkeypatch):
@@ -350,6 +364,94 @@ def test_incomplete_moment_default_space_is_kernel_codomain():
     explicit = incomplete_moment_experiment(h, Distribution.rademacher(),
                                             space=space, **kwargs)
     assert default.rows == explicit.rows
+
+
+def _cell_oracle(h, dist, norm, q, n, rate, seed, cell_idx, replications):
+    """One draw_design and incomplete_ustat per replication, on fresh streams."""
+    design = SamplingDesign.bernoulli(rate)
+    powered = np.empty(replications)
+    for rep in range(replications):
+        sample = dist.sample(stream(seed, "inc-moment", cell_idx, rep, 0), n)
+        ws = draw_design(design, n, h.arity,
+                         stream(seed, "inc-moment", cell_idx, rep, 1))
+        powered[rep] = norm(incomplete_ustat(h, sample, ws).value) ** q
+    return powered
+
+
+def _vector_kernel():
+    space = BanachSpaceDescriptor(dimension=3, norm_exponent=1.5)
+    weights = np.array([1.0, -2.0, 0.5])
+    return Kernel(2, lambda xs, idx: (xs[0] * xs[1])[..., None] * weights,
+                  symmetric=True, codomain=space)
+
+
+def _column_major_kernel():
+    # (B, 3) values laid out column by column: each column sums contiguously
+    space = BanachSpaceDescriptor(dimension=3, norm_exponent=1.5)
+    return Kernel(2, lambda xs, idx: np.stack(
+        [xs[0] * xs[1], 0.3 * xs[0] * xs[1], -xs[0] * xs[1]]).T,
+        symmetric=True, codomain=space)
+
+
+_RADEMACHER = Distribution.rademacher()
+_GAUSSIAN = Distribution.gaussian()
+
+
+@pytest.mark.parametrize("kernel, dist, n, rate, q", [
+    (builtin_kernel("product", 2), _RADEMACHER, 32, 1 / 32, 2.0),
+    (builtin_kernel("product", 2), _GAUSSIAN, 64, 0.05, 1.5),
+    (builtin_kernel("product", 3), _GAUSSIAN, 20, 0.02, 2.0),
+    (builtin_kernel("product", 2), _GAUSSIAN, 16, 0.0, 2.0),
+    (builtin_kernel("product", 2), _GAUSSIAN, 8, 1.0, 2.0),
+    (_vector_kernel(), _GAUSSIAN, 32, 0.1, 1.5),
+    (_column_major_kernel(), _GAUSSIAN, 32, 0.1, 1.5),
+], ids=["rademacher", "gaussian", "gaussian-m3", "rate-0", "rate-1", "l1.5-dim3",
+        "l1.5-dim3-column-major"])
+def test_batched_cell_matches_draw_design_bit_for_bit(kernel, dist, n, rate, q):
+    args = (kernel, dist, kernel.codomain.norm, q, n, rate, 17, 2, 300)
+    got = incomplete._powered_norms(*args)
+    want = _cell_oracle(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(incomplete, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(incomplete, name, counted)
+    return calls
+
+
+def test_batched_cell_sums_large_selections_alone(monkeypatch):
+    # C(32, 2) = 496 tuples at rate 0.13 keep 64 on average: some
+    # replications exceed the 64-tuple chunk and take incomplete_ustat
+    monkeypatch.setattr(incomplete, "_CHUNK", 64)
+    alone = _counting(monkeypatch, "incomplete_ustat")
+    h = builtin_kernel("product", 2)
+    args = (h, _GAUSSIAN, h.codomain.norm, 2.0, 32, 0.13, 23, 0, 200)
+    got = incomplete._powered_norms(*args)
+    assert 0 < len(alone) < 200
+    want = _cell_oracle(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bound, value", [
+    ("_BATCH_TUPLES", 37),
+    ("_BATCH_SAMPLE_VALUES", 5 * 24),
+])
+def test_batched_cell_splits_batches_mid_cell(monkeypatch, bound, value):
+    monkeypatch.setattr(incomplete, bound, value)
+    batches = _counting(monkeypatch, "evaluate_batch")
+    h = _vector_kernel()
+    args = (h, _GAUSSIAN, h.codomain.norm, 1.5, 24, 0.1, 29, 1, 200)
+    got = incomplete._powered_norms(*args)
+    assert len(batches) > 10
+    want = _cell_oracle(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_incomplete_moment_thread_count_invariance():
