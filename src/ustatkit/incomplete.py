@@ -69,11 +69,18 @@ _RANK_SPACE_LIMIT = 2**62
 
 # An incomplete-moment cell evaluates its replications in batches of about
 # this many selected tuples, and of at most this many stacked sample
-# values.  Larger batches buy little speed and cost peak memory: the
-# incomplete-sparse benchmark workload peaks at 38.4 MiB with 4,096-tuple
-# batches, 39.6 MiB with 16,384 and 45.5 MiB with 65,536.
+# values.  Larger batches buy little speed and cost peak memory (peak RSS
+# of one `ustat experiment run`).  The incomplete-sparse benchmark workload
+# peaks at 38.4 MiB with 4,096-tuple batches, 39.6 MiB with 16,384 and
+# 45.5 MiB with 65,536; its batches always close on tuples.  At p_n = n^-2
+# a replication keeps about half a tuple, so batches close on sample
+# values: the incomplete-quadratic recipe (n = 32..256, 1,000
+# replications) peaks at 38.4 MiB with 16,384 values, 38.8 with 65,536 and
+# 39.0 with no bound, and the same rates at n = 512..2048 at 38.3, 38.7
+# and 49.9 MiB.  Best-of-12 times at 16,384 and 65,536 values differed by
+# less than their run-to-run spread.
 _BATCH_TUPLES = 4096
-_BATCH_SAMPLE_VALUES = 1 << 16
+_BATCH_SAMPLE_VALUES = 16384
 
 _VARIANTS = ("without_replacement", "with_replacement", "bernoulli")
 

@@ -8,11 +8,11 @@ configs come from this checkout: every recipe in tests/recipes.py and
 every workload in perfbench/workloads.py (read only) at its default seed,
 each at its own thread count (one where it names none).  Every run is a
 fresh process, so a time includes interpreter start-up and imports.  The
-runs of one config alternate between the sources, `--repeats` rounds
-(default 3), and the best wall time of each counts.  Writes one JSON
-object: the machine, and per source and config the thread count, every
-wall time, the best one and the sha256 of the report.json written, which
-must be the same in every round.
+runs of one config alternate between the sources, REPEATS rounds, and
+the best wall time of each counts.  Writes one JSON object: the machine,
+and per source and config the thread count, every wall time, the best
+one and the sha256 of the report.json written, which must be the same in
+every round.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Rounds per config and source; the best wall time of each counts.
+REPEATS = 3
 
 
 def _configs():
@@ -78,10 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=_source, action="append", required=True,
                         metavar="[LABEL=]DIR")
     parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     import numpy
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     for name, config in _configs():
         for label, _ in args.src:
             results[label][name] = {"threads": config.get("threads", 1), "wall_s": []}
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for label, src in args.src:
                 wall, digest = _timed_run(src, config)
                 entry = results[label][name]
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": numpy.__version__,
         },
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "results": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
