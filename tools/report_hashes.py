@@ -4,8 +4,9 @@
 
 Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, every
 benchmark workload (perfbench/workloads.py, read only) at its default
-seed, and five configs on non-integer data below, whose reports move in
-the last bits when a change reorders floating-point work.  Each run is one
+seed, and the configs on non-integer data below (Gaussian, uniform and
+one finite law), whose reports move in the last bits when a change
+reorders floating-point work.  Each run is one
 `ustat experiment run` in a fresh process that imports ustatkit from the
 `src` directory of this checkout.  Three `ustat decompose` configs follow,
 hashed by the report they print on stdout.  Prints one `name sha256` line
@@ -31,6 +32,8 @@ _GAUSSIAN = {"family": "gaussian"}
 # leaves the integers, so these catch reordered arithmetic in the paths
 # they take (the separable prefix path for the product; the generic
 # engine for the expression kernel and its projected d = 1 component).
+# The order-d line is the only one that reads the prefix-level tail of
+# the order-d bound on a sampled law.
 # The Gaussian ones also draw through the ziggurat sampler, which reads
 # the stream differently from the Rademacher integers.
 OFF_RADEMACHER = {
@@ -58,6 +61,33 @@ OFF_RADEMACHER = {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN,
         "experiment": "incomplete-moment", "grid": [[64, 0.05], [128, 0.02]],
         "p": 1.5, "q": 2.0, "d": 2, "moment_replications": 300, "seed": 5,
+    },
+    "gauss-order-d-deviation": {
+        "kernel": _PRODUCT, "distribution": _GAUSSIAN,
+        "experiment": "order-d-deviation", "p": 2.0, "d": 2,
+        "n_grid": [8, 16, 32], "replications": 1000, "seed": 5,
+    },
+}
+
+# A finite law whose atoms differ in size: the Rademacher product has
+# |h| = 1, so its exact tails and moments are bit-exact in any summation
+# order and cannot show whether an exact branch kept its arithmetic.
+_FINITE = {"family": "finite", "values": [-2.0, 1.0, 3.0],
+           "probabilities": [0.4, 0.5, 0.1]}
+FINITE_LAW = {
+    "finite-product-deviation": {
+        "kernel": _PRODUCT, "distribution": _FINITE, "experiment": "deviation",
+        "n_grid": [8, 16, 32], "replications": 1000, "seed": 5,
+    },
+    "finite-product-moment": {
+        "kernel": _PRODUCT, "distribution": _FINITE, "experiment": "moment",
+        "p": 1.5, "q": 2.0, "n_grid": [8, 16, 32], "moment_replications": 300,
+        "seed": 5,
+    },
+    "finite-product-order-d-deviation": {
+        "kernel": _PRODUCT, "distribution": _FINITE,
+        "experiment": "order-d-deviation", "p": 2.0, "d": 2,
+        "n_grid": [8, 16, 32], "replications": 1000, "seed": 5,
     },
 }
 
@@ -92,6 +122,7 @@ def _configs():
     for key, seed in DEFAULT_SEEDS.items():
         yield f"{key}-s{seed}", make_config(key, seed)
     yield from OFF_RADEMACHER.items()
+    yield from FINITE_LAW.items()
 
 
 def _ustat(command: list, config: dict, wdir: str) -> bytes:
