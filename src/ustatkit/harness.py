@@ -58,12 +58,13 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, incomplete_moment_experiment
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, kernel_from_config, stream, streams, support_grid,
+    Distribution, Kernel, evaluate_batch, kernel_from_config, streams,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
 from .tails import (
     EmpiricalTail,
+    _nested_powered_norms,
     conditional_moment_tail,
     norm_moment,
     required_integrability,
@@ -668,36 +669,25 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
 def _hp_tail(h, dist, p, outer, inner, seed, space) -> EmpiricalTail:
     """Tail of max over prefix levels k of (E[||h||^p | xi_1..xi_k])^(1/p).
 
-    The max couples all levels on the same draws: exactly on finite support
-    by contracting the suffix axes of the p-th power tensor, otherwise with
-    `outer` conditioning rows and `inner` fresh completions per level.
+    The max couples all levels on the same outer points, full tuples from
+    the law's nested rule; level k conditions on each point's first k
+    coordinates and draws its own completions of the other m - k.  On a
+    finite law both are support grids, so the tail is exact.
     """
     m = h.arity
-    support = dist.support()
-    if support is not None:
-        atoms, probs = np.asarray(support[0]), np.asarray(support[1])
-        a = atoms.size
-        full, weights = support_grid(atoms, probs, m)
-        vals = evaluate_batch(h, [full[:, k] for k in range(m)])
-        powed = (space.norms(vals) ** p).reshape((a,) * m)
-        best = np.zeros((a,) * m)
-        for k in range(m + 1):
-            cond = powed
-            for _ in range(m - k):
-                cond = cond @ probs
-            prof = np.asarray(cond) ** (1.0 / p)
-            best = np.maximum(best, prof.reshape((a,) * k + (1,) * (m - k)))
-        return EmpiricalTail.from_samples(best.ravel(), weights / weights.sum())
-
-    rows = dist.sample(stream(seed, "hp-tail", 0), outer * m).reshape(outer, m)
-    best = space.norms(evaluate_batch(h, [rows[:, k] for k in range(m)])) ** p
-    for k in range(m):
-        fresh = dist.sample(stream(seed, "hp-tail", 1, k), outer * inner * (m - k))
-        fresh = fresh.reshape(m - k, outer, inner)
-        cols = [rows[:, j][:, None] for j in range(k)] + [fresh[j] for j in range(m - k)]
-        level = (space.norms(evaluate_batch(h, cols)) ** p).mean(axis=1)
-        best = np.maximum(best, level)
-    return EmpiricalTail.from_samples(best ** (1.0 / p))
+    rows, weights, _, _ = dist.nested_nodes(m, 0, outer, inner, seed, "hp-tail")
+    best = np.zeros(len(rows))
+    for k in range(m + 1):
+        _, _, fresh, inner_w = dist.nested_nodes(0, m - k, outer, inner, seed, "hp-tail", k)
+        prefixes, at = rows[:, :k], slice(None)
+        if len(fresh) == 1:
+            # one grid completes every row, so level k depends on the first
+            # k coordinates alone: evaluate once per distinct prefix, not
+            # once per row (a^k points of a^m on an a-atom law)
+            prefixes, at = np.unique(prefixes, axis=0, return_inverse=True)
+        level = _nested_powered_norms(h, space, range(k), prefixes, fresh, p) @ inner_w
+        best = np.maximum(best, level[at])
+    return EmpiricalTail.from_samples(best ** (1.0 / p), weights / weights.sum())
 
 
 def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:

@@ -21,13 +21,18 @@ table otherwise.  All subterm estimates for a given seed share that table,
 keyed only by the fixed-position set, so the alternating sums telescope the
 same way the exact quantities do.
 
-Degeneracy verdicts use a split-sample statistic: the inner draws are
-halved, and the mean product of the two half-averages estimates the squared
-norm of the conditional mean without the positive bias a plain norm of an
-average carries.  A conditional mean is declared zero when that statistic
-sits within 3 standard errors of zero and the implied norm is below
-1e-3 * scale plus the estimator's own resolution floor, nonzero beyond 5
-standard errors, and inconclusive in between.
+Degeneracy verdicts read each conditional mean E[h | xi_J] off the law's
+nested rule (Distribution.nested_nodes).  Where the inner expectation is
+exact, on a finite law and for the fully conditioned entry (J covers every
+position, so E[h | xi_J] = h) on any law, the entry is decided pointwise:
+zero when E||E[h | xi_J]|| over the outer points is at most 1e-10 * scale,
+nonzero otherwise.  Every other entry uses a split-sample statistic: the
+inner draws are halved, and the mean product of the two half-averages
+estimates the squared norm of the conditional mean without the positive
+bias a plain norm of an average carries.  A conditional mean is declared
+zero when that statistic sits within 3 standard errors of zero and the
+implied norm is below 1e-3 * scale plus the estimator's own resolution
+floor, nonzero beyond 5 standard errors, and inconclusive in between.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .kernels import Distribution, Kernel, evaluate_batch, stream, support_grid
+from .kernels import Distribution, Kernel, evaluate_batch, evaluate_nested, stream, support_grid
 from .spaces import BanachSpaceDescriptor
 
 __all__ = [
@@ -338,70 +343,6 @@ def _verdict_mc(w: float, se: float, scale: float) -> str:
     return "inconclusive"
 
 
-def _exact_conditional_norms(
-    h: Kernel, atoms, probs, conditioned: list[int], space: BanachSpaceDescriptor
-) -> float:
-    """E[ || E[h | positions in `conditioned`] || ] by full enumeration."""
-    m = h.arity
-    free = [j for j in range(m) if j not in conditioned]
-    outer_cols, outer_w = support_grid(atoms, probs, len(conditioned))
-    inner_cols, inner_w = support_grid(atoms, probs, len(free))
-    cols: list = [None] * m
-    for a, j in enumerate(conditioned):
-        cols[j] = outer_cols[:, a][:, None]
-    for a, j in enumerate(free):
-        cols[j] = inner_cols[:, a][None, :]
-    out = evaluate_batch(h, cols)
-    if h.codomain.dimension > 1:
-        cond_mean = np.einsum("okd,k->od", out, inner_w)
-    else:
-        cond_mean = out @ inner_w
-    return float(np.dot(space.norms(cond_mean), outer_w))
-
-
-def _mc_split_statistic(
-    h: Kernel,
-    dist: Distribution,
-    conditioned: list[int],
-    outer: int,
-    inner: int,
-    seed: int,
-    tag: int,
-) -> tuple[float, float]:
-    """Split-sample estimate of E||E[h | conditioned]||_2^2 with its SE."""
-    m = h.arity
-    free = [j for j in range(m) if j not in conditioned]
-    rng_outer = stream(seed, "degeneracy", tag, 0)
-    rng_inner = stream(seed, "degeneracy", tag, 1)
-    cols: list = [None] * m
-    if conditioned:
-        draws = dist.sample(rng_outer, outer * len(conditioned))
-        draws = draws.reshape(outer, len(conditioned))
-        for a, j in enumerate(conditioned):
-            cols[j] = draws[:, a][:, None]
-    if free:
-        fresh = dist.sample(rng_inner, outer * inner * len(free))
-        fresh = fresh.reshape(len(free), outer, inner)
-        for a, j in enumerate(free):
-            cols[j] = fresh[a]
-    else:
-        for j in conditioned:
-            cols[j] = cols[j] * np.ones((1, 2))  # two identical "draws"
-    out = evaluate_batch(h, cols)
-    half = out.shape[1] // 2 if free else 1
-    if h.codomain.dimension > 1:
-        a_mean = out[:, :half].mean(axis=1)
-        b_mean = out[:, half:].mean(axis=1)
-        prods = np.sum(a_mean * b_mean, axis=-1)
-    else:
-        a_mean = out[:, :half].mean(axis=1)
-        b_mean = out[:, half:].mean(axis=1)
-        prods = a_mean * b_mean
-    w = float(prods.mean())
-    se = float(prods.std(ddof=1) / sqrt(prods.size)) if prods.size > 1 else 0.0
-    return w, se
-
-
 def check_degeneracy(
     h: Kernel,
     dist: Distribution,
@@ -421,21 +362,38 @@ def check_degeneracy(
         raise ValueError("degeneracy certification requires an index-independent kernel")
     m = h.arity
     space = space if space is not None else h.codomain
-    support = dist.support()
-    exact = support is not None
+    exact = dist.support() is not None
+    vector = h.codomain.dimension > 1
 
     points, weights = dist.nodes(m, 4096, seed, "degeneracy-scale")
     vals = evaluate_batch(h, [points[:, k] for k in range(m)])
     scale = float(np.dot(space.norms(vals), weights))
 
     def entry_for(conditioned: list[int], label: str, tag: int) -> DegeneracyEntry:
-        if exact:
-            t = _exact_conditional_norms(h, *support, conditioned, space)
+        """Verdict on E[h | positions in `conditioned`] from the nested rule.
+
+        An exact inner rule (a finite law, or no free position) gives the
+        conditional mean at every outer point, and E||E[h | conditioned]||
+        is decided by _verdict_exact.  Otherwise the split-sample statistic
+        estimates E||E[h | conditioned]||_2^2 with its standard error.
+        """
+        free = m - len(conditioned)
+        outer_pts, outer_w, inner_pts, inner_w = dist.nested_nodes(
+            len(conditioned), free, outer, inner, seed, "degeneracy", tag)
+        out = evaluate_nested(h, conditioned, outer_pts, inner_pts)
+        if exact or not free:
+            cond_mean = np.einsum("okd,k->od", out, inner_w) if vector else out @ inner_w
+            t = float(np.dot(space.norms(cond_mean), outer_w))
             return DegeneracyEntry(
                 label=label, norm_estimate=t, squared_statistic=t * t,
                 squared_se=0.0, verdict=_verdict_exact(t, scale),
             )
-        w, se = _mc_split_statistic(h, dist, conditioned, outer, inner, seed, tag)
+        half = out.shape[1] // 2
+        a_mean = out[:, :half].mean(axis=1)
+        b_mean = out[:, half:].mean(axis=1)
+        prods = np.sum(a_mean * b_mean, axis=-1) if vector else a_mean * b_mean
+        w = float(prods.mean())
+        se = float(prods.std(ddof=1) / sqrt(prods.size)) if prods.size > 1 else 0.0
         return DegeneracyEntry(
             label=label, norm_estimate=sqrt(max(w, 0.0)), squared_statistic=w,
             squared_se=se, verdict=_verdict_mc(w, se, scale),

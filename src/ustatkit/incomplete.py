@@ -36,11 +36,10 @@ degenerate kernels, whose bound shape in (n, p_n) is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .combinatorics import count_tuples, unrank_many, unrank_tuple
+from .combinatorics import count_tuples, unrank_many
 from .kernels import Distribution, Kernel, evaluate_batch, stream, streams
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
@@ -50,7 +49,6 @@ from .ustat import (
     UStatResult,
     _CHUNK,
     _as_value,
-    _zero,
     ranked_term_sum,
 )
 
@@ -197,21 +195,6 @@ class WeightSet:
         cols = unrank_many(self.ranks, self.n, self.m)
         return np.stack(cols, axis=1)
 
-    def weight_of(self, indices) -> int:
-        from .combinatorics import rank_tuple, validate_tuple
-
-        t = tuple(int(i) for i in indices)
-        validate_tuple(t, self.n, self.m)
-        r = rank_tuple(t)
-        pos = int(np.searchsorted(self.ranks, r))
-        if pos < self.size and self.ranks[pos] == r:
-            return int(self.weights[pos])
-        return 0
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for r, w in zip(self.ranks.tolist(), self.weights.tolist()):
-            yield unrank_tuple(r, self.n, self.m), int(w)
-
 
 def _distinct_ranks(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
     """Uniform random count-subset of [0, total), sorted, by Floyd's algorithm.
@@ -330,7 +313,7 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
         )
     _capped(weights.size)
     if weights.size == 0:
-        return UStatResult(_as_value(h, _zero(h)), weights.n, weights.m, 0, 0.0)
+        return UStatResult(_as_value(h, h.codomain.zero()), weights.n, weights.m, 0, 0.0)
     total, weight_total = ranked_term_sum(
         h,
         sample,
@@ -373,7 +356,7 @@ def _powered_norms(
     reps = np.arange(replications)
     samples = streams(seed, "inc-moment", cell_idx, reps, 0)
     designs = streams(seed, "inc-moment", cell_idx, reps, 1)
-    powered = np.full(replications, norm(_zero(h)) ** q)
+    powered = np.full(replications, norm(h.codomain.zero()) ** q)
     batch: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rep, sample, ranks)
     tuples = 0
 

@@ -41,8 +41,8 @@ __all__ = [
     "builtin_kernel",
     "evaluate",
     "evaluate_batch",
+    "evaluate_nested",
     "kernel_from_expression",
-    "sample_iid",
     "stream",
     "stream_keys",
     "streams",
@@ -244,14 +244,23 @@ _FAMILIES = {
 }
 
 
+def _finite_params(family: str, *params) -> tuple[float, ...]:
+    """The parameters as floats; NaN or inf is a ValueError."""
+    out = tuple(float(x) for x in params)
+    if not all(np.isfinite(out)):
+        raise ValueError(f"{family} parameters must be finite, got {list(out)}")
+    return out
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A one-dimensional sampling law for the i.i.d. inputs.
 
     Families: "rademacher", "uniform" (a, b), "gaussian" (mean, sd), and
-    "finite" (atoms with probabilities).  Finite-support families expose
-    their atoms through support(), which unlocks the exact enumeration
-    paths in the decomposition and tail machinery.
+    "finite" (atoms with probabilities); every parameter must be finite.
+    Finite-support families expose their atoms through support(), and
+    their quadrature rules (nodes, nested_nodes) enumerate those atoms
+    exactly where other laws draw Monte Carlo points.
     """
 
     family: str
@@ -267,20 +276,22 @@ class Distribution:
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "Distribution":
+        a, b = _finite_params("uniform", a, b)
         if not a < b:
             raise ValueError("uniform interval requires a < b")
-        return cls("uniform", (float(a), float(b)))
+        return cls("uniform", (a, b))
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, sd: float = 1.0) -> "Distribution":
+        mean, sd = _finite_params("gaussian", mean, sd)
         if sd <= 0:
             raise ValueError("gaussian sd must be positive")
-        return cls("gaussian", (float(mean), float(sd)))
+        return cls("gaussian", (mean, sd))
 
     @classmethod
     def finite(cls, values: Sequence[float], probabilities: Sequence[float]) -> "Distribution":
-        v = tuple(float(x) for x in values)
-        p = tuple(float(x) for x in probabilities)
+        v = _finite_params("finite", *values)
+        p = _finite_params("finite", *probabilities)
         if len(v) != len(p) or not v:
             raise ValueError("values and probabilities must be nonempty, same length")
         if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
@@ -312,6 +323,31 @@ class Distribution:
         points = self.sample(stream(seed, *path), draws * k).reshape(draws, k)
         return points, np.full(draws, 1.0 / draws)
 
+    def nested_nodes(self, j: int, k: int, outer: int, inner: int, seed: int, *path):
+        """Two-level rule for E[f(xi_1..xi_j, eta_1..eta_k) | xi_1..xi_j].
+
+        Returns outer points (O, j) with weights (O,), and inner points
+        (O or 1, I, k) with weights (I,): row o of the inner points
+        completes outer point o, and a leading 1 means one grid completes
+        every outer point.  A finite law gives support_grid(j) outside and
+        the shared support_grid(k) inside, so both levels are exact.  Any
+        other law gives `outer` rows of j points from the stream of
+        (seed, *path, 0) and `inner` completions of k points per row from
+        the stream of (seed, *path, 1), both read row-major, with weights
+        1 / O and 1 / I.  k = 0 gives one empty completion of weight 1 per
+        outer point, so the inner expectation is exact on either law.
+        """
+        support = self.support()
+        if support is not None:
+            outer_pts, outer_w = support_grid(*support, j)
+            inner_pts, inner_w = support_grid(*support, k)
+            return outer_pts, outer_w, inner_pts[None], inner_w
+        inner = inner if k else 1
+        outer_pts = self.sample(stream(seed, *path, 0), outer * j).reshape(outer, j)
+        inner_pts = self.sample(stream(seed, *path, 1), outer * inner * k)
+        return (outer_pts, np.full(outer, 1.0 / outer),
+                inner_pts.reshape(outer, inner, k), np.full(inner, 1.0 / inner))
+
     def to_dict(self) -> dict:
         keys = [key for key, _ in _FAMILIES[self.family].keys]
         params = [list(v) if isinstance(v, tuple) else v for v in self.params]
@@ -340,14 +376,6 @@ def support_grid(atoms, probs, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([g.ravel() for g in grids], axis=1)
 
     return columns(atoms), columns(probs).prod(axis=1)
-
-
-def sample_iid(dist: Distribution, n: int, seed: int, stream_path=0) -> np.ndarray:
-    """Draw n i.i.d. points from the stream keyed by (seed, stream_path)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    path = stream_path if isinstance(stream_path, tuple) else (stream_path,)
-    return dist.sample(stream(seed, *path), n)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +465,36 @@ def evaluate_batch(
         idx = tuple(np.asarray(c, dtype=np.float64) + 1.0 for c in index_columns)
     out = kernel.body(xs, idx)
     return np.asarray(out, dtype=np.float64)
+
+
+def evaluate_nested(
+    kernel: Kernel,
+    conditioned: Sequence[int],
+    outer_pts: np.ndarray,
+    inner_pts: np.ndarray,
+) -> np.ndarray:
+    """The kernel on a nested rule (Distribution.nested_nodes).
+
+    Position conditioned[a] reads column a of the outer points and the
+    other positions, in increasing order, read the inner points' columns.
+    The result has shape (O, I), plus the codomain axis for a vector
+    kernel: row o holds the kernel at outer point o with each of its
+    completions.  With no conditioned position and one shared grid of
+    completions (a finite law) it has one row, which holds for every
+    outer point.
+    """
+    conditioned = list(conditioned)
+    free = [j for j in range(kernel.arity) if j not in conditioned]
+    cols: list = [None] * kernel.arity
+    for a, j in enumerate(conditioned):
+        cols[j] = outer_pts[:, a, None]
+    for a, j in enumerate(free):
+        cols[j] = inner_pts[:, :, a]
+    # a body that ignores a position returns a smaller broadcast shape
+    shape = (len(outer_pts) if conditioned else len(inner_pts), inner_pts.shape[1])
+    if kernel.codomain.dimension > 1:
+        shape += (kernel.codomain.dimension,)
+    return np.broadcast_to(evaluate_batch(kernel, cols), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 R^dim under the l^s norm is r-smooth with r = min(s, 2) as soon as s > 1;
 the exponent range usable by the inequality machinery is then 1 < p <= r.
 The martingale smoothness constant attached to such a space is finite but
-has no closed form here, so it is exposed only as an opaque sentinel and a
-numeric value is never assigned to it.
+has no closed form here, and no code path needs its value.
 """
 
 from __future__ import annotations
@@ -15,22 +14,8 @@ import numpy as np
 
 __all__ = [
     "BanachSpaceDescriptor",
-    "FINITE_UNKNOWN_CONSTANT",
     "real_line",
 ]
-
-
-class _FiniteUnknownConstant:
-    """Sentinel for a constant known to be finite but never evaluated."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<finite constant, value unknown>"
-
-    def __bool__(self) -> bool:
-        return True
-
-
-FINITE_UNKNOWN_CONSTANT = _FiniteUnknownConstant()
 
 
 @dataclass(frozen=True)
@@ -43,21 +28,16 @@ class BanachSpaceDescriptor:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if not self.norm_exponent > 1.0:
+        if not 1.0 < self.norm_exponent < np.inf:
             raise ValueError(
-                "norm_exponent must exceed 1; the l^1 norm is not smooth "
-                "and supplies no usable exponent range"
+                "norm_exponent must be finite and exceed 1; the l^1 norm is "
+                "not smooth and supplies no usable exponent range"
             )
 
     @property
     def smoothness(self) -> float:
         """Smoothness degree r = min(norm_exponent, 2)."""
         return min(self.norm_exponent, 2.0)
-
-    @property
-    def smoothness_constant(self):
-        """The associated martingale constant: finite, value unknown."""
-        return FINITE_UNKNOWN_CONSTANT
 
     def admissible_p_range(self) -> tuple[float, float]:
         """Open-left, closed-right interval (1, r] of usable exponents p."""

@@ -11,8 +11,12 @@ Three functionals matter downstream:
                    from the left,
   conditional_moment_tail
                    the profile (E[||h||^p | xi_J])^{1/p} of a kernel as the
-                   conditioning values vary, materialized as a tail either
-                   exactly (finite-support laws) or by nested Monte Carlo.
+                   conditioning values vary, materialized as a tail.
+
+One rule serves both kinds of law: the profile and the moments are read
+off the law's quadrature rule (Distribution.nodes and nested_nodes), which
+is the exact support grid on a finite law and Monte Carlo draws otherwise,
+so the exact tails are the finite-law case of the same code.
 
 required_integrability computes the moment exponent that makes the
 almost-sure rate series for a degenerate order-d kernel summable.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Distribution, Kernel, evaluate_batch, stream, support_grid
+from .kernels import Distribution, Kernel, evaluate_batch, evaluate_nested
 from .spaces import BanachSpaceDescriptor, real_line
 
 __all__ = [
@@ -124,60 +128,33 @@ def conditional_moment_tail(
 ) -> EmpiricalTail:
     """Tail of the conditional moment profile (E[||h||^p | xi_J])^{1/p}.
 
-    J is a tuple of 0-based kernel positions held fixed.  Finite-support
-    laws are enumerated exactly (a weighted tail over support^|J| atoms);
-    otherwise the profile is sampled with `outer` conditioning draws and
-    `inner` fresh draws of the remaining positions per conditioning draw.
-    With J empty the tail is a point mass at the unconditional moment; with
-    J covering every position the profile is just ||h|| itself.
+    J is a tuple of 0-based kernel positions held fixed.  The profile is
+    read off the law's nested rule (Distribution.nested_nodes): exact on a
+    finite support (a weighted tail over support^|J| atoms), otherwise
+    `outer` conditioning draws with `inner` fresh draws of the remaining
+    positions each.  With J empty the tail is a point mass at the
+    unconditional moment; with J covering every position the profile is
+    ||h|| itself.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    m = h.arity
     space = space if space is not None else h.codomain
-    free = _free_positions(m, tuple(conditioned))
-    support = dist.support()
-
-    if support is not None:
-        atoms, probs = support
-        outer_cols, outer_w = support_grid(atoms, probs, len(conditioned))
-        inner_cols, inner_w = support_grid(atoms, probs, len(free))
-        cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-        for a, j in enumerate(conditioned):
-            cols[j] = outer_cols[:, a][:, None]
-        for a, j in enumerate(free):
-            cols[j] = inner_cols[:, a][None, :]
-        vals = evaluate_batch(h, cols)
-        powed = space.norms(vals) ** p
-        # norms() drops a trailing singleton axis for scalar codomains, so
-        # pin the (conditioning grid, completion grid) shape before averaging
-        powed = powed.reshape(len(outer_w), len(inner_w))
-        profile = (powed @ inner_w) ** (1.0 / p)
-        return EmpiricalTail.from_samples(profile, outer_w / outer_w.sum())
-
+    conditioned = tuple(conditioned)
+    free = _free_positions(h.arity, conditioned)
+    outer_pts, outer_w, inner_pts, inner_w = dist.nested_nodes(
+        len(conditioned), len(free), outer, inner, seed, "cond-moment")
+    cond = _nested_powered_norms(h, space, conditioned, outer_pts, inner_pts, p) @ inner_w
     if not conditioned:
-        draws = dist.sample(stream(seed, "cond-moment", 0), outer * inner * m)
-        cols = [draws[k * outer * inner:(k + 1) * outer * inner] for k in range(m)]
-        powed = space.norms(evaluate_batch(h, cols)) ** p
-        return EmpiricalTail.from_samples(np.array([powed.mean() ** (1.0 / p)]))
+        cond, outer_w = np.array([cond @ outer_w]), np.ones(1)
+    return EmpiricalTail.from_samples(cond ** (1.0 / p), outer_w / outer_w.sum())
 
-    rng_outer = stream(seed, "cond-moment", 1)
-    rng_inner = stream(seed, "cond-moment", 2)
-    outer_draws = dist.sample(rng_outer, outer * len(conditioned)).reshape(outer, len(conditioned))
-    cols = [None] * m  # type: ignore[list-item]
-    for a, j in enumerate(conditioned):
-        cols[j] = outer_draws[:, a][:, None]
-    if free:
-        inner_draws = dist.sample(rng_inner, outer * inner * len(free))
-        inner_draws = inner_draws.reshape(len(free), outer, inner)
-        for a, j in enumerate(free):
-            cols[j] = inner_draws[a]
-        powed = space.norms(evaluate_batch(h, cols)) ** p
-        profile = powed.mean(axis=1) ** (1.0 / p)
-    else:
-        flat = [c[:, 0] for c in cols]
-        profile = space.norms(evaluate_batch(h, flat))
-    return EmpiricalTail.from_samples(profile)
+
+def _nested_powered_norms(h, space, conditioned, outer_pts, inner_pts, p) -> np.ndarray:
+    """||h||^p on a nested rule, shape (O, I)."""
+    vals = evaluate_nested(h, conditioned, outer_pts, inner_pts)
+    # norms() drops a trailing singleton axis for scalar codomains, so pin
+    # the (outer point, completion) shape
+    return (space.norms(vals) ** p).reshape(vals.shape[:2])
 
 
 def norm_moment(
@@ -188,20 +165,15 @@ def norm_moment(
     seed: int = 0,
     space: BanachSpaceDescriptor | None = None,
 ) -> float:
-    """E[||h(xi_1..xi_m)||^p], exact for finite-support laws, else MC."""
+    """E[||h(xi_1..xi_m)||^p] on the law's rule: exact on a finite support,
+    else `draws` Monte Carlo tuples."""
     if p <= 0:
         raise ValueError("p must be positive")
     m = h.arity
     space = space if space is not None else h.codomain
-    support = dist.support()
-    if support is not None:
-        atoms, probs = support
-        cols_mat, w = support_grid(atoms, probs, m)
-        vals = evaluate_batch(h, [cols_mat[:, k] for k in range(m)])
-        return float(np.dot(space.norms(vals) ** p, w))
-    sample = dist.sample(stream(seed, "norm-moment"), draws * m)
-    cols = [sample[k * draws:(k + 1) * draws] for k in range(m)]
-    return float(np.mean(space.norms(evaluate_batch(h, cols)) ** p))
+    points, weights = dist.nodes(m, draws, seed, "norm-moment")
+    vals = evaluate_batch(h, [points[:, k] for k in range(m)])
+    return float(np.dot(space.norms(vals) ** p, weights))
 
 
 def required_integrability(d: int, j: int, gamma: float, r: float, alpha: float) -> float:

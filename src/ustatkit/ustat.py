@@ -105,10 +105,6 @@ def _kahan_add(total, comp, x):
     return t, comp
 
 
-def _zero(h: Kernel):
-    return 0.0 if h.codomain.dimension == 1 else np.zeros(h.codomain.dimension)
-
-
 def _as_value(h: Kernel, total):
     if h.codomain.dimension == 1:
         return float(total)
@@ -129,8 +125,8 @@ def ranked_term_sum(
     bit-identical results because chunking, per-chunk pairwise summation,
     and the compensated cross-chunk accumulation all match.
     """
-    total = _zero(h)
-    comp = _zero(h)
+    total = h.codomain.zero()
+    comp = h.codomain.zero()
     weight_total = 0.0
     if weight_chunks is None:
         weight_chunks = repeat(None)
@@ -172,7 +168,7 @@ def complete_ustat(h: Kernel, sample, n: int | None = None) -> UStatResult:
             f"{MAX_EVALUATION_TERMS}; use an incomplete design instead"
         )
     if total_terms == 0:
-        return UStatResult(_as_value(h, _zero(h)), n, m, 0, 0.0)
+        return UStatResult(_as_value(h, h.codomain.zero()), n, m, 0, 0.0)
     total, weight_total = ranked_term_sum(
         h, sample, n, _arange_chunks(total_terms)
     )

@@ -458,6 +458,26 @@ def test_experiment_malformed_field_exits_2(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("field,value", [
+    ("distribution", {"family": "gaussian", "sd": math.nan}),
+    ("distribution", {"family": "gaussian", "mean": -math.inf}),
+    ("distribution", {"family": "finite", "values": [0.0, 1.0],
+                      "probabilities": [math.nan, 1.0]}),
+    ("distribution", {"family": "finite", "values": [math.inf, 1.0],
+                      "probabilities": [0.5, 0.5]}),
+    ("distribution", {"family": "uniform", "a": -1.0, "b": math.inf}),
+    ("space", {"dimension": 1, "norm_exponent": math.inf}),
+])
+def test_experiment_non_finite_law_or_space_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, field: value})
+    out_dir = tmp_path / "o"
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert f"config error: {field}:" in err and "finite" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field,value", [
     ("inner", 1), ("outer", 0), ("outer", 1), ("outer", -1),
 ])
 def test_decompose_budgets_below_two_exit_2(tmp_path, capsys, field, value):

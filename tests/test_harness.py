@@ -12,6 +12,7 @@ from ustatkit.harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _hp_tail,
     _norms_in_place,
     _tail_block,
     deviation_experiment,
@@ -503,6 +504,32 @@ def test_order_d_threshold_exponent():
     # m = d = 2, p = 2: threshold scales as N^(m - d + d/p) = N
     assert rep.details["threshold_exponent"] == pytest.approx(1.0)
     assert np.isfinite(rep.fitted_constant)
+
+
+def test_hp_tail_on_a_finite_law_is_the_max_of_exact_prefix_moments():
+    # an asymmetric kernel, so conditioning on the wrong positions shows
+    d = Distribution.finite([-2.0, 1.0, 3.0], [0.4, 0.5, 0.1])
+    h = kernel_from_expression("x1 * x2 - 2 * x3", 3)
+    p = 1.5
+    tail = _hp_tail(h, d, p, 8, 8, 0, BanachSpaceDescriptor(1))
+    atoms, probs = d.support()
+    values, weights = [], []
+    for x in itertools.product(range(3), repeat=3):
+        levels = []
+        for k in range(4):
+            moment = 0.0
+            for rest in itertools.product(range(3), repeat=3 - k):
+                point = atoms[list(x[:k] + rest)]
+                value = point[0] * point[1] - 2.0 * point[2]
+                moment += np.prod(probs[list(rest)]) * abs(value) ** p
+            levels.append(moment ** (1.0 / p))
+        values.append(max(levels))
+        weights.append(np.prod(probs[list(x)]))
+    values, weights = np.array(values), np.array(weights)
+    np.testing.assert_allclose(tail.values, np.sort(values), rtol=1e-13)
+    for power in (1.0, 2.0):
+        assert np.dot(tail.weights, tail.values ** power) == pytest.approx(
+            np.dot(weights, values ** power), rel=1e-13)
 
 
 def test_order_d_rejects_weighted_kernels():

@@ -205,6 +205,36 @@ def test_monte_carlo_certification_gaussian():
     assert report.degenerate is True
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_gaussian_product_certifies_its_order_at_small_budgets(seed):
+    # prefix-2 has no free position, so E[h | xi_1, xi_2] = h is decided
+    # from its values at the outer draws, with no split-sample floor
+    report = check_degeneracy(builtin_kernel("product", 2), Distribution.gaussian(),
+                              inner=256, outer=64, seed=seed)
+    assert report.order == 2
+    assert report.level_entries[2].squared_se == 0.0
+
+
+def test_fully_conditioned_entry_of_a_live_kernel_is_nonzero():
+    h = kernel_from_expression("x1 + x2 + x1 * x2", 2, symmetric=True)
+    report = check_degeneracy(h, Distribution.gaussian(), inner=256, outer=64)
+    assert report.level_entries[2].label == "prefix-2"
+    assert report.level_entries[2].verdict == "nonzero"
+    assert report.order == 1
+
+
+@pytest.mark.parametrize("dist", [Distribution.finite([0.0, 1.0, 3.0], [0.2, 0.3, 0.5]),
+                                  Distribution.gaussian()])
+def test_kernel_that_ignores_a_position_is_certified(dist):
+    # E[h | xi_1] = xi_1 - mu is live, E[h | xi_2] vanishes
+    h = kernel_from_expression(f"x1 - {dist.mean()}", 2)
+    report = check_degeneracy(h, dist, inner=256, outer=64, seed=3)
+    verdicts = {e.label: e.verdict for e in report.coordinate_entries + report.level_entries}
+    assert verdicts == {"all-but-0": "zero", "all-but-1": "nonzero", "prefix-0": "zero",
+                        "prefix-1": "nonzero", "prefix-2": "nonzero"}
+    assert report.order == 1
+
+
 def test_check_degeneracy_rejects_weighted():
     h = kernel_from_expression("x1 * i1", 1)
     with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from ustatkit.kernels import (
     evaluate_batch,
     kernel_from_config,
     kernel_from_expression,
-    sample_iid,
     stream,
     stream_keys,
     streams,
@@ -274,6 +273,38 @@ def test_nodes_on_a_sampled_law_read_the_stream_row_by_row(dist, k):
     assert weights.shape == (draws,) and np.all(weights == 1.0 / draws)
 
 
+@pytest.mark.parametrize("dist", [
+    Distribution.rademacher(),
+    Distribution.finite([0.0, 1.0, 3.0], [0.2, 0.3, 0.5]),
+])
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_nested_nodes_on_a_finite_law_are_support_grids(dist, j, k):
+    outer_pts, outer_w, inner_pts, inner_w = dist.nested_nodes(j, k, 8, 16, 9, "tag")
+    grid_j, grid_j_w = support_grid(*dist.support(), j)
+    grid_k, grid_k_w = support_grid(*dist.support(), k)
+    assert np.array_equal(outer_pts, grid_j) and np.array_equal(outer_w, grid_j_w)
+    assert inner_pts.shape == (1,) + grid_k.shape
+    assert np.array_equal(inner_pts[0], grid_k) and np.array_equal(inner_w, grid_k_w)
+
+
+@pytest.mark.parametrize("dist", [Distribution.uniform(-1.0, 2.0), Distribution.gaussian(0.5, 2.0)])
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_nested_nodes_on_a_sampled_law_read_two_streams_row_major(dist, j, k):
+    outer, inner = 12, 10
+    outer_pts, outer_w, inner_pts, inner_w = dist.nested_nodes(j, k, outer, inner, 9, "tag", 4)
+    # no free position: one empty completion of weight 1 per outer point
+    completions = inner if k else 1
+    want_outer = dist.sample(stream(9, "tag", 4, 0), outer * j).reshape(outer, j)
+    want_inner = dist.sample(stream(9, "tag", 4, 1), outer * inner * k)
+    assert outer_pts.tobytes() == want_outer.tobytes() and outer_pts.shape == (outer, j)
+    assert inner_pts.tobytes() == want_inner.tobytes()
+    assert inner_pts.shape == (outer, completions, k)
+    assert np.all(outer_w == 1.0 / outer) and outer_w.shape == (outer,)
+    assert np.all(inner_w == 1.0 / completions) and inner_w.shape == (completions,)
+
+
 def test_unknown_family_is_refused_on_construction():
     with pytest.raises(ValueError, match="poisson"):
         Distribution("poisson")
@@ -391,15 +422,6 @@ def test_rekeyed_generator_draws_like_a_fresh_stream(dist):
         state = rng.bit_generator.state
         assert state["has_uint32"] == 1 and state["state"]["counter"].any()
     assert list(streams(11, "rekey", np.array([], dtype=np.int64))) == []
-
-
-def test_sample_iid_reproducible():
-    d = Distribution.gaussian()
-    x = sample_iid(d, 10, seed=9)
-    y = sample_iid(d, 10, seed=9)
-    np.testing.assert_array_equal(x, y)
-    z = sample_iid(d, 10, seed=9, stream_path=1)
-    assert not np.array_equal(x, z)
 
 
 # ---------------------------------------------------------------------------

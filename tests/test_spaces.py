@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ustatkit.spaces import FINITE_UNKNOWN_CONSTANT, BanachSpaceDescriptor, real_line
+from ustatkit.spaces import BanachSpaceDescriptor, real_line
 
 
 def test_real_line_basics():
@@ -73,8 +73,3 @@ def test_round_trip_dict():
     sp = BanachSpaceDescriptor(3, norm_exponent=1.7)
     again = BanachSpaceDescriptor.from_dict(sp.to_dict())
     assert again == sp
-
-
-def test_finite_unknown_constant_is_truthy_singleton():
-    assert bool(FINITE_UNKNOWN_CONSTANT)
-    assert repr(FINITE_UNKNOWN_CONSTANT)
