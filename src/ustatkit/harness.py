@@ -539,6 +539,94 @@ def _tail_block(y, w, t_arr, p, q):
     return moments, contrib
 
 
+def _index_split(h: Kernel, space: BanachSpaceDescriptor, idx_cols, value_table):
+    """(f, |c(i)| per tuple, ||f|| on the value table) for a split kernel.
+
+    None, so that the tiled path runs, when h carries no split, when some
+    |c(i)| is 0, inf or NaN, or when some ||f|| on the table is NaN (a NaN
+    norm makes a whole row NaN on the tiled path, which a sorted pass would
+    not reproduce).
+    """
+    if h.split is None:
+        return None
+    f, weight = h.split
+    c = np.abs(np.broadcast_to(weight(tuple(col + 1.0 for col in idx_cols)),
+                               idx_cols[0].shape))
+    if not (np.isfinite(c) & (c > 0)).all():
+        return None
+    g = space.norms(evaluate_batch(f, [value_table[:, k] for k in range(h.arity)]))
+    if np.isnan(g).any():
+        return None
+    return f, c, g
+
+
+def _tuple_tails_factored(c, g, w, t_arr, p, q):
+    """_tail_block's (moments, contrib) for the norms y[i, d] = c[i] * g[d].
+
+    y < t exactly when g < s = t / c, so with the norms sorted once,
+    contrib[i, t] = (S(s) / s^q + W(s)) / q, where S(s) is the prefix sum
+    of w g^q over g < s and W(s) the suffix sum of w over g >= s; one
+    searchsorted finds every cut.  Both sums have nonnegative terms.  The
+    p-th moment of tuple i is c[i]^p E g^p.
+    """
+    order = np.argsort(g, kind="stable")
+    gs, ws = g[order], w[order]
+    below = np.concatenate(([0.0], np.cumsum(ws * gs ** q)))
+    above = np.concatenate((np.cumsum(ws[::-1])[::-1], [0.0]))
+    s = t_arr[None, :] / c[:, None]
+    cut = np.searchsorted(gs, s, side="left")
+    contrib = (below[cut] / s ** q + above[cut]) / q
+    return c ** p * float(g ** p @ w), contrib
+
+
+def _tuple_tails_tiled(h, space, idx_cols, value_table, w, t_arr, p, q):
+    """_tail_block over every tuple, a tile of tuples at a time."""
+    m = h.arity
+    total = len(idx_cols[0])
+    contrib = np.zeros((total, t_arr.size))
+    moments = np.zeros(total)
+    tile = _tile_rows(value_table.shape[0])
+    for a in range(0, total, tile):
+        b = min(a + tile, total)
+        vals = evaluate_batch(
+            h,
+            [value_table[:, k][None, :] for k in range(m)],
+            [c[a:b, None] for c in idx_cols],
+        )
+        y = _norms_in_place(space, vals)
+        del vals
+        moments[a:b], contrib[a:b] = _tail_block(y, w, t_arr, p, q)
+    return moments, contrib
+
+
+def _tuple_moments_tiled(h, space, idx_cols, positions, outer_cols, inner_cols,
+                         inner_w, p) -> np.ndarray:
+    """cond[i, a] = sum_b w_b ||h_i(o_a, in_b)||^p, a tile of tuples at a time.
+
+    Outer column slot a feeds position positions[a]; the other positions,
+    in increasing order, read the inner columns.
+    """
+    m = h.arity
+    rest = [k for k in range(m) if k not in positions]
+    total = len(idx_cols[0])
+    o_n, i_n = outer_cols.shape[0], inner_cols.shape[0]
+    cond = np.zeros((total, o_n))
+    tile = _tile_rows(o_n * i_n)
+    for a in range(0, total, tile):
+        b = min(a + tile, total)
+        cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
+        for slot, k in enumerate(positions):
+            cols[k] = outer_cols[:, slot][None, :, None]
+        for slot, k in enumerate(rest):
+            cols[k] = inner_cols[:, slot][None, None, :]
+        vals = evaluate_batch(h, cols, [c[a:b, None, None] for c in idx_cols])
+        y = _norms_in_place(space, vals)
+        del vals
+        y **= p
+        cond[a:b] = y @ inner_w
+    return cond
+
+
 def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityReport:
     m = h.arity
     seed = config.seed
@@ -550,25 +638,34 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
             f"C({n_max}, {m}) = {total} exceeds {_WEIGHTED_TUPLE_CAP}"
         )
     idx_cols = unrank_many(np.arange(total, dtype=np.int64), n_max, m)
+    value_table, draw_w = dist.nodes(m, _WEIGHTED_MC_DRAWS, seed, "deviation-weighted", 0)
+    # h_i = c(i) * f: ||h_i|| = |c(i)| ||f|| on every draw, so each group
+    # below is a sum over the norms of f alone, reassociated (_index_split
+    # says when this factored branch runs; otherwise every sum is taken
+    # over the tuples' own norms, a tile of tuples at a time)
+    split = _index_split(h, space, idx_cols, value_table)
 
     # every summand must be degenerate on its own; exhaustive on exact laws,
-    # spot-checked on sampled ones where each check costs a nested MC run
+    # spot-checked on sampled ones where each check costs a nested MC run.
+    # The verdicts are scale-invariant and read the same draws for every
+    # kernel, so on the factored branch the verdict of f is that of every
+    # c(i) * f.
     support = dist.support()
-    gate_rows = (range(total) if support is not None
-                 else range(0, total, max(1, total // 16)))
-    for row in gate_rows:
-        index = tuple(int(c[row]) for c in idx_cols)
-        report = check_degeneracy(
-            _frozen_index_kernel(h, index), dist,
-            inner=config.inner, outer=config.outer, seed=seed, space=space)
-        shown = tuple(i + 1 for i in index)
+    if split is not None:
+        gates = [(split[0], "the index-free factor of every summand")]
+    else:
+        gate_rows = (range(total) if support is not None
+                     else range(0, total, max(1, total // 16)))
+        indices = (tuple(int(c[row]) for c in idx_cols) for row in gate_rows)
+        gates = ((_frozen_index_kernel(h, index),
+                  f"summand at index {tuple(i + 1 for i in index)}") for index in indices)
+    for kernel, shown in gates:
+        report = check_degeneracy(kernel, dist, inner=config.inner, outer=config.outer,
+                                  seed=seed, space=space)
         if report.degenerate is False:
-            raise ConfigError(f"kernel: summand at index {shown} is not degenerate")
+            raise ConfigError(f"kernel: {shown} is not degenerate")
         if report.degenerate is None:
-            raise ConfigError(
-                f"kernel: summand at index {shown} certifies inconclusive; "
-                "raise inner/outer"
-            )
+            raise ConfigError(f"kernel: {shown} certifies inconclusive; raise inner/outer")
 
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
                               seed, config.threads, space, "deviation")
@@ -577,68 +674,57 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
     t_arr = np.asarray(t_grid, dtype=np.float64)
     n_t = t_arr.size
 
-    value_table, draw_w = dist.nodes(m, _WEIGHTED_MC_DRAWS, seed, "deviation-weighted", 0)
-
     # first and third bound groups: per-tuple norm tails and p-th moments,
     # prefix-summable over colex rank because Inc^m_N is a colex prefix.
-    # min(1, y/t)^q = (y/t)^q for y < t and 1 for y >= t.  A norm below
-    # min(t) gives y^q / t^q at every threshold, so each norm is raised to a
-    # power once and one gemv sums those; only the few norms at or above
-    # min(t) switch case between thresholds and are revisited per t
-    # (_tail_block).
-    contrib_one = np.zeros((total, n_t))
-    tuple_pm = np.zeros(total)
-    tile = _tile_rows(value_table.shape[0])
-    for a in range(0, total, tile):
-        b = min(a + tile, total)
-        vals = evaluate_batch(
-            h,
-            [value_table[:, k][None, :] for k in range(m)],
-            [c[a:b, None] for c in idx_cols],
-        )
-        y = _norms_in_place(space, vals)
-        del vals
-        tuple_pm[a:b], contrib_one[a:b] = _tail_block(y, draw_w, t_arr, p, q)
+    # min(1, y/t)^q = (y/t)^q for y < t and 1 for y >= t.  On the tiled
+    # path a norm below min(t) gives y^q / t^q at every threshold, so each
+    # norm is raised to a power once and one gemv sums those; only the few
+    # norms at or above min(t) switch case between thresholds and are
+    # revisited per t (_tail_block).  On the factored branch y = |c(i)| g
+    # with g = ||f||, and y < t is g < t / |c(i)|, so one sort of g serves
+    # every tuple and threshold (_tuple_tails_factored).
+    if split is not None:
+        f, c, g = split
+        tuple_pm, contrib_one = _tuple_tails_factored(c, g, draw_w, t_arr, p, q)
+        c_p = c ** p
+    else:
+        tuple_pm, contrib_one = _tuple_tails_tiled(
+            h, space, idx_cols, value_table, draw_w, t_arr, p, q)
     cum_one = np.cumsum(contrib_one, axis=0)
     cum_pm = np.cumsum(tuple_pm)
 
     # middle groups: for each proper nonempty position subset J, the summed
-    # conditional moment over completions of each index restriction i_J
+    # conditional moment over completions of each index restriction i_J.
+    # On the factored branch the conditional moment of tuple i at outer
+    # point o_a is |c(i)|^p F_J[a] with F_J[a] = sum_b w_b ||f(o_a, in_b)||^p,
+    # so a restriction's sum over its tuples i in Inc^m_N is C_r F_J[a]
+    # with C_r the sum of their |c(i)|^p: F_J is computed once per J, and
+    # no tuple meets a draw.
     middle = np.zeros((len(n_grid), n_t))
     for j_size in range(1, m):
         for positions in itertools.combinations(range(m), j_size):
-            rest = [k for k in range(m) if k not in positions]
             tag = sum(1 << k for k in positions)
             outer_cols, outer_w = dist.nodes(
                 j_size, config.outer, seed, "deviation-weighted", 1, tag)
             inner_cols, inner_w = dist.nodes(
                 m - j_size, config.inner, seed, "deviation-weighted", 2, tag)
-            o_n = outer_cols.shape[0]
-            i_n = inner_cols.shape[0]
-
-            cond = np.zeros((total, o_n))
-            tile = _tile_rows(o_n * i_n)
-            for a in range(0, total, tile):
-                b = min(a + tile, total)
-                cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-                for slot, k in enumerate(positions):
-                    cols[k] = outer_cols[:, slot][None, :, None]
-                for slot, k in enumerate(rest):
-                    cols[k] = inner_cols[:, slot][None, None, :]
-                vals = evaluate_batch(
-                    h, cols, [c[a:b, None, None] for c in idx_cols])
-                y = _norms_in_place(space, vals)
-                del vals
-                y **= p
-                cond[a:b] = y @ inner_w
+            if split is not None:
+                f_j = _nested_powered_norms(f, space, positions, outer_cols,
+                                            inner_cols[None], p) @ inner_w
+            else:
+                cond = _tuple_moments_tiled(h, space, idx_cols, positions,
+                                            outer_cols, inner_cols, inner_w, p)
 
             key_mat = np.stack([idx_cols[k] for k in positions], axis=1)
             for col_idx, n in enumerate(n_grid):
                 t_n = comb(n, m)
                 _, inv = np.unique(key_mat[:t_n], axis=0, return_inverse=True)
                 inv = np.asarray(inv).reshape(-1)
-                grouped = np.zeros((int(inv.max()) + 1, o_n))
-                np.add.at(grouped, inv, cond[:t_n])
+                if split is not None:
+                    grouped = np.bincount(inv, weights=c_p[:t_n])[:, None] * f_j
+                else:
+                    grouped = np.zeros((int(inv.max()) + 1, outer_cols.shape[0]))
+                    np.add.at(grouped, inv, cond[:t_n])
                 y_vals = grouped ** (1.0 / p)
                 for ti in range(n_t):
                     u = np.minimum(1.0, y_vals / t_arr[ti])

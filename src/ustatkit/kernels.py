@@ -29,6 +29,7 @@ import hashlib
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -405,6 +406,17 @@ class Kernel:
     x^2/2 + y^2/2 - x*y loses about eps * mu^2 / sigma^2 of U_n on data
     with mean mu and spread sigma.  So the builtin product declares its one
     term, and no other builtin and no compiled expression declares any.
+
+    split, when given, writes an index-weighted body as a weight times one
+    index-free kernel: a pair (f, c) with body(xs, idx) = c(idx) * f(xs)
+    up to rounding, where f is a Kernel of the same arity and codomain that
+    reads no index and c(idx) maps the 1-based index columns to a scalar
+    array broadcast like them.  Then ||h_i|| = |c(i)| ||f||, and the
+    index-weighted deviation bound is computed from the norms of f alone
+    (see harness._deviation_weighted).  kernel_from_expression declares a
+    split for a single * / chain whose factors each read only x-variables
+    and constants, or only i-variables; a sum is never split, so no split
+    can hide a cancellation.
     """
 
     arity: int
@@ -414,6 +426,7 @@ class Kernel:
     codomain: BanachSpaceDescriptor = field(default_factory=real_line)
     name: str = ""
     factors: tuple | None = None
+    split: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -423,6 +436,14 @@ class Kernel:
                 raise ValueError("factors describe a scalar kernel that reads no index")
             if any(len(fs) != self.arity for _, fs in self.factors):
                 raise ValueError(f"each factor term needs {self.arity} positions")
+        if self.split is not None:
+            f, weight = self.split
+            if not (self.weighted and isinstance(f, Kernel) and not f.weighted
+                    and f.arity == self.arity and f.codomain == self.codomain
+                    and callable(weight)):
+                raise ValueError(
+                    "a split pairs an index-weighted kernel with an index-free "
+                    "kernel of its arity and codomain and a weight function")
 
 
 def evaluate(kernel: Kernel, values: Sequence[float], index: Sequence[int] | None = None):
@@ -454,17 +475,24 @@ def evaluate_batch(
 
     Columns must broadcast against each other; index columns hold 0-based
     sample indices and are converted to the 1-based values kernels see.
+    The result has the columns' broadcast shape, plus the codomain axis for
+    a vector kernel, also when the body ignores a position or returns a
+    constant: such a smaller result is broadcast (a read-only view), and a
+    full-shape one is returned as the body made it.
     """
     if len(columns) != kernel.arity:
         raise ValueError(f"kernel has arity {kernel.arity}, got {len(columns)} columns")
     xs = tuple(np.asarray(c, dtype=np.float64) for c in columns)
-    idx = None
+    idx = ()
     if kernel.weighted:
         if index_columns is None:
             raise ValueError("index-weighted kernel requires index columns")
         idx = tuple(np.asarray(c, dtype=np.float64) + 1.0 for c in index_columns)
-    out = kernel.body(xs, idx)
-    return np.asarray(out, dtype=np.float64)
+    out = np.asarray(kernel.body(xs, idx or None), dtype=np.float64)
+    shape = np.broadcast_shapes(*(a.shape for a in xs + idx))
+    if kernel.codomain.dimension > 1:
+        shape += (kernel.codomain.dimension,)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def evaluate_nested(
@@ -490,11 +518,7 @@ def evaluate_nested(
         cols[j] = outer_pts[:, a, None]
     for a, j in enumerate(free):
         cols[j] = inner_pts[:, :, a]
-    # a body that ignores a position returns a smaller broadcast shape
-    shape = (len(outer_pts) if conditioned else len(inner_pts), inner_pts.shape[1])
-    if kernel.codomain.dimension > 1:
-        shape += (kernel.codomain.dimension,)
-    return np.broadcast_to(evaluate_batch(kernel, cols), shape)
+    return evaluate_batch(kernel, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +618,36 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _chain_node(chain):
+    """The closure of a * / chain of (op, node, variables) links, left to right.
+
+    A leading "/" divides 1 by its factor.
+    """
+    node = None
+    for op, factor, _ in chain:
+        if node is None:
+            node = factor if op == "*" else (lambda env, b=factor: 1.0 / b(env))
+        elif op == "*":
+            node = (lambda env, a=node, b=factor: a(env) * b(env))
+        else:
+            node = (lambda env, a=node, b=factor: a(env) / b(env))
+    return node
+
+
 class _Parser:
-    """Recursive-descent parser producing closure trees over an env dict."""
+    """Recursive-descent parser producing closure trees over an env dict.
+
+    After parse(), chain holds the top-level * / chain as (op, node,
+    variables read) links, or None when the expression adds or subtracts at
+    the top level.
+    """
 
     def __init__(self, text: str, variables: set[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
         self.used: set[str] = set()
+        self.chain: list | None = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -632,18 +678,26 @@ class _Parser:
                 node = (lambda env, a=node, b=rhs: a(env) + b(env))
             else:
                 node = (lambda env, a=node, b=rhs: a(env) - b(env))
+            self.chain = None
         return node
 
     def multiplicative(self):
-        node = self.unary()
+        # every chain nested in a factor is parsed before this one ends, so
+        # self.chain is left holding the outermost chain
+        chain = [("*", *self.factor())]
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.advance()[1]
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda env, a=node, b=rhs: a(env) * b(env))
-            else:
-                node = (lambda env, a=node, b=rhs: a(env) / b(env))
-        return node
+            chain.append((op, *self.factor()))
+        self.chain = chain
+        return _chain_node(chain)
+
+    def factor(self):
+        """One factor of a * / chain and the set of variables it reads."""
+        outer, self.used = self.used, set()
+        node = self.unary()
+        read = self.used
+        self.used = outer | read
+        return node, read
 
     def unary(self):
         if self.peek() == ("op", "-"):
@@ -715,6 +769,13 @@ def kernel_from_expression(
     + - * / ^ with the functions abs, sign, exp, min, max.  Arithmetic is
     IEEE: division by zero and invalid powers propagate inf/nan rather
     than raising.
+
+    An expression that is one * / chain at the top level, with every
+    factor reading either no i-variable or no x-variable, at least one
+    factor reading an x-variable and one an i-variable, carries a split
+    (see Kernel): f is the chain of the factors without i-variables
+    (constants go there too) and the weight is the chain of the rest, each
+    with a leading "/" dividing 1.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -724,6 +785,7 @@ def kernel_from_expression(
     node = parser.parse()
     used_ivars = sorted(parser.used & ivars)
     weighted = bool(used_ivars)
+    codomain = codomain if codomain is not None else real_line()
 
     def body(xs, idx, _node=node, _m=m):
         env = {f"x{j + 1}": xs[j] for j in range(_m)}
@@ -731,13 +793,27 @@ def kernel_from_expression(
             env.update({f"i{j + 1}": idx[j] for j in range(_m)})
         return _node(env)
 
+    split = None
+    chain = parser.chain or []
+    weight_links = [link for link in chain if link[2] & ivars]
+    free_links = [link for link in chain if not link[2] & ivars]
+    if (weight_links and not any(link[2] & xvars for link in weight_links)
+            and any(link[2] & xvars for link in free_links)):
+        free = Kernel(arity=m, body=partial(body, _node=_chain_node(free_links)),
+                      codomain=codomain, name=f"expr:{text}:index-free")
+
+        def weight(idx, _node=_chain_node(weight_links), _m=m):
+            return _node({f"i{j + 1}": idx[j] for j in range(_m)})
+
+        split = (free, weight)
     return Kernel(
         arity=m,
         body=body,
         weighted=weighted,
         symmetric=symmetric,
-        codomain=codomain if codomain is not None else real_line(),
+        codomain=codomain,
         name=f"expr:{text}",
+        split=split,
     )
 
 

@@ -266,8 +266,7 @@ def _engine_prefix(h: Kernel, block: np.ndarray, N: int) -> np.ndarray:
         if h.weighted:
             idx = [sc[:k] for sc in sub_cols] + [np.full(k, n - 1, dtype=np.int64)]
         vals = evaluate_batch(h, [g[:, :k] for g in gathered] + [block[:, n - 1:n]], idx)
-        # a body may return a value that only broadcasts to (B, k)
-        vals = np.ascontiguousarray(np.broadcast_to(vals, (rows, k) + point))
+        vals = np.ascontiguousarray(vals)
         total, comp = _kahan_add(total, comp, vals.sum(axis=1))
         out[:, n] = total
     return out

@@ -168,6 +168,21 @@ def test_decompose_level_component(tmp_path, capsys):
     assert payload["level_component"]["exact"] is True
 
 
+@pytest.mark.parametrize("distribution", [{"family": "rademacher"}, {"family": "gaussian"}])
+def test_decompose_constant_kernel(tmp_path, capsys, distribution):
+    # the body returns one scalar for a whole batch of points
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"expr": "1", "m": 2, "symmetric": True},
+        "distribution": distribution, "inner": 256, "outer": 64,
+    })
+    code, out, err = run(["decompose", "--config", cfg], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["scale"] == 1.0
+    assert payload["degenerate"] is False
+    assert payload["order"] == 0
+
+
 def test_decompose_level_nonsymmetric_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "kernel": {"name": "sign", "m": 2},

@@ -1,7 +1,10 @@
 """Experiment drivers: config validation, gating, bound shapes, invariances."""
 
+import dataclasses
 import itertools
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,11 +224,16 @@ def test_incomplete_requires_grid_and_d():
 
 
 def test_weighted_kernel_per_tuple_gate():
-    # x1 + i1-weighted junk is not degenerate tuple by tuple
+    # x1 + i1-weighted junk is not degenerate tuple by tuple; it splits into
+    # (x1 + x2) times 1 / i2, so the gate reads the index-free factor
     cfg = make(kernel={"expr": "(x1 + x2) / i2", "symmetric": False},
                n_grid=[4, 6], replications=10)
-    with pytest.raises(ConfigError, match="kernel"):
+    with pytest.raises(ConfigError, match="kernel: the index-free factor"):
         deviation_experiment(cfg)
+    # without the split every summand is certified on its own
+    generic = dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, split=None))
+    with pytest.raises(ConfigError, match=r"kernel: summand at index \(1, 2\)"):
+        deviation_experiment(generic)
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +432,30 @@ def test_deviation_weighted_rhs_matches_direct_formula(distribution, t_grid, q, 
         assert row["rhs"] == pytest.approx(rhs[row["N"], row["t"]], rel=1e-12, abs=0)
 
 
+_SPLITS = "x1 * x2 / (i1 + i2)"
+# a sum never splits into a weight times one index-free kernel
+_SUM = "x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)"
+
+
 # The defaults give one tile on Rademacher data and 16-tuple tiles on
 # Gaussian data; 1, 3 and 5 tuples' worth give 4-, 4- and 8-tuple tiles.
-@pytest.mark.parametrize("distribution, t_grid, draws", [
-    (RADEMACHER, [0.07, 0.125, 0.3, 0.8], 4),
-    ({"family": "gaussian"}, [0.01, 0.05, 0.2, 0.6], 64 * 256),
+# Only the sum takes the tiled path; the split kernel's report must not
+# move with the tile size either.
+@pytest.mark.parametrize("distribution, t_grid, draws, expr", [
+    pytest.param(RADEMACHER, [0.07, 0.125, 0.3, 0.8], 4, _SPLITS,
+                 id="distribution0-t_grid0-4"),
+    pytest.param({"family": "gaussian"}, [0.01, 0.05, 0.2, 0.6], 64 * 256, _SPLITS,
+                 id="distribution1-t_grid1-16384"),
+    pytest.param(RADEMACHER, [0.07, 0.125, 0.3, 0.8], 4, _SUM, id="rademacher-sum"),
+    pytest.param({"family": "gaussian"}, [0.01, 0.05, 0.2, 0.6], 64 * 256, _SUM,
+                 id="gaussian-sum"),
 ])
 def test_deviation_weighted_independent_of_tile_size(monkeypatch, distribution,
-                                                      t_grid, draws):
+                                                      t_grid, draws, expr):
     from ustatkit import harness
 
     cfg = ExperimentConfig.from_dict({
-        "kernel": {"expr": "x1 * x2 / (i1 + i2)", "m": 2},
+        "kernel": {"expr": expr, "m": 2},
         "distribution": distribution, "experiment": "deviation",
         "n_grid": [5, 9], "t_grid": t_grid, "p": 1.5,
         "replications": 200, "inner": 256, "outer": 64, "seed": 13,
@@ -451,6 +471,194 @@ def test_deviation_weighted_independent_of_tile_size(monkeypatch, distribution,
             assert (row["t"], row["N"]) == (ref["t"], ref["N"])
             assert row["lhs"] == ref["lhs"] and row["lhs_se"] == ref["lhs_se"]
             assert row["rhs"] == pytest.approx(ref["rhs"], rel=1e-14, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# index-factored weighted kernels
+
+GAUSSIAN = {"family": "gaussian"}
+# centred, with atoms of different sizes
+FINITE = {"family": "finite", "values": [-2.0, 1.0, 3.0], "probabilities": [0.4, 0.5, 0.1]}
+
+
+def _without_split(cfg):
+    """The same config with a kernel that takes the tiled path."""
+    return dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, split=None))
+
+
+def _factored_and_tiled(monkeypatch, cfg):
+    """Reports of cfg on the factored branch and on the tiled path."""
+    from ustatkit import harness
+
+    calls = []
+    factored = harness._tuple_tails_factored
+    monkeypatch.setattr(harness, "_tuple_tails_factored",
+                        lambda *args: calls.append(1) or factored(*args))
+    rep = run_experiment(cfg)
+    assert calls == [1]
+    ref = run_experiment(_without_split(cfg))
+    assert calls == [1]
+    return rep, ref
+
+
+def _assert_rows_match(rep, ref, rel=1e-12):
+    assert rep.passed == ref.passed
+    details, ref_details = dict(rep.details), dict(ref.details)
+    for value, ref_value in [(details.pop("ratio_spread"), ref_details.pop("ratio_spread")),
+                             (rep.fitted_constant, ref.fitted_constant),
+                             (rep.stability, ref.stability)]:
+        assert value == pytest.approx(ref_value, rel=rel, abs=0)
+    assert details == ref_details
+    for row, r in zip(rep.rows, ref.rows, strict=True):
+        assert [row[k] for k in ("t", "N", "lhs", "lhs_se")] == \
+            [r[k] for k in ("t", "N", "lhs", "lhs_se")]
+        assert row["rhs"] == pytest.approx(r["rhs"], rel=rel, abs=0)
+        assert row["ratio"] == pytest.approx(r["ratio"], rel=rel, abs=0)
+
+
+def _same_report(rep, ref) -> bool:
+    """Byte equality of the two reports, NaN included."""
+    return json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(ref.to_dict(), sort_keys=True)
+
+
+def _pass_every_gate(monkeypatch):
+    """Certify every kernel degenerate, to reach the bound of any kernel."""
+    from ustatkit import harness
+
+    monkeypatch.setattr(harness, "check_degeneracy",
+                        lambda *args, **kwargs: SimpleNamespace(degenerate=True))
+
+
+@pytest.mark.parametrize("expr, m, distribution, n_grid, q, t_grid", [
+    ("x1 * x2 / (i1 + i2)", 2, GAUSSIAN, [6, 9], None, None),
+    ("x1 * x2 / (i1 + i2)", 2, RADEMACHER, [6, 9], 2.5, [0.07, 0.125, 0.3, 0.8]),
+    ("-x1 * x2 / i1 / i2", 2, FINITE, [5, 8], None, None),
+    ("x1 / i1", 1, GAUSSIAN, [8, 16], 3.0, None),
+    ("3 * x1 * exp(i1 / 4)", 1, RADEMACHER, [8, 16], None, None),
+    ("x1 * x2 * x3 / (i1 * i2 + i3)", 3, FINITE, [4, 7], 1.2, None),
+    ("x1 * x2 * x3 * exp(i2 / 5)", 3, RADEMACHER, [4, 7], None, [0.5, 2.0, 8.0]),
+    ("x1 * x2 * x3 / i3", 3, GAUSSIAN, [4, 7], None, None),
+])
+def test_factored_branch_matches_tiled_path(monkeypatch, expr, m, distribution,
+                                            n_grid, q, t_grid):
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": expr, "m": m}, "distribution": distribution,
+        "experiment": "deviation", "n_grid": n_grid, "p": 1.5, "q": q,
+        "t_grid": t_grid, "replications": 200, "inner": 256, "outer": 64, "seed": 21,
+    })
+    rep, ref = _factored_and_tiled(monkeypatch, cfg)
+    _assert_rows_match(rep, ref)
+
+
+# No kernel that ignores a position is degenerate unless it is 0, so the
+# gate is passed by hand: these reach the bound with an f whose body
+# returns fewer axes than the draws it meets.
+@pytest.mark.parametrize("expr, m, distribution, n_grid", [
+    ("x1 * x3 / i2", 3, GAUSSIAN, [4, 7]),
+    ("x2 / (i1 + i2)", 2, FINITE, [5, 8]),
+    ("0 * x1 / i2", 2, RADEMACHER, [5, 8]),
+])
+def test_factored_branch_when_f_ignores_a_position(monkeypatch, expr, m, distribution,
+                                                   n_grid):
+    _pass_every_gate(monkeypatch)
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": expr, "m": m}, "distribution": distribution,
+        "experiment": "deviation", "n_grid": n_grid, "p": 1.5,
+        "t_grid": [0.05, 0.3, 2.0], "replications": 50, "inner": 32, "outer": 16,
+        "seed": 22,
+    })
+    rep, ref = _factored_and_tiled(monkeypatch, cfg)
+    _assert_rows_match(rep, ref)
+
+
+_X_FACTORS = ["x{j}", "x{j} ^ 3", "sign(x{j})", "(2.5 * x{j})", "(-x{j})", "(x{j} * 0.5)"]
+_I_FACTORS = ["i{j}", "(i{j} + 1)", "(i1 + i{j})", "i{j} ^ 0.5", "exp(i{j} / 7)",
+              "(1 + i1 * i{j})"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factored_branch_matches_tiled_path_on_random_splits(data):
+    m = data.draw(st.integers(min_value=1, max_value=3), label="m")
+    links = [f.format(j=j + 1) for j, f in enumerate(
+        data.draw(st.lists(st.sampled_from(_X_FACTORS), min_size=m, max_size=m)))]
+    for factor in data.draw(st.lists(st.sampled_from(_I_FACTORS), min_size=1, max_size=3)):
+        links.append(factor.format(j=data.draw(st.integers(min_value=1, max_value=m))))
+    if data.draw(st.booleans()):
+        links.append("3")  # a constant factor joins f
+    links = data.draw(st.permutations(links))
+    ops = data.draw(st.lists(st.sampled_from("*/"), min_size=len(links), max_size=len(links)))
+    expr = links[0] + "".join(f" {op} {link}" for op, link in zip(ops[1:], links[1:]))
+    t_grid = data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1,
+                                max_size=4, unique=True).map(sorted), label="t_grid")
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": expr, "m": m},
+        "distribution": data.draw(st.sampled_from([RADEMACHER, GAUSSIAN, FINITE])),
+        "experiment": "deviation", "n_grid": {1: [4, 12], 2: [4, 9], 3: [4, 7]}[m],
+        "p": data.draw(st.sampled_from([1.2, 1.5, 2.0])),
+        "q": data.draw(st.sampled_from([None, 1.0, 2.5])),
+        "t_grid": t_grid, "replications": 20, "inner": 16, "outer": 8, "seed": 23,
+    })
+    assert cfg.kernel.split is not None, expr
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _pass_every_gate(monkeypatch)
+        rep, ref = _factored_and_tiled(monkeypatch, cfg)
+    _assert_rows_match(rep, ref)
+
+
+def _split_of(cfg):
+    from ustatkit import harness
+    from ustatkit.combinatorics import unrank_many
+
+    m, n_max = cfg.kernel.arity, max(cfg.n_grid)
+    idx_cols = unrank_many(np.arange(math.comb(n_max, m)), n_max, m)
+    table, _ = cfg.dist.nodes(m, harness._WEIGHTED_MC_DRAWS, cfg.seed, "deviation-weighted", 0)
+    return harness._index_split(cfg.kernel, cfg.kernel.codomain, idx_cols, table)
+
+
+# A weight of 0 (at i1 = 1) or inf (at i1 = 2, a tuple the 16 spot checks
+# on Gaussian data skip) sends the run to the tiled path.
+@pytest.mark.parametrize("expr, m, distribution, n_grid", [
+    ("x1 * x2 * (i1 - 1)", 2, RADEMACHER, [4, 6]),
+    ("x1 / (i1 - 2)", 1, GAUSSIAN, [20, 40]),
+])
+def test_zero_or_infinite_weight_takes_the_tiled_path(expr, m, distribution, n_grid):
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": expr, "m": m}, "distribution": distribution,
+        "experiment": "deviation", "n_grid": n_grid, "p": 1.5, "t_grid": [0.1, 1.0],
+        "replications": 50, "inner": 256, "outer": 64, "seed": 24,
+    })
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert cfg.kernel.split is not None and _split_of(cfg) is None
+        assert _same_report(run_experiment(cfg), run_experiment(_without_split(cfg)))
+
+
+_ZERO_ATOM = {"family": "finite", "values": [-1.0, 0.0, 1.0],
+              "probabilities": [0.25, 0.5, 0.25]}
+
+
+# f is NaN (0 / 0) or inf (2 / 0) where x1 is the zero atom.  A NaN norm
+# sends the run to the tiled path; an infinite one stays on the factored
+# branch, where it counts as an exceedance and makes the p-th moment, so
+# every rhs, inf exactly as on the tiled path.
+@pytest.mark.parametrize("expr, factored", [
+    ("x1 * x2 * (x1 / x1) / i2", False),
+    ("(x2 + 2) / x1 / i2", True),
+])
+def test_non_finite_norms_of_f_give_the_tiled_report(monkeypatch, expr, factored):
+    _pass_every_gate(monkeypatch)
+    cfg = ExperimentConfig.from_dict({
+        "kernel": {"expr": expr, "m": 2}, "distribution": _ZERO_ATOM,
+        "experiment": "deviation", "n_grid": [4, 6], "p": 1.5,
+        "t_grid": [0.1, 1.0], "replications": 50, "seed": 25,
+    })
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert (_split_of(cfg) is not None) == factored
+        rep = run_experiment(cfg)
+        ref = run_experiment(_without_split(cfg))
+    assert _same_report(rep, ref)
+    if factored:
+        assert all(math.isinf(row["rhs"]) for row in rep.rows)
 
 
 def _column_view():

@@ -138,6 +138,17 @@ def test_reconstruction_weighted_kernel_fixed_index():
     assert check.exact and check.passed
 
 
+def test_projection_of_a_kernel_that_ignores_a_position_on_a_finite_law():
+    # the body returns x1's shape, smaller than the support grid it meets
+    h = kernel_from_expression("x1", 2)
+    d = Distribution.finite([0.0, 1.0, 3.0], [0.2, 0.3, 0.5])
+    mu = d.mean()
+    assert project_component(h, (0,), d).evaluate([0.5]) == pytest.approx(0.5 - mu)
+    assert project_component(h, (1,), d).evaluate([0.5]) == pytest.approx(0.0, abs=1e-15)
+    check = reconstruct_identity_check(h, d, samples=8, seed=7)
+    assert check.exact and check.passed
+
+
 # ---------------------------------------------------------------------------
 # degeneracy certification
 

@@ -136,6 +136,65 @@ def test_expression_precedence():
     assert evaluate(g, [3.0]) == 512.0
 
 
+def _split_error(h, xs, idx):
+    """max |h - c * f| / max |h| on the given (0-based index) columns."""
+    f, weight = h.split
+    full = evaluate_batch(h, xs, idx)
+    factored = evaluate_batch(f, xs) * weight(tuple(np.asarray(i) + 1.0 for i in idx))
+    return float(np.abs(full - factored).max() / np.abs(full).max())
+
+
+@pytest.mark.parametrize("text, m", [
+    ("x1 * x2 / (i1 + i2)", 2),
+    ("-x1 * x2 / i1 / i2", 2),
+    ("3 * x1 * i1 * x2", 2),
+    ("1 / i1 * x1 * x2", 2),
+    ("x1 / i2", 2),
+    ("(x1 + x2) / i2", 2),
+    ("x1 ^ 3 * x2 * x3 * exp(i3 / 4) / (i1 * i2)", 3),
+])
+def test_index_factored_expressions_split(text, m):
+    h = kernel_from_expression(text, m)
+    assert h.split is not None
+    f, _ = h.split
+    assert not f.weighted and f.arity == m and f.codomain == h.codomain
+    rng = np.random.default_rng(7)
+    xs = [rng.standard_normal((5, 1)) for _ in range(m)]
+    idx = [rng.integers(0, 9, size=(1, 4)) for _ in range(m)]
+    assert evaluate_batch(f, xs).shape == (5, 1)
+    assert _split_error(h, xs, idx) < 1e-15
+
+
+@pytest.mark.parametrize("text, m", [
+    # a sum is never split, even when each term factors
+    ("x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)", 2),
+    ("exp(x1 * i1)", 1),
+    ("i1 * i2", 2),
+    ("x1 * i1 * 0 + x1", 1),
+    ("x1 * (x2 * i1)", 2),
+    ("-(x1 * i1)", 1),
+    ("x1 * x2", 2),
+    ("2 * i1", 1),
+])
+def test_other_expressions_do_not_split(text, m):
+    assert kernel_from_expression(text, m).split is None
+
+
+def test_split_only_on_an_index_weighted_kernel():
+    f = builtin_kernel("product", 2)
+    weight = lambda idx: idx[0]  # noqa: E731
+    with pytest.raises(ValueError, match="split"):
+        Kernel(2, f.body, split=(f, weight))
+    with pytest.raises(ValueError, match="split"):
+        Kernel(2, f.body, weighted=True, split=(builtin_kernel("product", 3), weight))
+    with pytest.raises(ValueError, match="split"):
+        Kernel(2, f.body, weighted=True,
+               split=(kernel_from_expression("x1 * i1", 2), weight))
+    with pytest.raises(ValueError, match="split"):
+        Kernel(2, f.body, weighted=True, split=(f, None))
+    assert Kernel(2, f.body, weighted=True, split=(f, weight)).split[0] is f
+
+
 # ---------------------------------------------------------------------------
 # batch evaluation
 
@@ -193,6 +252,32 @@ def test_evaluate_batch_index_columns_shift():
         [np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.0])],
     )
     np.testing.assert_allclose(out, [5.0, 7.0, 9.0])
+
+
+@pytest.mark.parametrize("text, small", [
+    ("1", lambda x1, x2, i2: 1.0),
+    ("x1", lambda x1, x2, i2: x1),
+    ("x2 * i2", lambda x1, x2, i2: x2 * i2),
+])
+def test_evaluate_batch_broadcasts_a_smaller_result(text, small):
+    # a constant or a body that ignores a position still gives the
+    # columns' broadcast shape, index columns included
+    cols = [np.arange(3.0)[:, None], np.arange(4.0)[None, :]]
+    idx = [np.zeros((3, 1), dtype=np.int64), np.arange(4)[None, :]]
+    out = evaluate_batch(kernel_from_expression(text, 2), cols, idx)
+    assert out.shape == (3, 4)
+    np.testing.assert_array_equal(out, np.broadcast_to(small(*cols, idx[1] + 1.0), (3, 4)))
+
+
+def test_evaluate_batch_returns_a_full_result_as_the_body_made_it():
+    made = []
+
+    def body(xs, idx):
+        made.append(xs[0] * xs[1])
+        return made[-1]
+
+    out = evaluate_batch(Kernel(2, body), [np.ones((3, 1)), np.ones((1, 4))])
+    assert out is made[0] and out.flags.writeable
 
 
 def test_vector_codomain_kernel():

@@ -33,7 +33,10 @@ _GAUSSIAN = {"family": "gaussian"}
 # they take (the separable prefix path for the product; the generic
 # engine for the expression kernel and its projected d = 1 component).
 # The order-d line is the only one that reads the prefix-level tail of
-# the order-d bound on a sampled law.
+# the order-d bound on a sampled law.  weighted-gauss's kernel splits into
+# a weight times one index-free kernel, so its bound takes the factored
+# branch; the weighted-generic line is a sum of two such kernels, which
+# never splits, and keeps the tiled per-tuple path in view.
 # The Gaussian ones also draw through the ziggurat sampler, which reads
 # the stream differently from the Rademacher integers.
 OFF_RADEMACHER = {
@@ -61,6 +64,11 @@ OFF_RADEMACHER = {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN,
         "experiment": "incomplete-moment", "grid": [[64, 0.05], [128, 0.02]],
         "p": 1.5, "q": 2.0, "d": 2, "moment_replications": 300, "seed": 5,
+    },
+    "gauss-weighted-generic": {
+        "kernel": {"expr": "x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)", "m": 2},
+        "distribution": _GAUSSIAN, "experiment": "deviation", "n_grid": [16, 32],
+        "inner": 256, "outer": 64, "replications": 500, "seed": 5,
     },
     "gauss-order-d-deviation": {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN,
