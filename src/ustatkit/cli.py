@@ -32,7 +32,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .harness import ConfigError, ExperimentConfig, config_field, nested_draws, run_experiment
+from .harness import (
+    ConfigError, ExperimentConfig, check_fields, config_field, kernel_space, nested_draws,
+    run_experiment,
+)
 from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
 from .kernels import Distribution, kernel_from_config, stream
@@ -206,6 +209,7 @@ def cmd_compute(args) -> int:
     _check_threads(args.threads)  # validates the setting even though compute is serial
     sample = _load_sample(raw, seed)
     design = config_field(raw, "design", SamplingDesign.from_dict, None)
+    check_fields(raw, {"kernel", "seed", "data", "data_file", "distribution", "n", "design"})
 
     try:
         if design is None:
@@ -241,11 +245,16 @@ def cmd_decompose(args) -> int:
     _, raw = _load_config(args.config)
     kernel = config_field(raw, "kernel", kernel_from_config)
     dist = config_field(raw, "distribution", Distribution.from_dict)
-    space = config_field(raw, "space", BanachSpaceDescriptor.from_dict, None)
+    space = kernel_space(
+        kernel, config_field(raw, "space", BanachSpaceDescriptor.from_dict, None))
     seed = _effective_seed(args, raw)
     _check_threads(args.threads)
     inner = config_field(raw, "inner", nested_draws, 1024)
     outer = config_field(raw, "outer", nested_draws, 256)
+    level = config_field(raw, "level", int, None)
+    check_fields(raw, {"kernel", "distribution", "space", "seed", "inner", "outer", "level"})
+    if level is not None and not kernel.symmetric:
+        raise ConfigError("level: level projections need a symmetric kernel")
 
     try:
         report = check_degeneracy(kernel, dist, inner=inner, outer=outer,
@@ -254,10 +263,7 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"kernel: {exc}") from exc
     payload = report.to_dict()
 
-    level = config_field(raw, "level", int, None)
     if level is not None:
-        if not kernel.symmetric:
-            raise ConfigError("level: level projections need a symmetric kernel")
         try:
             component = project_degenerate_level(kernel, level, dist,
                                                  inner=inner, seed=seed)

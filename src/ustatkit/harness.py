@@ -58,7 +58,7 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, incomplete_moment_experiment
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, kernel_from_config, streams,
+    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, streams,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
@@ -79,9 +79,11 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "InequalityReport",
+    "check_fields",
     "config_field",
     "deviation_experiment",
     "holder_tightness_experiment",
+    "kernel_space",
     "lln_experiment",
     "moment_experiment",
     "nested_draws",
@@ -133,6 +135,24 @@ def config_field(raw: dict, key: str, build, default=MISSING):
         return build(value)
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def check_fields(raw: dict, known) -> None:
+    """Refuse a key outside `known`, such as a misspelled optional field."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{key}: unknown config field")
+
+
+def kernel_space(kernel: Kernel, space: BanachSpaceDescriptor | None) -> BanachSpaceDescriptor:
+    """`space`, which must have the codomain's dimension, or else the codomain."""
+    if space is None:
+        return kernel.codomain
+    if space.dimension != kernel.codomain.dimension:
+        raise ConfigError(
+            f"space: dimension {space.dimension} differs from the kernel's "
+            f"codomain dimension {kernel.codomain.dimension}")
+    return space
 
 
 def nested_draws(draws) -> int:
@@ -261,9 +281,7 @@ class ExperimentConfig:
         """Build from a parsed JSON object; errors name the offending field."""
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object at the top level")
-        for key in raw:
-            if key not in cls._KEYS:
-                raise ConfigError(f"{key}: unknown config field")
+        check_fields(raw, cls._KEYS)
         defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
         for key, build in cls._BUILDERS.items():
@@ -279,10 +297,6 @@ def _check_holder_horizons(n_grid) -> None:
             f"n_grid: Holder-norm horizons are capped at {MAX_SCAN_BREAKPOINTS}, "
             f"got {max(n_grid)}"
         )
-
-
-def _space_of(config: ExperimentConfig) -> BanachSpaceDescriptor:
-    return config.space if config.space is not None else config.kernel.codomain
 
 
 def _horizons(config: ExperimentConfig) -> tuple[int, ...]:
@@ -425,7 +439,7 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     """
     h = config.kernel
     dist = config.dist
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     n_grid = _horizons(config)
     m = h.arity
     p = config.p
@@ -606,20 +620,14 @@ def _tuple_moments_tiled(h, space, idx_cols, positions, outer_cols, inner_cols,
     Outer column slot a feeds position positions[a]; the other positions,
     in increasing order, read the inner columns.
     """
-    m = h.arity
-    rest = [k for k in range(m) if k not in positions]
     total = len(idx_cols[0])
     o_n, i_n = outer_cols.shape[0], inner_cols.shape[0]
     cond = np.zeros((total, o_n))
     tile = _tile_rows(o_n * i_n)
     for a in range(0, total, tile):
         b = min(a + tile, total)
-        cols: list[np.ndarray] = [None] * m  # type: ignore[list-item]
-        for slot, k in enumerate(positions):
-            cols[k] = outer_cols[:, slot][None, :, None]
-        for slot, k in enumerate(rest):
-            cols[k] = inner_cols[:, slot][None, None, :]
-        vals = evaluate_batch(h, cols, [c[a:b, None, None] for c in idx_cols])
+        vals = evaluate_nested(h, positions, outer_cols[None], inner_cols[None, None],
+                               [c[a:b, None, None] for c in idx_cols])
         y = _norms_in_place(space, vals)
         del vals
         y **= p
@@ -793,7 +801,7 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
         raise ConfigError("kernel: order-d deviation needs an index-independent kernel")
     if not h.symmetric:
         raise ConfigError("kernel: order-d deviation needs a symmetric kernel")
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     n_grid = _horizons(config)
     m = h.arity
     p = config.p
@@ -858,7 +866,7 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
             "kernel: the moment experiment covers one shared kernel; "
             "index-weighted summands are out of scope"
         )
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     n_grid = _horizons(config)
     m = h.arity
     p = config.p
@@ -949,7 +957,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
     dist = config.dist
     if h.weighted:
         raise ConfigError("kernel: the maximal-function bound needs an index-independent kernel")
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     r = space.smoothness
     p = config.p
     if not 1.0 < p < r:
@@ -1058,7 +1066,7 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
         raise ConfigError(
             "kernel: the tightness experiment needs a symmetric, index-independent kernel"
         )
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     if space.dimension != 1:
         raise ConfigError("space: path statistics are built from scalar kernels")
     if config.alpha is None:
@@ -1172,12 +1180,12 @@ def _incomplete_moment(config: ExperimentConfig) -> InequalityReport:
     q = config.q if config.q is not None else config.p
     if q < config.p:
         raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={config.p}")
-    space = _space_of(config)
+    space = kernel_space(config.kernel, config.space)
     _certify_order(config, space)
     return incomplete_moment_experiment(
         h, config.dist, config.grid, config.p, q, config.d,
         replications=config.moment_replications, seed=config.seed,
-        threads=config.threads, space=space, certify=False,
+        space=space, certify=False,
         stability_factor=config.stability_factor,
     )
 

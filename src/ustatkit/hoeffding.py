@@ -15,11 +15,12 @@ projection
 collapses the subset decomposition onto arities; levels below the kernel's
 degeneracy order vanish.
 
-Two evaluation paths back every conditional expectation: exact enumeration
-of the law's support when it is finite, and a fixed inner Monte Carlo draw
-table otherwise.  All subterm estimates for a given seed share that table,
-keyed only by the fixed-position set, so the alternating sums telescope the
-same way the exact quantities do.
+Each subterm E[h(V)] is kernels.evaluate_nested on a rule over its free
+positions, chosen once when the component is built: the support grid of a
+finite law, which makes it exact; otherwise those positions' columns of
+one Monte Carlo table shared by every subterm for a given seed, so the
+alternating sums telescope the same way the exact quantities do; and the
+single point of weight 1 when no position is free, where the subterm is h.
 
 Degeneracy verdicts read each conditional mean E[h | xi_J] off the law's
 nested rule (Distribution.nested_nodes).  Where the inner expectation is
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -59,65 +60,23 @@ __all__ = [
 
 _EXACT_ZERO_RTOL = 1e-10
 _RELATIVE_ZERO_FLOOR = 1e-3
-_EVAL_SLAB = 1 << 24
-
-
-class _ConditionalEstimator:
-    """E[h(V)] with chosen positions fixed, shared across all subterms.
-
-    The free coordinates come either from exact support enumeration or from
-    one fixed Monte Carlo table, so the estimate depends only on the fixed
-    position set and the fixed values.  raw=True returns the per-draw values
-    before averaging (Monte Carlo path only), for standard errors.
-    """
-
-    def __init__(self, h: Kernel, dist: Distribution, inner: int, seed: int,
-                 index: tuple[int, ...] | None):
-        self.h = h
-        self.m = h.arity
-        self.vector = h.codomain.dimension > 1
-        self.index = index
-        support = dist.support()
-        self.exact = support is not None
-        if self.exact:
-            self.atoms, self.probs = support
-        else:
-            if inner < 2:
-                raise ValueError("inner Monte Carlo size must be at least 2")
-            self.table, self.weights = dist.nodes(self.m, inner, seed, "hoeffding-table")
-        self.inner = inner
-
-    def _index_columns(self):
-        if not self.h.weighted:
-            return None
-        if self.index is None:
-            raise ValueError("index-weighted kernel requires a fixed index tuple")
-        return [np.float64(i) for i in self.index]
-
-    def __call__(self, fixed_positions: tuple[int, ...], fixed_values, raw: bool = False):
-        cols: list = [None] * self.m
-        for pos, val in zip(fixed_positions, fixed_values):
-            cols[pos] = np.asarray(val, dtype=np.float64)[..., None]
-        free = [j for j in range(self.m) if j not in fixed_positions]
-        if self.exact:
-            combos, weights = support_grid(self.atoms, self.probs, len(free))
-            for a, j in enumerate(free):
-                cols[j] = combos[:, a]
-        else:
-            weights = self.weights
-            for j in free:
-                cols[j] = self.table[:, j]
-        out = evaluate_batch(self.h, cols, self._index_columns())
-        if raw:
-            return out, weights
-        if not self.exact:
-            return out.mean(axis=-2 if self.vector else -1)
-        return np.einsum("...kd,k->...d", out, weights) if self.vector else out @ weights
+# Kernel values per slab of a component evaluation (2 MiB): OpenBLAS runs a
+# gemv this small on one thread, so no value depends on its thread count (a
+# larger gemv splits its rows between threads, moving some rows' last bits)
+_EVAL_SLAB = 1 << 18
 
 
 @dataclass
 class HoeffdingComponent:
-    """One projected component: a subset h^I or a symmetric level h^(c)."""
+    """One projected component: a subset h^I or a symmetric level h^(c).
+
+    Subterm (sign, slots, fixed, points, weights) is E[h(V)] with kernel
+    positions `fixed` set to the component columns `slots` and the free
+    positions integrated by the rule (points, weights): the support grid
+    on a finite law; on any other law, the free columns of one table
+    dist.nodes(m, inner, seed, "hoeffding-table") that every subterm
+    shares; one point of weight 1 when no position is free.
+    """
 
     subset: tuple[int, ...] | None
     level: int | None
@@ -125,35 +84,57 @@ class HoeffdingComponent:
     codomain: BanachSpaceDescriptor
     inner: int
     exact: bool
-    _subterms: list = field(repr=False)  # (sign, slots, fixed_positions)
-    _estimator: _ConditionalEstimator = field(repr=False)
+    _kernel: Kernel = field(repr=False)
+    _index: list | None = field(repr=False)
+    _subterms: list = field(repr=False)  # (sign, slots, fixed, points, weights)
+
+    def _terms(self, xs):
+        """(sign, h on the subterm's rule, shape (..., I[, D]), weights) per subterm."""
+        for sign, slots, fixed, points, weights in self._subterms:
+            values = np.broadcast_arrays(*(xs[s] for s in slots))
+            outer = np.stack(values, axis=-1) if values else np.empty(0)
+            yield sign, evaluate_nested(self._kernel, fixed, outer, points, self._index), weights
+
+    def _slabbed(self, columns, reduce) -> np.ndarray:
+        """reduce(columns), in flat slabs of at most _EVAL_SLAB kernel values.
+
+        A slab holds a multiple of 4 points: gemv sums rows in groups of
+        four, so a point's value does not move with the slab boundaries.
+        """
+        xs = [np.asarray(c, dtype=np.float64) for c in columns]
+        shape = np.broadcast_shapes(*(x.shape for x in xs))
+        points = int(np.prod(shape, dtype=np.int64))
+        width = max(len(weights) for *_, weights in self._subterms)
+        if points * width <= _EVAL_SLAB:
+            return reduce(xs)
+        flat = [np.broadcast_to(x, shape).reshape(-1) for x in xs]
+        step = max(1, _EVAL_SLAB // (4 * width)) * 4
+        out = np.concatenate([reduce([c[s : s + step] for c in flat])
+                              for s in range(0, points, step)])
+        return out.reshape(shape + out.shape[1:])
+
+    def _values(self, xs) -> np.ndarray:
+        total = None
+        for sign, out, weights in self._terms(xs):
+            mean = (np.einsum("...kd,k->...d", out, weights)
+                    if self.codomain.dimension > 1 else out @ weights)
+            total = sign * mean if total is None else total + sign * mean
+        return np.asarray(total, dtype=np.float64)
+
+    def _standard_errors(self, xs) -> np.ndarray:
+        per_draw = None
+        for sign, out, _ in self._terms(xs):
+            per_draw = sign * out if per_draw is None else per_draw + sign * out
+        if self.codomain.dimension == 1:
+            return per_draw.std(axis=-1, ddof=1) / sqrt(self.inner)
+        sd = per_draw.std(axis=-2, ddof=1)
+        return np.sqrt(np.sum(sd**2, axis=-1)) / sqrt(self.inner)
 
     def evaluate_batch(self, columns) -> np.ndarray:
         """Evaluate on broadcastable value columns, one per component slot."""
         if len(columns) != self.arity:
             raise ValueError(f"component has arity {self.arity}, got {len(columns)}")
-        xs = [np.asarray(c, dtype=np.float64) for c in columns]
-        shape = np.broadcast_shapes(*(x.shape for x in xs)) if xs else ()
-        points = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if not self.exact and points * self.inner > _EVAL_SLAB:
-            # every evaluation point fans out over the Monte Carlo table, so
-            # big broadcast grids are walked in flat slabs to bound memory
-            flat = [np.broadcast_to(x, shape).reshape(-1) for x in xs]
-            step = max(1, _EVAL_SLAB // self.inner)
-            pieces = [
-                self.evaluate_batch([c[s : s + step] for c in flat])
-                for s in range(0, points, step)
-            ]
-            out = np.concatenate(pieces, axis=0)
-            if self.codomain.dimension > 1:
-                return out.reshape(shape + (self.codomain.dimension,))
-            return out.reshape(shape)
-        total = None
-        for sign, slots, fixed_positions in self._subterms:
-            est = self._estimator(fixed_positions, [xs[s] for s in slots])
-            term = sign * est
-            total = term if total is None else total + term
-        return np.asarray(total, dtype=np.float64)
+        return self._slabbed(columns, self._values)
 
     def evaluate(self, values):
         out = self.evaluate_batch([np.float64(v) for v in values])
@@ -163,24 +144,9 @@ class HoeffdingComponent:
 
     def standard_error_batch(self, columns) -> np.ndarray:
         """Per-point standard error of the alternating sum; zeros when exact."""
-        xs = [np.asarray(c, dtype=np.float64) for c in columns]
-        shape = np.broadcast_shapes(*(x.shape for x in xs)) if xs else ()
         if self.exact:
-            return np.zeros(shape)
-        per_draw = None
-        for sign, slots, fixed_positions in self._subterms:
-            raw, _ = self._estimator(fixed_positions, [xs[s] for s in slots], raw=True)
-            raw = np.broadcast_to(
-                raw,
-                shape + raw.shape[len(raw.shape) - (2 if self.codomain.dimension > 1 else 1):],
-            )
-            term = sign * raw
-            per_draw = term if per_draw is None else per_draw + term
-        axis = -2 if self.codomain.dimension > 1 else -1
-        sd = per_draw.std(axis=axis, ddof=1)
-        if self.codomain.dimension > 1:
-            sd = np.sqrt(np.sum(sd**2, axis=-1))
-        return sd / sqrt(self.inner)
+            return np.zeros(np.broadcast_shapes(*(np.shape(c) for c in columns)))
+        return self._slabbed(columns, self._standard_errors)
 
     def as_kernel(self) -> Kernel | None:
         """Wrap as a Kernel; None for the arity-0 (constant) component."""
@@ -203,6 +169,31 @@ class HoeffdingComponent:
         return self.evaluate(())
 
 
+def _component(h: Kernel, dist: Distribution, inner: int, seed: int,
+               index: tuple[int, ...] | None, subterms, **labels) -> HoeffdingComponent:
+    """The component of (sign, slots, fixed positions) subterms, each given its rule."""
+    m = h.arity
+    support = dist.support()
+    if support is None:
+        if inner < 2:
+            raise ValueError("inner Monte Carlo size must be at least 2")
+        table, table_weights = dist.nodes(m, inner, seed, "hoeffding-table")
+
+    def rule(fixed):
+        free = [j for j in range(m) if j not in fixed]
+        if not free:
+            return np.zeros((1, 0)), np.ones(1)
+        if support is not None:
+            return support_grid(*support, len(free))
+        return table[:, free], table_weights
+
+    return HoeffdingComponent(
+        **labels, codomain=h.codomain, inner=inner, exact=support is not None,
+        _kernel=h, _index=None if index is None else [np.float64(i) for i in index],
+        _subterms=[(sign, slots, fixed, *rule(fixed)) for sign, slots, fixed in subterms],
+    )
+
+
 def project_component(
     h: Kernel,
     subset: tuple[int, ...],
@@ -217,19 +208,14 @@ def project_component(
         raise ValueError("subset positions must be distinct")
     if subset and (subset[0] < 0 or subset[-1] >= h.arity):
         raise ValueError(f"subset positions must lie in [0, {h.arity})")
-    estimator = _ConditionalEstimator(h, dist, inner, seed, index)
     k = len(subset)
-    subterms = []
-    for j_size in range(k + 1):
-        sign = (-1.0) ** (k - j_size)
-        for slots in itertools.combinations(range(k), j_size):
-            fixed_positions = tuple(subset[s] for s in slots)
-            subterms.append((sign, slots, fixed_positions))
-    return HoeffdingComponent(
-        subset=subset, level=None, arity=k, codomain=h.codomain,
-        inner=inner, exact=estimator.exact,
-        _subterms=subterms, _estimator=estimator,
-    )
+    subterms = [
+        ((-1.0) ** (k - j_size), slots, tuple(subset[s] for s in slots))
+        for j_size in range(k + 1)
+        for slots in itertools.combinations(range(k), j_size)
+    ]
+    return _component(h, dist, inner, seed, index, subterms,
+                      subset=subset, level=None, arity=k)
 
 
 def project_degenerate_level(
@@ -247,18 +233,13 @@ def project_degenerate_level(
         raise ValueError("level projection requires an index-independent kernel")
     if not 0 <= level <= h.arity:
         raise ValueError(f"level must lie in [0, {h.arity}]")
-    estimator = _ConditionalEstimator(h, dist, inner, seed, None)
-    subterms = []
-    for k in range(level + 1):
-        sign = (-1.0) ** (level - k)
-        for slots in itertools.combinations(range(level), k):
-            fixed_positions = tuple(range(k))
-            subterms.append((sign, slots, fixed_positions))
-    return HoeffdingComponent(
-        subset=None, level=level, arity=level, codomain=h.codomain,
-        inner=inner, exact=estimator.exact,
-        _subterms=subterms, _estimator=estimator,
-    )
+    subterms = [
+        ((-1.0) ** (level - k), slots, tuple(range(k)))
+        for k in range(level + 1)
+        for slots in itertools.combinations(range(level), k)
+    ]
+    return _component(h, dist, inner, seed, None, subterms,
+                      subset=None, level=level, arity=level)
 
 
 # ---------------------------------------------------------------------------

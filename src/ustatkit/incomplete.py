@@ -478,7 +478,6 @@ def incomplete_moment_experiment(
     d: int,
     replications: int = 1000,
     seed: int = 0,
-    threads: int | None = None,
     space: BanachSpaceDescriptor | None = None,
     certify: bool = True,
     stability_factor: float = 5.0,
@@ -503,9 +502,9 @@ def incomplete_moment_experiment(
     those of draw_design and incomplete_ustat bit for bit.  A batch stays
     small because it stacks its replications' samples and several int64
     arrays per tuple: stacking a whole cell at n = 2048 would hold
-    replications x 2048 sample values and every rank of the cell.
-    threads has no effect here: the per-replication draws are small numpy
-    calls with Python between them, so worker threads only contend for the
+    replications x 2048 sample values and every rank of the cell.  It runs
+    in the calling thread: the per-replication draws are small numpy calls
+    with Python between them, so worker threads would only contend for the
     interpreter lock.
     """
     if not q >= p > 1.0:

@@ -500,25 +500,28 @@ def evaluate_nested(
     conditioned: Sequence[int],
     outer_pts: np.ndarray,
     inner_pts: np.ndarray,
+    index_columns: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """The kernel on a nested rule (Distribution.nested_nodes).
 
-    Position conditioned[a] reads column a of the outer points and the
-    other positions, in increasing order, read the inner points' columns.
-    The result has shape (O, I), plus the codomain axis for a vector
-    kernel: row o holds the kernel at outer point o with each of its
-    completions.  With no conditioned position and one shared grid of
-    completions (a finite law) it has one row, which holds for every
-    outer point.
+    Position conditioned[a] reads column a of the outer points, shape
+    (..., j), and the other positions, in increasing order, read the
+    columns of the inner points, shape (..., I, k).  The leading axes
+    broadcast, and the result has their shape followed by I, plus the
+    codomain axis for a vector kernel: the kernel at an outer point with
+    each completion.  A nested_nodes rule gives (O, I), or (1, I) with no
+    conditioned position on a finite law, whose one row holds for every
+    outer point.  Index columns go to evaluate_batch as given, so they
+    broadcast against that shape.
     """
     conditioned = list(conditioned)
     free = [j for j in range(kernel.arity) if j not in conditioned]
     cols: list = [None] * kernel.arity
     for a, j in enumerate(conditioned):
-        cols[j] = outer_pts[:, a, None]
+        cols[j] = outer_pts[..., a, None]
     for a, j in enumerate(free):
-        cols[j] = inner_pts[:, :, a]
-    return evaluate_batch(kernel, cols)
+        cols[j] = inner_pts[..., a]
+    return evaluate_batch(kernel, cols, index_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -551,3 +551,45 @@ def test_config_threads_override_a_bad_ustat_threads(tmp_path, capsys, monkeypat
     code, _, _ = run(["experiment", "run", "--config", cfg,
                       "--out", str(tmp_path / "o")], capsys)
     assert code == 0
+
+
+_SPACE_2D = {"dimension": 2, "norm_exponent": 2.0}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("experiment", {**EXP_CONFIG, "space": _SPACE_2D}),
+    ("experiment", {**EXP_CONFIG, "experiment": "incomplete-moment", "d": 2,
+                    "grid": [[16, 0.5]], "moment_replications": 20,
+                    "space": _SPACE_2D}),
+    ("decompose", {"kernel": {"name": "product", "m": 2},
+                   "distribution": {"family": "rademacher"}, "space": _SPACE_2D}),
+])
+def test_space_of_another_dimension_than_the_codomain_exits_2(tmp_path, capsys,
+                                                             command, config):
+    cfg = write_config(tmp_path, "c.json", config)
+    out_dir = tmp_path / "o"
+    args = ([command, "run", "--out", str(out_dir)] if command == "experiment"
+            else [command]) + ["--config", cfg]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert "config error: space: dimension 2 differs" in err
+    assert "internal error" not in err and out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("compute", {"kernel": {"name": "product", "m": 2}, "data": [1.0, -1.0, 2.0],
+                 "desgin": {"variant": "bernoulli", "p_n": 0.5}}),
+    ("decompose", {"kernel": {"name": "product", "m": 2},
+                   "distribution": {"family": "rademacher"}, "levle": 2}),
+    ("experiment", {**EXP_CONFIG, "desgin": {"variant": "bernoulli", "p_n": 0.5}}),
+])
+def test_unknown_config_field_exits_2(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, "c.json", config)
+    out_dir = tmp_path / "o"
+    args = ([command, "run", "--out", str(out_dir)] if command == "experiment"
+            else [command]) + ["--config", cfg]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    typo = next(key for key in config if key in ("desgin", "levle"))
+    assert f"config error: {typo}: unknown config field" in err
+    assert out == "" and not out_dir.exists()

@@ -1,7 +1,13 @@
 """Projections, degeneracy certification, and the reconstruction identity."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ustatkit.hoeffding as hoeffding
 
 from ustatkit.hoeffding import (
     check_degeneracy,
@@ -13,8 +19,10 @@ from ustatkit.kernels import (
     Distribution,
     Kernel,
     builtin_kernel,
+    evaluate,
     kernel_from_expression,
 )
+from ustatkit.spaces import BanachSpaceDescriptor
 
 RADEMACHER = Distribution.rademacher()
 
@@ -104,6 +112,92 @@ def test_as_kernel_round_trip():
     for x, y in [(0.0, 1.0), (1.0, 1.0)]:
         assert k.body((np.float64(x), np.float64(y)), None) == pytest.approx(
             comp.evaluate([x, y]))
+
+
+def _poly(xs):
+    """A nonlinear, non-symmetric function of any number of points."""
+    out = 0.5
+    for j, x in enumerate(xs):
+        out = out * (1.0 + (j + 1) * x) + x * x
+    return out
+
+
+def _kernel(kind: str, m: int) -> Kernel:
+    if kind == "scalar":
+        return Kernel(m, lambda xs, idx: _poly(xs))
+    if kind == "vector":
+        return Kernel(m, lambda xs, idx: np.stack(np.broadcast_arrays(_poly(xs), sum(xs) - 1.0),
+                                                  axis=-1),
+                      codomain=BanachSpaceDescriptor(dimension=2, norm_exponent=2.0))
+    return Kernel(m, lambda xs, idx: _poly(xs) / (1.0 + sum(idx)), weighted=True)
+
+
+def _brute_force_component(h, subset, atoms, probs, point, index):
+    """sum_{J subset I} (-1)^{|I|-|J|} E[h(V)], one atom tuple at a time.
+
+    Also returns the sum of the terms' absolute values, the scale of the
+    rounding error of any evaluation order."""
+    m = h.arity
+    total, scale = 0.0, 0.0
+    for size in range(len(subset) + 1):
+        for fixed in itertools.combinations(range(len(subset)), size):
+            sign = (-1.0) ** (len(subset) - size)
+            at = {subset[a]: point[a] for a in fixed}
+            free = [j for j in range(m) if j not in at]
+            for combo in itertools.product(range(len(atoms)), repeat=len(free)):
+                values = {**at, **{j: atoms[c] for j, c in zip(free, combo)}}
+                weight = float(np.prod([probs[c] for c in combo]))
+                term = weight * np.asarray(evaluate(h, [values[j] for j in range(m)], index))
+                total = total + sign * term
+                scale = scale + np.abs(term)
+    return total, scale
+
+
+_FINITE_VALUES = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    atoms=st.lists(_FINITE_VALUES, min_size=1, max_size=4),
+    masses=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=4, max_size=4),
+    m=st.integers(min_value=1, max_value=3),
+    kind=st.sampled_from(["scalar", "vector", "weighted"]),
+    data=st.data(),
+)
+def test_project_component_on_a_finite_law_is_the_alternating_sum(atoms, masses, m, kind,
+                                                                    data):
+    masses = np.asarray(masses[: len(atoms)])
+    probs = list(masses / masses.sum())
+    dist = Distribution.finite(atoms, probs)
+    atoms, probs = dist.support()
+    h = _kernel(kind, m)
+    index = tuple(range(3, 3 + 2 * m, 2)) if h.weighted else None
+    point = data.draw(st.lists(_FINITE_VALUES, min_size=m, max_size=m))
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            comp = project_component(h, subset, dist, index=index)
+            assert comp.exact
+            x = [point[j] for j in subset]
+            got = comp.evaluate(x) if size else np.asarray(comp.constant)
+            want, scale = _brute_force_component(h, subset, atoms, probs, x, index)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(scale))
+
+
+@pytest.mark.parametrize("dist", [Distribution.finite([-2.0, 1.0, 3.0], [0.4, 0.5, 0.1]),
+                                  Distribution.gaussian()])
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_component_values_do_not_move_with_the_slabs(monkeypatch, dist, kind):
+    h = _kernel(kind, 3)
+    comp = project_component(h, (0, 2), dist, inner=16, seed=4)
+    rng = np.random.default_rng(8)
+    cols = [rng.standard_normal(37), rng.standard_normal(37)]
+    whole = comp.evaluate_batch(cols)
+    whole_se = comp.standard_error_batch(cols)
+    # 37 points of 27 completions each are cut into slabs of 4 points
+    monkeypatch.setattr(hoeffding, "_EVAL_SLAB", 150)
+    slabbed = comp.evaluate_batch(cols)
+    assert slabbed.shape == whole.shape and slabbed.tobytes() == whole.tobytes()
+    assert comp.standard_error_batch(cols).tobytes() == whole_se.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -448,14 +448,3 @@ def test_batched_cell_splits_batches_mid_cell(monkeypatch, bound, value):
     assert len(batches) > 10
     want = _cell_oracle(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_incomplete_moment_thread_count_invariance():
-    h = builtin_kernel("product", 2)
-    kwargs = dict(grid=[(16, 0.25)], p=2.0, q=2.0, d=2,
-                  replications=50, seed=41)
-    r1 = incomplete_moment_experiment(h, Distribution.rademacher(),
-                                      threads=1, **kwargs)
-    r8 = incomplete_moment_experiment(h, Distribution.rademacher(),
-                                      threads=8, **kwargs)
-    assert r1.rows == r8.rows

@@ -13,6 +13,7 @@ from ustatkit.kernels import (
     builtin_kernel,
     evaluate,
     evaluate_batch,
+    evaluate_nested,
     kernel_from_config,
     kernel_from_expression,
     stream,
@@ -522,3 +523,28 @@ def test_kernel_from_config_builtin_and_expr():
     assert s.symmetric and s.arity == 2
     with pytest.raises(ValueError):
         kernel_from_config({"m": 2})
+
+
+@pytest.mark.parametrize("conditioned", [(), (1,), (0, 2), (2, 0, 1)])
+def test_evaluate_nested_broadcasts_leading_axes_and_index_columns(conditioned):
+    # outer points (T, O, j), inner points (T, 1, I, k), index columns (T, 1, 1):
+    # the same numbers as evaluate_batch on columns broadcast by hand; with
+    # no free position the inner points have no column and I is 1, and with
+    # no conditioned one the outer points have none and O is 1
+    h = kernel_from_expression("x1 * x2 / (i1 + i3) + x3 ^ 2 * i2 - x1", 3)
+    rng = np.random.default_rng(5)
+    j = len(conditioned)
+    free = [p for p in range(3) if p not in conditioned]
+    outer_pts = rng.standard_normal((4, 5, j))
+    inner_pts = rng.standard_normal((4, 1, 6, 3 - j))
+    idx = [rng.integers(0, 20, size=(4, 1, 1)) for _ in range(3)]
+    got = evaluate_nested(h, conditioned, outer_pts, inner_pts, idx)
+    shape = (4, 5 if conditioned else 1, 6 if free else 1)
+    cols = [None] * 3
+    for a, p in enumerate(conditioned):
+        cols[p] = np.broadcast_to(outer_pts[:, :, a, None], shape)
+    for a, p in enumerate(free):
+        cols[p] = np.broadcast_to(inner_pts[:, :, :, a], shape)
+    want = evaluate_batch(h, cols, [np.broadcast_to(c, shape) for c in idx])
+    assert got.shape == shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()

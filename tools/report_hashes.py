@@ -79,7 +79,9 @@ OFF_RADEMACHER = {
 
 # A finite law whose atoms differ in size: the Rademacher product has
 # |h| = 1, so its exact tails and moments are bit-exact in any summation
-# order and cannot show whether an exact branch kept its arithmetic.
+# order and cannot show whether an exact branch kept its arithmetic.  The
+# holder line is the only one that evaluates a Hoeffding projection on the
+# law's support grid.
 _FINITE = {"family": "finite", "values": [-2.0, 1.0, 3.0],
            "probabilities": [0.4, 0.5, 0.1]}
 FINITE_LAW = {
@@ -96,6 +98,11 @@ FINITE_LAW = {
         "kernel": _PRODUCT, "distribution": _FINITE,
         "experiment": "order-d-deviation", "p": 2.0, "d": 2,
         "n_grid": [8, 16, 32], "replications": 1000, "seed": 5,
+    },
+    "finite-holder-projected-d1": {
+        "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
+        "distribution": _FINITE, "experiment": "holder", "alpha": 0.3, "d": 1,
+        "n_grid": [64, 128], "replications": 40, "seed": 5,
     },
 }
 
