@@ -1,9 +1,11 @@
 """Deterministic fan-out over work items.
 
-The harness maps over blocks of replications whose bounds depend only on
-the horizon N and the kernel arity m, never on the thread count; each
-block is a few large numpy calls that release the interpreter lock.
-Results come back in index order no matter how many workers run, so any
+It has two uses.  The harness maps over blocks of replications whose
+bounds depend only on the horizon N and the kernel arity m, and the Holder
+pair scan (holder.holder_norms) maps over fixed chunks of 128 path rows;
+neither ever depends on the thread count, and each item is a few large
+numpy calls, or one per lag, that release the interpreter lock.  Results
+come back in index order no matter how many workers run, so any
 reduction applied afterwards sees a fixed operand order and experiment
 output is independent of the thread count.  No more workers start than
 there are items or usable cores: between those calls Python holds the

@@ -22,12 +22,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
 import traceback
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -116,22 +118,95 @@ def _jsonable(obj):
     return obj
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(obj) -> str | None:
+    """JSON text of a str, None, bool, int or float; None for anything else."""
+    if isinstance(obj, int):
+        return ("true" if obj else "false") if isinstance(obj, bool) else int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NONFINITE.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return "null" if obj is None else None
+
+
+def _dump_json(payload, fh) -> None:
+    """Write payload and a newline to fh, byte for byte as
+    json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n".
+
+    json.dumps is this writer's oracle.  Its indented encoder is pure
+    Python and would first need _jsonable's copy of the tree; this one
+    converts numpy values where it meets them and hands fh its text every
+    few thousand pieces, so a report is never held whole.
+    """
+    out = []
+
+    def emit(obj, indent: str) -> None:
+        text = _json_scalar(obj)
+        if text is not None:
+            out.append(text)
+            return
+        if isinstance(obj, np.ndarray):
+            return emit(obj.tolist(), indent)
+        for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+            if isinstance(obj, kind):  # as _jsonable converts them
+                return emit(cast(obj), indent)
+        keyed = isinstance(obj, dict)
+        if keyed:
+            items = sorted(dict(zip(map(str, obj), obj.values())).items())
+        elif isinstance(obj, (list, tuple)):
+            items = obj
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not items:
+            out.append("{}" if keyed else "[]")
+            return
+        inner = indent + "  "
+        sep = ("{\n" if keyed else "[\n") + inner
+        for item in items:
+            if keyed:
+                key, item = item
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+            else:
+                out.append(sep)
+            sep = ",\n" + inner
+            emit(item, inner)
+            if len(out) > 4096:
+                fh.write("".join(out))
+                out.clear()
+        out.append("\n" + indent + ("}" if keyed else "]"))
+
+    emit(payload, "")
+    out.append("\n")
+    fh.write("".join(out))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(payload, fh)
+
+
+@functools.cache
+def _cell_text(kind: type):
+    """The CSV text function of one value type.
+
+    Floats are printed at 17 significant digits so float(text) recovers
+    the exact binary value.
+    """
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda value: "true" if value else "false"
+    if issubclass(kind, (int, np.integer)):
+        return lambda value: int.__repr__(int(value))
+    if issubclass(kind, (float, np.floating)):
+        return lambda value: format(float(value), ".17g")
+    return str
 
 
 def _cell(value) -> str:
-    # floats are printed at 17 significant digits so float(text) recovers
-    # the exact binary value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return _cell_text(type(value))(value)
 
 
 def _write_csv(path: str, rows: list) -> None:
@@ -275,7 +350,7 @@ def cmd_decompose(args) -> int:
             "exact": component.exact,
         }
 
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    _dump_json(payload, sys.stdout)
     return 0
 
 

@@ -36,7 +36,8 @@ own per row (kernels.streams), which draws exactly what stream(seed, *path,
 r) would.  Every row of a block is bit-identical to the trajectory of that
 replication alone, so a report is bit-for-bit reproducible for a fixed
 config and depends neither on the worker thread count nor on the block
-size.
+size.  The Holder experiment's pair scan maps fixed row chunks of each
+horizon's paths over the same workers (holder.holder_norms).
 """
 
 from __future__ import annotations
@@ -1099,9 +1100,10 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
 
         trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n),
                                          config.threads, reduce)
-        # the pair scan is one numpy op per lag over all of this horizon's
-        # paths, so it runs once here rather than per block in the threads
-        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha)
+        # the scan's row chunks are not the simulation's blocks: it takes
+        # every path of this horizon at once, in fixed chunks of its own
+        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha,
+                              config.threads)
         quantile_rows.append({
             "n": int(n),
             "median": float(np.quantile(hnorms, 0.5)),

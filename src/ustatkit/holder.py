@@ -12,6 +12,27 @@ breakpoints.  The norm is therefore the largest corner ratio
 takes one lag j - i at a time, for one path or a whole matrix of paths on
 a shared grid.
 
+On the uniform grid k/n of holder_norms every pair at lag L has the same
+gap, so the scan takes each row's largest |increment| at that lag first
+and divides once.  This is exact: division by a positive g is correctly
+rounded and therefore monotone, so max_i (|D_i| / g) = (max_i |D_i|) / g
+bit for bit, and a NaN in a row reaches the maximum either way.  The one
+gap per lag is t[L] - t[0]; when n is a power of two k/n is exact in
+binary, so it equals every pair's t[i+L] - t[i] and the norms are the
+per-pair scan's bits.  For other n, t[L] - t[0] is L/n rounded once,
+while t[i+L] - t[i] carries the roundings of both breakpoints, up to 2n/L
+units in the last place of L/n, so the two scans agree to about
+alpha n / L ulps of the norm, and the one gap is the nearer to L/n.
+holder_norm keeps the per-pair gaps, on any breakpoints, as the oracle.
+
+The uniform scan also drops a row once no later lag can raise its norm.
+No computed increment of a row exceeds its span max - min (rounding is
+monotone), so when span / g <= best for the smallest gap power g at the
+current lag or any later one, every later ratio is at most best, and the
+row's norm keeps its bits.  A row whose span is not finite (it holds NaN
+or +-inf, or its span overflows) scans every lag: inf - inf is a NaN that
+its norm must show.
+
 The dyadic statistic counts, per cell (j, k), how often the raw partial
 sum increment |S_floor(n(k+1)/2^j) - S_floor(nk/2^j)| exceeds
 n^(d/2) 2^(-a j) eps, and reports the tail sums over j >= J whose decay is
@@ -24,6 +45,8 @@ from dataclasses import dataclass
 from math import floor, log2
 
 import numpy as np
+
+from ._parallel import parallel_map
 
 __all__ = [
     "DyadicExceedanceTable",
@@ -55,6 +78,16 @@ class HolderParams:
         return 1.0 / (0.5 - self.alpha)
 
 
+# Lags between the uniform scan's tests for rows it can drop.
+STOP_CHECK_LAGS = 16
+
+# Rows per scan chunk.  Chunk bounds never depend on the thread count, so
+# the norms are the same bits at any thread count.  A matrix of at most
+# this many rows is one chunk, scanned in the calling thread: chunks of a
+# few dozen rows lose more to thread hand-offs than a second thread wins.
+SCAN_CHUNK_ROWS = 128
+
+
 def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     if hasattr(path, "breakpoints") and hasattr(path, "values"):
         t = np.asarray(path.breakpoints, dtype=np.float64)
@@ -66,16 +99,24 @@ def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
         t = np.linspace(0.0, 1.0, y.size) if y.size > 1 else np.zeros(1)
     if t.shape != y.shape:
         raise ValueError("breakpoints and values must align")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
+    if not np.all(np.isfinite(t)):
+        raise ValueError("breakpoints must be finite")
+    if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ValueError("breakpoints must be strictly increasing")
     return t, y
 
 
-def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
+def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float,
+               uniform: bool = False) -> np.ndarray:
     """Norms of the rows of a (B, npts) value matrix over breakpoints t.
 
-    One numpy op per lag covers every row; each row's arithmetic is the
-    same as scanning that row alone.
+    Each pair is divided by its own gap power (t_{i+lag} - t_i)^alpha, or,
+    with `uniform` (t = k/n), each row's largest |increment| at a lag is
+    divided once by that lag's one gap power (t_lag - t_0)^alpha, and every
+    STOP_CHECK_LAGS lags the rows that no later lag can change are dropped;
+    both are exact (see the module docstring).  One numpy op per lag covers
+    every live row; each row's arithmetic is the same as scanning that row
+    alone.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
@@ -85,11 +126,27 @@ def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
             f"{npts} breakpoints exceed the pair-scan cap "
             f"{MAX_SCAN_BREAKPOINTS}; use the dyadic statistic instead"
         )
+    if uniform:
+        lag_gaps = (t[1:] - t[0]) ** alpha
+        # the smallest gap power at each lag or any later one
+        floors = np.minimum.accumulate(lag_gaps[::-1])[::-1]
+        spans = values.max(axis=1) - values.min(axis=1)
     best = np.zeros(values.shape[0])
+    live, rows = np.arange(values.shape[0]), values
     for lag in range(1, npts):
-        diffs = np.abs(values[:, lag:] - values[:, :-lag])
-        gaps = t[lag:] - t[:-lag]
-        best = np.maximum(best, (diffs / gaps**alpha).max(axis=1))
+        if uniform and lag % STOP_CHECK_LAGS == 0:
+            done = np.isfinite(spans[live]) & (spans[live] / floors[lag - 1] <= best[live])
+            if done.any():
+                live = live[~done]
+                rows = values[live]
+                if not live.size:
+                    break
+        diffs = rows[:, lag:] - rows[:, :-lag]
+        if uniform:
+            top = np.maximum(diffs.max(axis=1), -diffs.min(axis=1)) / lag_gaps[lag - 1]
+        else:
+            top = (np.abs(diffs) / (t[lag:] - t[:-lag]) ** alpha).max(axis=1)
+        best[live] = np.maximum(best[live], top)
     return np.abs(values[:, 0]) + best
 
 
@@ -99,14 +156,23 @@ def holder_norm(path, alpha: float) -> float:
     return float(_pair_scan(t, y[None, :], alpha)[0])
 
 
-def holder_norms(values, alpha: float) -> np.ndarray:
-    """Norms of B paths given as a (B, n+1) matrix on the uniform grid k/n."""
+def holder_norms(values, alpha: float, threads: int | None = None) -> np.ndarray:
+    """Norms of B paths given as a (B, n+1) matrix on the uniform grid k/n.
+
+    Chunks of SCAN_CHUNK_ROWS rows are mapped over `threads` workers.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
         raise ValueError("values must be a (B, n+1) matrix with n >= 0")
     n = values.shape[1] - 1
     t = np.arange(n + 1) / max(n, 1)
-    return _pair_scan(t, values, alpha)
+
+    def scan(chunk: int) -> np.ndarray:
+        rows = values[chunk * SCAN_CHUNK_ROWS:(chunk + 1) * SCAN_CHUNK_ROWS]
+        return _pair_scan(t, rows, alpha, uniform=True)
+
+    chunks = max(-(-values.shape[0] // SCAN_CHUNK_ROWS), 1)
+    return np.concatenate(parallel_map(scan, chunks, threads))
 
 
 def holder_norm_grid(path, alpha: float, points: int = 20000) -> float:

@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ustatkit.cli import main
+from ustatkit.cli import _cell, _dump_json, _jsonable, _write_csv, _write_json, main
 from ustatkit.kernels import builtin_kernel
 from ustatkit.ustat import complete_ustat
 
@@ -593,3 +597,111 @@ def test_unknown_config_field_exits_2(tmp_path, capsys, command, config):
     typo = next(key for key in config if key in ("desgin", "levle"))
     assert f"config error: {typo}: unknown config field" in err
     assert out == "" and not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# report writers
+
+
+_NUMPY_SCALARS = st.one_of(
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.floats().map(np.longdouble),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**200, 2**200),
+    # NaN, +-inf, -0.0 and subnormals included
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.text(),  # non-ASCII, control characters, quotes and backslashes
+    _NUMPY_SCALARS,
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-20, 20)), children,
+                        max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_oracle(payload):
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_TREES)
+def test_report_writer_matches_json_dumps(payload):
+    fh = io.StringIO()
+    _dump_json(payload, fh)
+    assert fh.getvalue() == _json_oracle(payload)
+
+
+def test_report_writer_hands_out_large_reports_in_pieces(tmp_path):
+    class Sink(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            Sink.writes += 1
+            return super().write(text)
+
+    cells = [{"j": np.int64(j), "k": k, "frequency": j / 7.0, "low": None, "ok": np.bool_(k)}
+             for j in range(3000) for k in (0, 1)]
+    payload = {"details": {"cells": cells, "eps": np.float32(0.1)}, "rows": np.eye(3)}
+    fh = Sink()
+    _dump_json(payload, fh)
+    assert fh.getvalue() == _json_oracle(payload)
+    assert Sink.writes > 1
+    path = tmp_path / "report.json"
+    _write_json(str(path), payload)
+    assert path.read_bytes() == _json_oracle(payload).encode("ascii")
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for payload in ({"x": {1, 2}}, [object()], np.complex128(1j), np.datetime64(1, "ns")):
+        with pytest.raises(TypeError):
+            json.dumps(_jsonable(payload))
+        with pytest.raises(TypeError):
+            _dump_json(payload, io.StringIO())
+
+
+def _old_cell(value) -> str:
+    """The CSV cell text before it dispatched on the value's type."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.dictionaries(
+    st.sampled_from(["a", "b", "c"]),
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(),
+              _NUMPY_SCALARS),
+    min_size=1), min_size=1, max_size=5))
+def test_csv_cells_match_the_isinstance_chain(tmp_path_factory, rows):
+    header = list(rows[0])
+    for row in rows:
+        assert [_cell(row.get(key)) for key in header] == [
+            _old_cell(row.get(key)) for key in header]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_csv(str(path), rows)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    writer.writerows([_old_cell(row.get(key)) for key in header] for row in rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want.getvalue()

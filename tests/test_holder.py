@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ustatkit.holder import (
     MAX_SCAN_BREAKPOINTS,
+    SCAN_CHUNK_ROWS,
     DyadicExceedanceTable,
     HolderParams,
     calibrate_epsilon,
@@ -16,6 +18,7 @@ from ustatkit.holder import (
     holder_norm,
     holder_norm_grid,
     holder_norms,
+    _pair_scan,
 )
 from ustatkit.kernels import builtin_kernel
 from ustatkit.ustat import PartialSumPath, partial_sum_path
@@ -158,6 +161,94 @@ def test_nan_value_gives_nan_norm():
     y = np.array([0.0, np.nan, 1.0])
     assert np.isnan(holder_norm(y, 0.3))
     assert np.isnan(holder_norms(np.stack([y, np.zeros(3)]), 0.3)).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("breakpoints", [
+    [0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0], [np.nan],
+])
+def test_non_finite_breakpoints_refused(breakpoints):
+    path = SimpleNamespace(breakpoints=np.array(breakpoints),
+                           values=np.arange(len(breakpoints), dtype=float))
+    with pytest.raises(ValueError, match="finite"):
+        holder_norm(path, 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        holder_norm_grid(path, 0.3)
+
+
+def _per_pair(values, alpha):
+    """The scan with one gap power per pair on the grid k/n."""
+    n = values.shape[1] - 1
+    return _pair_scan(np.arange(n + 1) / max(n, 1), values, alpha)
+
+
+def _same_norms(got, want):
+    """Equal bits wherever finite, NaN in the same places."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+_ALPHA = st.floats(0.05, 0.49)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), log_n=st.integers(0, 7), alpha=_ALPHA)
+def test_one_gap_per_lag_bit_equal_on_power_of_two_grids(data, log_n, alpha):
+    # k/n is exact in binary, so every pair at a lag has the lag's one gap
+    values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), 2**log_n + 1),
+                                  elements=st.floats(-1e6, 1e6)))
+    assert _same_norms(holder_norms(values, alpha), _per_pair(values, alpha))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(3, 48).filter(lambda n: n & (n - 1)), alpha=_ALPHA)
+def test_one_gap_per_lag_close_on_other_grids(data, n, alpha):
+    # the per-pair gap t[i+L] - t[i] carries up to 2n/L roundings of t;
+    # at n <= 48 and alpha < 1/2 that moves a norm by under 1e-14
+    values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), n + 1),
+                                  elements=st.floats(-1e6, 1e6)))
+    got, want = holder_norms(values, alpha), _per_pair(values, alpha)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), alpha=_ALPHA)
+def test_one_gap_per_lag_non_finite_rows(data, n, alpha):
+    element = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf, -np.inf]))
+    values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), n + 1),
+                                  elements=element))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got, want = holder_norms(values, alpha), _per_pair(values, alpha)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
+
+
+def test_scan_drops_finished_rows_without_changing_them():
+    # the step row reaches its span at lag 1 and is dropped at the first
+    # check; the row with +inf 40 lags apart must scan on to meet inf - inf
+    n = 64
+    step = np.zeros(n + 1)
+    step[1:] = 1.0
+    late = np.zeros(n + 1)
+    late[[3, 43]] = np.inf
+    walk = np.concatenate([[0.0], np.random.default_rng(3).normal(size=n).cumsum()])
+    values = np.stack([step, late, walk])
+    with np.errstate(invalid="ignore"):
+        got, want = holder_norms(values, 0.3), _per_pair(values, 0.3)
+    assert np.isnan(got[1])
+    assert _same_norms(got, want)
+
+
+def test_scan_chunks_bit_identical_at_any_thread_count():
+    rng = np.random.default_rng(5)
+    rows = 300  # two full chunks and a partial third
+    assert 2 * SCAN_CHUNK_ROWS < rows < 3 * SCAN_CHUNK_ROWS
+    walks = np.concatenate([np.zeros((rows, 1)), rng.normal(size=(rows, 64)).cumsum(axis=1)],
+                           axis=1)
+    want = _per_pair(walks, 0.3)
+    for threads in (1, 2, 8):
+        assert holder_norms(walks, 0.3, threads=threads).tobytes() == want.tobytes()
 
 
 def test_path_object_input():

@@ -1,12 +1,15 @@
 """Time `ustat experiment run` on every acceptance recipe and benchmark workload.
 
     python3 tools/bench_recipes.py --src parent=OLD/src --src change=src --out BENCH.json
+        [--threads N ...]
 
 Each `--src [LABEL=]DIR` names a directory that holds the ustatkit
 package (the `src` directory of a checkout); LABEL defaults to DIR.  The
 configs come from this checkout: every recipe in tests/recipes.py and
 every workload in perfbench/workloads.py (read only) at its default seed,
-each at its own thread count (one where it names none).  Every run is a
+each at its own thread count (one where it names none).  With one or more
+`--threads N`, every config runs at each N instead, recorded as
+`NAME/tN`.  Every run is a
 fresh process, so a time includes interpreter start-up and imports.  The
 runs of one config alternate between the sources, REPEATS rounds, and
 the best wall time of each counts.  Writes one JSON object: the machine,
@@ -33,16 +36,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
 
 
-def _configs():
-    """(name, config) of every recipe, then every workload."""
+def _configs(threads=None):
+    """(name, config) of every recipe, then every workload; with a list of
+    thread counts, each config once per count, named NAME/tN."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     from recipes import _RECIPES
     from workloads import DEFAULT_SEEDS, make_config
 
-    yield from _RECIPES.items()
-    for key, seed in DEFAULT_SEEDS.items():
-        yield key, make_config(key, seed)
+    configs = [*_RECIPES.items(),
+               *((key, make_config(key, seed)) for key, seed in DEFAULT_SEEDS.items())]
+    for name, config in configs:
+        if threads:
+            for n in threads:
+                yield f"{name}/t{n}", {**config, "threads": n}
+        else:
+            yield name, config
 
 
 def _timed_run(src: str, config: dict) -> tuple[float, str]:
@@ -81,12 +90,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=_source, action="append", required=True,
                         metavar="[LABEL=]DIR")
     parser.add_argument("--out", required=True, metavar="FILE")
+    parser.add_argument("--threads", type=int, action="append", metavar="N",
+                        help="run every config at N threads (repeatable)")
     args = parser.parse_args(argv)
 
     import numpy
 
     results = {label: {} for label, _ in args.src}
-    for name, config in _configs():
+    for name, config in _configs(args.threads):
         for label, _ in args.src:
             results[label][name] = {"threads": config.get("threads", 1), "wall_s": []}
         for _ in range(REPEATS):
