@@ -26,6 +26,7 @@ the block, or the thread, that asked for it.
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -404,8 +405,9 @@ class Kernel:
     scales with the sum of the terms' absolute values, which is the sum of
     |h| for one term but can be far larger when terms cancel: covariance as
     x^2/2 + y^2/2 - x*y loses about eps * mu^2 / sigma^2 of U_n on data
-    with mean mu and spread sigma.  So the builtin product declares its one
-    term, and no other builtin and no compiled expression declares any.
+    with mean mu and spread sigma.  So kernel_from_expression declares one
+    term, for a chain of one-variable factors such as the builtin product,
+    and never several.
 
     split, when given, writes an index-weighted body as a weight times one
     index-free kernel: a pair (f, c) with body(xs, idx) = c(idx) * f(xs)
@@ -528,66 +530,47 @@ def evaluate_nested(
 # builtin kernel zoo
 
 
-def _product_body(xs, idx):
-    out = xs[0]
-    for x in xs[1:]:
-        out = out * x
-    return out
+def _joined(op: str, form: str):
+    """The text at arity m: form, with x1..xm for {x}, joined by op."""
+    return lambda m, **params: op.join(form.format(x=f"x{j + 1}", **params) for j in range(m))
 
 
-def _sum_body(xs, idx):
-    out = xs[0]
-    for x in xs[1:]:
-        out = out + x
-    return out
-
-
-def _identity(x):
-    return x
+# name -> whether the kernel is symmetric, its fixed arity (None for any
+# m), its parameters with their defaults, and its expression text at
+# arity m given those parameters; !r writes a float that parses back to
+# the same float
+_Builtin = namedtuple("_Builtin", "symmetric arity params text")
+_ZOO = {
+    "product": _Builtin(True, None, {}, _joined(" * ", "{x}")),
+    "sum": _Builtin(True, None, {}, _joined(" + ", "{x}")),
+    "centered-product": _Builtin(True, None, {"mu": 0.0}, _joined(" * ", "({x} - {mu!r})")),
+    "covariance": _Builtin(True, 2, {}, lambda m: "0.5 * (x1 - x2) ^ 2"),
+    "sign": _Builtin(False, 2, {}, lambda m: "sign(x2 - x1)"),
+}
 
 
 def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
-    """Construct a kernel from the builtin zoo.
+    """Compile a kernel of the builtin zoo (_ZOO) from its expression text.
 
-    Available names:
-      product            x_1 * ... * x_m; degenerate of full order under a
-                         centered law.
-      sum                x_1 + ... + x_m; never degenerate beyond order 1
-                         under a nondegenerate law.
-      centered-product   (x_1 - mu) * ... * (x_m - mu) with mu a parameter;
-                         degenerate of full order when mu is the law's mean.
-      covariance         (x - y)^2 / 2, arity 2.
-      sign               sign(y - x), arity 2; antisymmetric, so the
-                         symmetric flag stays off.
-
-    Only product declares factors (see Kernel).
+    product and centered-product, (x1 - mu) * ... * (xm - mu) with a finite
+    mu (default 0), are degenerate of full order under a law of mean 0 and
+    mu respectively; sum is never degenerate beyond order 1; covariance and
+    sign have arity 2, and sign(x2 - x1) is antisymmetric, so its symmetric
+    flag is off.  Only centered-product takes a parameter; any other is a
+    ValueError naming it.
     """
-    if name == "product":
-        return Kernel(m, _product_body, symmetric=True, name="product",
-                      factors=((1.0, (_identity,) * m),))
-    if name == "sum":
-        return Kernel(m, _sum_body, symmetric=True, name="sum")
-    if name == "centered-product":
-        mu = float(params.get("mu", 0.0))
-
-        def centered(xs, idx, _mu=mu):
-            out = xs[0] - _mu
-            for x in xs[1:]:
-                out = out * (x - _mu)
-            return out
-
-        return Kernel(m, centered, symmetric=True, name="centered-product")
-    if name == "covariance":
-        if m != 2:
-            raise ValueError("covariance kernel has arity 2")
-        return Kernel(2, lambda xs, idx: 0.5 * (xs[0] - xs[1]) ** 2,
-                      symmetric=True, name="covariance")
-    if name == "sign":
-        if m != 2:
-            raise ValueError("sign kernel has arity 2")
-        return Kernel(2, lambda xs, idx: np.sign(xs[1] - xs[0]),
-                      symmetric=False, name="sign")
-    raise ValueError(f"unknown builtin kernel {name!r}")
+    if name not in _ZOO:
+        raise ValueError(f"unknown builtin kernel {name!r}")
+    spec = _ZOO[name]
+    values = {key: float(params.pop(key, default)) for key, default in spec.params.items()}
+    if params:
+        raise ValueError(f"unknown key {min(params)!r} for builtin kernel {name!r}")
+    if spec.arity is not None and m != spec.arity:
+        raise ValueError(f"{name} kernel has arity {spec.arity}")
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+    return kernel_from_expression(spec.text(m, **values), m, symmetric=spec.symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -599,23 +582,17 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_UNARY_FUNCS = {"abs": np.abs, "sign": np.sign, "exp": np.exp}
-_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCS = {"abs": np.abs, "sign": np.sign, "exp": np.exp, "min": np.minimum, "max": np.maximum}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ValueError(f"unexpected character at position {pos}: {text[pos]!r}")
-        if match.lastgroup == "num":
-            tokens.append(("num", match.group("num")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
+        tokens.append((match.lastgroup, match.group(match.lastgroup)))
         pos = match.end()
     tokens.append(("end", ""))
     return tokens
@@ -630,10 +607,8 @@ def _chain_node(chain):
     for op, factor, _ in chain:
         if node is None:
             node = factor if op == "*" else (lambda env, b=factor: 1.0 / b(env))
-        elif op == "*":
-            node = (lambda env, a=node, b=factor: a(env) * b(env))
         else:
-            node = (lambda env, a=node, b=factor: a(env) / b(env))
+            node = (lambda env, a=node, b=factor, f=_BINARY_OPS[op]: f(a(env), b(env)))
     return node
 
 
@@ -675,12 +650,9 @@ class _Parser:
     def additive(self):
         node = self.multiplicative()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.advance()[1]
+            op = _BINARY_OPS[self.advance()[1]]
             rhs = self.multiplicative()
-            if op == "+":
-                node = (lambda env, a=node, b=rhs: a(env) + b(env))
-            else:
-                node = (lambda env, a=node, b=rhs: a(env) - b(env))
+            node = (lambda env, a=node, b=rhs, f=op: f(a(env), b(env)))
             self.chain = None
         return node
 
@@ -705,8 +677,7 @@ class _Parser:
     def unary(self):
         if self.peek() == ("op", "-"):
             self.advance()
-            inner = self.unary()
-            return lambda env, a=inner: -a(env)
+            return lambda env, a=self.unary(): -a(env)
         if self.peek() == ("op", "+"):
             self.advance()
             return self.unary()
@@ -716,15 +687,13 @@ class _Parser:
         base = self.primary()
         if self.peek() == ("op", "^"):
             self.advance()
-            exponent = self.unary()
-            return lambda env, a=base, b=exponent: np.power(a(env), b(env))
+            return lambda env, a=base, b=self.unary(): np.power(a(env), b(env))
         return base
 
     def primary(self):
         kind, text = self.advance()
         if kind == "num":
-            value = np.float64(text)
-            return lambda env, v=value: v
+            return lambda env, v=np.float64(text): v
         if kind == "name":
             if self.peek() == ("op", "("):
                 return self.call(text)
@@ -746,17 +715,30 @@ class _Parser:
             self.advance()
             args.append(self.additive())
         self.expect_op(")")
-        if fname in _UNARY_FUNCS:
-            if len(args) != 1:
-                raise ValueError(f"{fname} takes one argument")
-            fn = _UNARY_FUNCS[fname]
-            return lambda env, a=args[0], f=fn: f(a(env))
-        if fname in _BINARY_FUNCS:
-            if len(args) != 2:
-                raise ValueError(f"{fname} takes two arguments")
-            fn = _BINARY_FUNCS[fname]
-            return lambda env, a=args[0], b=args[1], f=fn: f(a(env), b(env))
-        raise ValueError(f"unknown function {fname!r}")
+        if fname not in _FUNCS:
+            raise ValueError(f"unknown function {fname!r}")
+        fn = _FUNCS[fname]
+        if len(args) != fn.nin:
+            raise ValueError(f"{fname} takes {fn.nin} argument(s), got {len(args)}")
+        return lambda env, a=tuple(args), f=fn: f(*[arg(env) for arg in a])
+
+
+def _one_term(chain, m: int):
+    """Kernel.factors of a * / chain whose links each read one x-variable or
+    none, else None: the constant links' chain is the coefficient, and the
+    chain of the links that read x_j is f_j, None where there are none."""
+    names = [f"x{j + 1}" for j in range(m)]
+    if chain is None or any(len(read) > 1 or not read <= set(names) for _, _, read in chain):
+        return None
+    constants = [link for link in chain if not link[2]]
+    with np.errstate(all="ignore"):
+        coef = float(_chain_node(constants)({})) if constants else 1.0
+    fs = []
+    for name in names:
+        links = [link for link in chain if name in link[2]]
+        fs.append((lambda x, _node=_chain_node(links), _name=name: _node({_name: x}))
+                  if links else None)
+    return ((coef, tuple(fs)),)
 
 
 def kernel_from_expression(
@@ -773,6 +755,10 @@ def kernel_from_expression(
     IEEE: division by zero and invalid powers propagate inf/nan rather
     than raising.
 
+    A scalar expression that is one * / chain at the top level, each factor
+    reading one x-variable or none, carries it as one factor term (see
+    Kernel and _one_term), as 3 * x1 * x2 and x1 / 2 * x2 * x1 do.
+
     An expression that is one * / chain at the top level, with every
     factor reading either no i-variable or no x-variable, at least one
     factor reading an x-variable and one an i-variable, carries a split
@@ -786,8 +772,7 @@ def kernel_from_expression(
     ivars = {f"i{j + 1}" for j in range(m)}
     parser = _Parser(text, xvars | ivars)
     node = parser.parse()
-    used_ivars = sorted(parser.used & ivars)
-    weighted = bool(used_ivars)
+    weighted = bool(parser.used & ivars)
     codomain = codomain if codomain is not None else real_line()
 
     def body(xs, idx, _node=node, _m=m):
@@ -816,18 +801,27 @@ def kernel_from_expression(
         symmetric=symmetric,
         codomain=codomain,
         name=f"expr:{text}",
+        factors=_one_term(parser.chain, m) if codomain.dimension == 1 else None,
         split=split,
     )
 
 
 def kernel_from_config(d: dict) -> Kernel:
-    """Build a kernel from a JSON-style mapping (builtin name or expression)."""
-    m = int(d.get("m", 2))
+    """Build a kernel from a JSON-style mapping: a builtin "name" and its
+    parameters, or an "expr" and "symmetric"; "m" (default 2) is the arity.
+    Any other key, a non-integer m or a non-boolean flag is a ValueError."""
+    if ("name" in d) == ("expr" in d):
+        raise ValueError("kernel config needs exactly one of a builtin 'name' and an 'expr'")
+    m = d.get("m", 2)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if "name" in d:
         params = {k: v for k, v in d.items() if k not in ("name", "m")}
         return builtin_kernel(d["name"], m, **params)
-    if "expr" in d:
-        return kernel_from_expression(
-            d["expr"], m, symmetric=bool(d.get("symmetric", False))
-        )
-    raise ValueError("kernel config needs a builtin 'name' or an 'expr'")
+    for key in d:
+        if key not in ("expr", "m", "symmetric"):
+            raise ValueError(f"unknown key {key!r} for an expression kernel")
+    symmetric = d.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ValueError(f"symmetric must be true or false, got {symmetric!r}")
+    return kernel_from_expression(d["expr"], m, symmetric=symmetric)

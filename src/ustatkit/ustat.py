@@ -25,9 +25,11 @@ one cumulative sum per position and term, so U_n = sum_t coef_t E_m^t[n]
 costs O(m B N) work per term instead of B C(N, m) kernel evaluations.
 Non-symmetric products are covered, since position j only ever sees f_j.
 prefix_values takes this path whenever m >= 2, the kernel carries factors
-(which only a scalar kernel that reads no index can) and the block's
-first N columns are all finite; a block with inf or NaN, or a result that
-comes out non-finite, goes to the engine, which stays the reference.
+(which only a scalar kernel that reads no index can: a compiled one-term
+* / chain such as the builtin product, centered-product or 3 * x1 * x2, or
+a form declared by hand) and the block's first N columns are all finite;
+a block with inf or NaN, or a result that comes out non-finite, goes to
+the engine, which stays the reference.
 Arity 1 stays on the engine too: its compensated sum of one summand per
 step stays accurate up to the cap, N = 10^8, where the blocked sums below
 could err by 2e-12 of sum |h|.
@@ -38,7 +40,8 @@ totals), so it errs by at most about 2 sqrt(N) u of the sum of its terms'
 absolute values (u = 2^-53), against N u for one plain running sum.  On
 integer-valued data every product and partial sum is an exact integer
 (below 2^53), so the result is bit-equal to the engine's.  On other data,
-for a one-term kernel such as the product, at every n and to first order,
+for a one-term kernel such as the product, at every n and to first order
+(a factor that joins links, as in x1 / 2 * x2 * x1, adds a few u per |h|),
 
     |U_fast - U_engine| <= (2 m (sqrt(N) + 2) + log2 N + 4) u
                            * sum over tuples up to n of |h|,

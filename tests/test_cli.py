@@ -496,6 +496,28 @@ def test_experiment_non_finite_law_or_space_exits_2(tmp_path, capsys, field, val
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kernel,key", [
+    # once run as a non-symmetric kernel: holder blamed the symmetry, and
+    # deviation took the all-subsets bound
+    ({"expr": "x1 * x2", "symetric": True}, "'symetric'"),
+    ({"expr": "x1 * x2", "symmetric": "yes"}, "symmetric"),
+    ({"name": "product", "m": 2, "mu": 0.5}, "'mu'"),  # was dropped
+    ({"name": "product", "expr": "x1 + x2"}, "'expr'"),  # name won
+    ({"name": "product", "m": 2.7}, "m must be an integer"),  # was m = 2
+    # was "an all-but-one conditional mean is nonzero"
+    ({"name": "centered-product", "m": 2, "mu": math.nan}, "mu must be finite"),
+], ids=["misspelt-key", "non-bool-symmetric", "mu-on-product", "name-and-expr",
+        "fractional-m", "nan-mu"])
+def test_experiment_malformed_kernel_exits_2(tmp_path, capsys, kernel, key):
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "kernel": kernel})
+    out_dir = tmp_path / "o"
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert "config error: kernel:" in err and key in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("inner", 1), ("outer", 0), ("outer", 1), ("outer", -1),
 ])

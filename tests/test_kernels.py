@@ -65,6 +65,88 @@ def test_unknown_builtin_rejected():
         builtin_kernel("nope", 2)
 
 
+def test_builtin_parameters_are_checked():
+    with pytest.raises(ValueError, match="'mu'"):
+        builtin_kernel("product", 2, mu=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            builtin_kernel("centered-product", 2, mu=bad)
+
+
+# The hand-written bodies the zoo had before it became expression text;
+# the compiled zoo must keep their bits.
+def _old_product(xs, idx):
+    out = xs[0]
+    for x in xs[1:]:
+        out = out * x
+    return out
+
+
+def _old_sum(xs, idx):
+    out = xs[0]
+    for x in xs[1:]:
+        out = out + x
+    return out
+
+
+def _old_centered(mu):
+    def centered(xs, idx):
+        out = xs[0] - mu
+        for x in xs[1:]:
+            out = out * (x - mu)
+        return out
+
+    return centered
+
+
+_OLD_BODIES = {
+    "product": lambda mu: _old_product,
+    "sum": lambda mu: _old_sum,
+    "centered-product": _old_centered,
+    "covariance": lambda mu: lambda xs, idx: 0.5 * (xs[0] - xs[1]) ** 2,
+    "sign": lambda mu: lambda xs, idx: np.sign(xs[1] - xs[0]),
+}
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1.5, -2.0])
+
+
+def _law_values(law, rng, size):
+    if law == "gaussian":
+        return rng.normal(size=size)
+    if law == "uniform":
+        return rng.uniform(-1.0, 2.0, size=size)
+    if law == "finite":
+        return rng.choice([-2.0, 0.0, 1.0, 3.0], size=size)
+    return rng.choice(_SPECIAL, size=size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_OLD_BODIES)),
+    m=st.integers(min_value=1, max_value=4),
+    law=st.sampled_from(["gaussian", "uniform", "finite", "special"]),
+    mu=st.floats(allow_nan=False, allow_infinity=False),
+    size=st.integers(min_value=0, max_value=60),
+    conditioned=st.integers(min_value=0, max_value=15),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_builtins_keep_the_bits_of_their_old_bodies(name, m, law, mu, size,
+                                                    conditioned, seed):
+    if name in ("covariance", "sign"):
+        m = 2
+    params = {"mu": mu} if name == "centered-product" else {}
+    new = builtin_kernel(name, m, **params)
+    old = Kernel(m, _OLD_BODIES[name](mu))
+    rng = np.random.default_rng(seed)
+    cols = [_law_values(law, rng, size) for _ in range(m)]
+    positions = [j for j in range(m) if conditioned >> j & 1]
+    outer = _law_values(law, rng, (size % 7, len(positions)))
+    inner = _law_values(law, rng, (size % 7, 5, m - len(positions)))
+    with np.errstate(all="ignore"):
+        assert evaluate_batch(new, cols).tobytes() == evaluate_batch(old, cols).tobytes()
+        assert (evaluate_nested(new, positions, outer, inner).tobytes()
+                == evaluate_nested(old, positions, outer, inner).tobytes())
+
+
 def test_kernel_arity_validation():
     with pytest.raises(ValueError):
         Kernel(0, lambda xs, idx: xs[0])
@@ -200,29 +282,78 @@ def test_split_only_on_an_index_weighted_kernel():
 # batch evaluation
 
 
+def _rule_kernel(kernel):
+    """A builtin at m = 2 (centered-product at mu = 0.5), a vector-valued
+    x1 * x2, or a compiled expression of arity 2."""
+    if kernel in ("product", "sum", "covariance", "sign"):
+        return builtin_kernel(kernel, 2)
+    if kernel == "centered-product":
+        return builtin_kernel(kernel, 2, mu=0.5)
+    if kernel == "vector":
+        space = BanachSpaceDescriptor(dimension=2, norm_exponent=2.0)
+        return kernel_from_expression("x1 * x2", 2, codomain=space)
+    return kernel_from_expression(kernel, 2)
+
+
+# the one-term rule: kernel -> (coefficient, which of x1, x2 carry a
+# factor), or None where the kernel declares no factors
+_FACTOR_RULE = {
+    "product": (1.0, (True, True)),
+    "x1 * x2": (1.0, (True, True)),
+    "3 * x1 * x2": (3.0, (True, True)),
+    "x1 / 2 * x2 * x1": (0.5, (True, True)),
+    "exp(x1) * abs(x2)": (1.0, (True, True)),
+    "centered-product": (1.0, (True, True)),
+    "x2 / 4": (0.25, (False, True)),
+    "sum": None,
+    "covariance": None,
+    "sign": None,
+    "x1 * x2 + x1": None,
+    "(x1 - x2) ^ 2": None,
+    "x1 * x2 * i1": None,
+    "vector": None,
+}
+
+
+@pytest.mark.parametrize("kernel", list(_FACTOR_RULE))
+def test_factor_rule(kernel):
+    # one term only: a sum of terms can cancel (covariance as x^2/2 +
+    # y^2/2 - x*y), and the separable path's error scales with the terms
+    h = _rule_kernel(kernel)
+    want = _FACTOR_RULE[kernel]
+    if want is None:
+        assert h.factors is None
+        return
+    ((coef, fs),) = h.factors
+    assert coef == want[0]
+    assert tuple(f is not None for f in fs) == want[1]
+
+
+def _one_term_kernels(m):
+    """The one-term kernels of the rule table at m = 2, and at any m the
+    two builtins and two compiled chains of arity m."""
+    if m == 2:
+        yield from (_rule_kernel(kernel) for kernel, want in _FACTOR_RULE.items() if want)
+    yield builtin_kernel("product", m)
+    yield builtin_kernel("centered-product", m, mu=-1.0 / 3.0)
+    yield kernel_from_expression(" * ".join(["3"] + [f"x{j + 1}" for j in range(m)]), m)
+    yield kernel_from_expression(" * ".join(f"exp(x{j + 1}) / 2" for j in range(m)), m)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_product_factors_multiply_to_the_body(m):
-    h = builtin_kernel("product", m)
     rng = np.random.default_rng(3)
     cols = [rng.normal(size=200) for _ in range(m)]
-    ((coef, fs),) = h.factors
-    assert len(fs) == m
-    term = np.full(200, coef)
-    for f, x in zip(fs, cols):
-        term = term * f(x)
-    np.testing.assert_allclose(term, evaluate_batch(h, cols), rtol=1e-15)
-
-
-@pytest.mark.parametrize("name", ["sum", "centered-product", "covariance", "sign"])
-def test_only_the_product_declares_factors(name):
-    # a sum of terms can cancel (covariance as x^2/2 + y^2/2 - x*y), and
-    # the separable path's error scales with the terms, not with |h|
-    assert builtin_kernel(name, 2).factors is None
-
-
-@pytest.mark.parametrize("text", ["3 * x1 * x2", "x1 * x2", "x1 * x2 + x1"])
-def test_compiled_expressions_declare_no_factors(text):
-    assert kernel_from_expression(text, 2).factors is None
+    for h in _one_term_kernels(m):
+        ((coef, fs),) = h.factors
+        assert len(fs) == m
+        term = np.full(200, coef)
+        for f, x in zip(fs, cols):
+            if f is not None:
+                term = term * f(x)
+        # the factors regroup the body's chain, a few roundings apart
+        np.testing.assert_allclose(term, evaluate_batch(h, cols), rtol=1e-14,
+                                   err_msg=h.name)
 
 
 def test_factors_only_on_scalar_index_free_kernels():

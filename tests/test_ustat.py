@@ -388,27 +388,21 @@ def _identity(x):
     return x
 
 
-def _minus_one(x):
-    return x - 1.0
-
-
-# (expression, arity, its factors as a user would declare them, integer
-# on integer data); the builtin product is the case of arity m
+# the kernels of several terms, with their factors as a user would declare
+# them; every other kernel below is one * / chain and declares its own
 _DECLARED = {
-    "3*x1*x2": (2, ((3.0, (_identity, _identity)),), True),
-    "(x1 - 1) * exp(x2)": (2, ((1.0, (_minus_one, np.exp)),), False),
-    "x1*x2 + x1": (2, ((1.0, (_identity, _identity)), (1.0, (_identity, None))), True),
-    "exp(-abs(x1)) * exp(-abs(x2))":
-        (2, ((1.0, (lambda x: np.exp(-np.abs(x)),) * 2),), False),
-    "exp(x1) * exp(x2) - exp(x2)": (2, ((1.0, (np.exp, np.exp)), (-1.0, (None, np.exp))), False),
+    "x1*x2 + x1": ((1.0, (_identity, _identity)), (1.0, (_identity, None))),
+    "exp(x1) * exp(x2) - exp(x2)": ((1.0, (np.exp, np.exp)), (-1.0, (None, np.exp))),
 }
+# the kernels whose sums are exact on integer data
+_EXACT_ON_INTEGERS = {"product", "3*x1*x2", "x1 / 2 * x2 * x1", "x1*x2 + x1"}
 
 
 def _fast_path_kernel(name, m):
     if name == "product":
         return builtin_kernel(name, m)
-    arity, factors, _ = _DECLARED[name]
-    return replace(kernel_from_expression(name, arity), factors=factors)
+    h = kernel_from_expression(name, 2)
+    return replace(h, factors=_DECLARED[name]) if name in _DECLARED else h
 
 
 def _draw_block(law, rows, n, rng):
@@ -436,7 +430,8 @@ def _abs_kernel(h):
     law=st.sampled_from(["gaussian", "offset-gaussian", "uniform", "three-atom",
                          "rademacher"]),
     m=st.integers(min_value=1, max_value=3),
-    kernel=st.sampled_from(["product", "3*x1*x2", "(x1 - 1) * exp(x2)", "x1*x2 + x1"]),
+    kernel=st.sampled_from(["product", "3*x1*x2", "(x1 - 1) * exp(x2)", "x1 / 2 * x2 * x1",
+                            "x1*x2 + x1"]),
     rows=st.sampled_from([1, 2, 7, 40]),
     extra=st.integers(min_value=0, max_value=36),
     fortran=st.booleans(),
@@ -449,7 +444,7 @@ def test_separable_path_matches_generic_engine(law, m, kernel, rows, extra,
     h = _fast_path_kernel(kernel, m)
     m = h.arity
     one_term = len(h.factors) == 1
-    integer_valued = kernel == "product" or _DECLARED[kernel][2]
+    integer_valued = kernel in _EXACT_ON_INTEGERS
     # several terms can cancel on continuous data (see Kernel), so the
     # bound below is for one term; on integer data every sum is exact
     assume(one_term or law in ("three-atom", "rademacher"))

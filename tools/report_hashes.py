@@ -36,7 +36,9 @@ _GAUSSIAN = {"family": "gaussian"}
 # the order-d bound on a sampled law.  weighted-gauss's kernel splits into
 # a weight times one index-free kernel, so its bound takes the factored
 # branch; the weighted-generic line is a sum of two such kernels, which
-# never splits, and keeps the tiled per-tuple path in view.
+# never splits, and keeps the tiled per-tuple path in view.  The scaled
+# line's `3 * x1 * x2` is a compiled one-term chain, so it takes the
+# separable prefix path with the factors the compiler derives.
 # The Gaussian ones also draw through the ziggurat sampler, which reads
 # the stream differently from the Rademacher integers.
 OFF_RADEMACHER = {
@@ -74,6 +76,11 @@ OFF_RADEMACHER = {
         "kernel": _PRODUCT, "distribution": _GAUSSIAN,
         "experiment": "order-d-deviation", "p": 2.0, "d": 2,
         "n_grid": [8, 16, 32], "replications": 1000, "seed": 5,
+    },
+    "gauss-scaled-deviation": {
+        "kernel": {"expr": "3 * x1 * x2", "m": 2, "symmetric": True},
+        "distribution": _GAUSSIAN, "experiment": "deviation",
+        "n_grid": [8, 16, 32], "replications": 3000, "seed": 5,
     },
 }
 
