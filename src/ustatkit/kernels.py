@@ -26,7 +26,7 @@ the block, or the thread, that asked for it.
 from __future__ import annotations
 
 import hashlib
-import operator
+import numbers
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -552,9 +552,9 @@ _ZOO = {
 def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
     """Compile a kernel of the builtin zoo (_ZOO) from its expression text.
 
-    product and centered-product, (x1 - mu) * ... * (xm - mu) with a finite
-    mu (default 0), are degenerate of full order under a law of mean 0 and
-    mu respectively; sum is never degenerate beyond order 1; covariance and
+    product and centered-product, (x1 - mu) * ... * (xm - mu) with mu a
+    finite real number (default 0), are degenerate of full order under a
+    law of mean 0 and mu respectively; sum is never degenerate beyond order 1; covariance and
     sign have arity 2, and sign(x2 - x1) is antisymmetric, so its symmetric
     flag is off.  Only centered-product takes a parameter; any other is a
     ValueError naming it.
@@ -562,14 +562,17 @@ def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
     if name not in _ZOO:
         raise ValueError(f"unknown builtin kernel {name!r}")
     spec = _ZOO[name]
-    values = {key: float(params.pop(key, default)) for key, default in spec.params.items()}
+    values = {key: params.pop(key, default) for key, default in spec.params.items()}
     if params:
         raise ValueError(f"unknown key {min(params)!r} for builtin kernel {name!r}")
     if spec.arity is not None and m != spec.arity:
         raise ValueError(f"{name} kernel has arity {spec.arity}")
     for key, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
+        # a bool is an int to Python, and NaN passes json.loads
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not np.isfinite(value)):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        values[key] = float(value)
     return kernel_from_expression(spec.text(m, **values), m, symmetric=spec.symmetric)
 
 
@@ -582,17 +585,23 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_FUNCS = {"abs": np.abs, "sign": np.sign, "exp": np.exp, "min": np.minimum, "max": np.maximum}
+_UNARY_FUNCS = {"abs": np.abs, "sign": np.sign, "exp": np.exp}
+_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens, pos = [], 0
+    tokens = []
+    pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ValueError(f"unexpected character at position {pos}: {text[pos]!r}")
-        tokens.append((match.lastgroup, match.group(match.lastgroup)))
+        if match.lastgroup == "num":
+            tokens.append(("num", match.group("num")))
+        elif match.lastgroup == "name":
+            tokens.append(("name", match.group("name")))
+        else:
+            tokens.append(("op", match.group("op")))
         pos = match.end()
     tokens.append(("end", ""))
     return tokens
@@ -607,8 +616,10 @@ def _chain_node(chain):
     for op, factor, _ in chain:
         if node is None:
             node = factor if op == "*" else (lambda env, b=factor: 1.0 / b(env))
+        elif op == "*":
+            node = (lambda env, a=node, b=factor: a(env) * b(env))
         else:
-            node = (lambda env, a=node, b=factor, f=_BINARY_OPS[op]: f(a(env), b(env)))
+            node = (lambda env, a=node, b=factor: a(env) / b(env))
     return node
 
 
@@ -650,9 +661,12 @@ class _Parser:
     def additive(self):
         node = self.multiplicative()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = _BINARY_OPS[self.advance()[1]]
+            op = self.advance()[1]
             rhs = self.multiplicative()
-            node = (lambda env, a=node, b=rhs, f=op: f(a(env), b(env)))
+            if op == "+":
+                node = (lambda env, a=node, b=rhs: a(env) + b(env))
+            else:
+                node = (lambda env, a=node, b=rhs: a(env) - b(env))
             self.chain = None
         return node
 
@@ -677,7 +691,8 @@ class _Parser:
     def unary(self):
         if self.peek() == ("op", "-"):
             self.advance()
-            return lambda env, a=self.unary(): -a(env)
+            inner = self.unary()
+            return lambda env, a=inner: -a(env)
         if self.peek() == ("op", "+"):
             self.advance()
             return self.unary()
@@ -687,13 +702,15 @@ class _Parser:
         base = self.primary()
         if self.peek() == ("op", "^"):
             self.advance()
-            return lambda env, a=base, b=self.unary(): np.power(a(env), b(env))
+            exponent = self.unary()
+            return lambda env, a=base, b=exponent: np.power(a(env), b(env))
         return base
 
     def primary(self):
         kind, text = self.advance()
         if kind == "num":
-            return lambda env, v=np.float64(text): v
+            value = np.float64(text)
+            return lambda env, v=value: v
         if kind == "name":
             if self.peek() == ("op", "("):
                 return self.call(text)
@@ -715,12 +732,17 @@ class _Parser:
             self.advance()
             args.append(self.additive())
         self.expect_op(")")
-        if fname not in _FUNCS:
-            raise ValueError(f"unknown function {fname!r}")
-        fn = _FUNCS[fname]
-        if len(args) != fn.nin:
-            raise ValueError(f"{fname} takes {fn.nin} argument(s), got {len(args)}")
-        return lambda env, a=tuple(args), f=fn: f(*[arg(env) for arg in a])
+        if fname in _UNARY_FUNCS:
+            if len(args) != 1:
+                raise ValueError(f"{fname} takes one argument")
+            fn = _UNARY_FUNCS[fname]
+            return lambda env, a=args[0], f=fn: f(a(env))
+        if fname in _BINARY_FUNCS:
+            if len(args) != 2:
+                raise ValueError(f"{fname} takes two arguments")
+            fn = _BINARY_FUNCS[fname]
+            return lambda env, a=args[0], b=args[1], f=fn: f(a(env), b(env))
+        raise ValueError(f"unknown function {fname!r}")
 
 
 def _one_term(chain, m: int):
@@ -772,7 +794,8 @@ def kernel_from_expression(
     ivars = {f"i{j + 1}" for j in range(m)}
     parser = _Parser(text, xvars | ivars)
     node = parser.parse()
-    weighted = bool(parser.used & ivars)
+    used_ivars = sorted(parser.used & ivars)
+    weighted = bool(used_ivars)
     codomain = codomain if codomain is not None else real_line()
 
     def body(xs, idx, _node=node, _m=m):

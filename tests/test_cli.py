@@ -505,9 +505,13 @@ def test_experiment_non_finite_law_or_space_exits_2(tmp_path, capsys, field, val
     ({"name": "product", "expr": "x1 + x2"}, "'expr'"),  # name won
     ({"name": "product", "m": 2.7}, "m must be an integer"),  # was m = 2
     # was "an all-but-one conditional mean is nonzero"
-    ({"name": "centered-product", "m": 2, "mu": math.nan}, "mu must be finite"),
+    ({"name": "centered-product", "m": 2, "mu": math.nan}, "mu must be a finite number"),
+    # was float("0.5") and float(True), or a message without the key
+    ({"name": "centered-product", "m": 2, "mu": "0.5"}, "mu must be a finite number"),
+    ({"name": "centered-product", "m": 2, "mu": True}, "mu must be a finite number"),
+    ({"name": "centered-product", "m": 2, "mu": "half"}, "mu must be a finite number"),
 ], ids=["misspelt-key", "non-bool-symmetric", "mu-on-product", "name-and-expr",
-        "fractional-m", "nan-mu"])
+        "fractional-m", "nan-mu", "string-mu", "bool-mu", "word-mu"])
 def test_experiment_malformed_kernel_exits_2(tmp_path, capsys, kernel, key):
     cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "kernel": kernel})
     out_dir = tmp_path / "o"

@@ -68,9 +68,13 @@ def test_unknown_builtin_rejected():
 def test_builtin_parameters_are_checked():
     with pytest.raises(ValueError, match="'mu'"):
         builtin_kernel("product", 2, mu=1.0)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="mu must be finite"):
+    for bad in (np.nan, np.inf, -np.inf, "0.5", True, None):
+        with pytest.raises(ValueError, match="mu must be a finite number"):
             builtin_kernel("centered-product", 2, mu=bad)
+    # any real number is written into the text as its float
+    for good in (1, np.float64(1.0), np.int64(1)):
+        assert (builtin_kernel("centered-product", 2, mu=good).name
+                == "expr:(x1 - 1.0) * (x2 - 1.0)")
 
 
 # The hand-written bodies the zoo had before it became expression text;
@@ -303,6 +307,7 @@ _FACTOR_RULE = {
     "3 * x1 * x2": (3.0, (True, True)),
     "x1 / 2 * x2 * x1": (0.5, (True, True)),
     "exp(x1) * abs(x2)": (1.0, (True, True)),
+    "exp(-abs(x1)) * exp(-abs(x2))": (1.0, (True, True)),
     "centered-product": (1.0, (True, True)),
     "x2 / 4": (0.25, (False, True)),
     "sum": None,
@@ -352,7 +357,7 @@ def test_product_factors_multiply_to_the_body(m):
             if f is not None:
                 term = term * f(x)
         # the factors regroup the body's chain, a few roundings apart
-        np.testing.assert_allclose(term, evaluate_batch(h, cols), rtol=1e-14,
+        np.testing.assert_allclose(term, evaluate_batch(h, cols), rtol=1e-15,
                                    err_msg=h.name)
 
 

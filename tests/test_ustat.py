@@ -402,7 +402,12 @@ def _fast_path_kernel(name, m):
     if name == "product":
         return builtin_kernel(name, m)
     h = kernel_from_expression(name, 2)
-    return replace(h, factors=_DECLARED[name]) if name in _DECLARED else h
+    if name in _DECLARED:
+        return replace(h, factors=_DECLARED[name])
+    # else replace(h, factors=None) below would be h, and the engine would
+    # be compared with itself
+    assert h.factors is not None
+    return h
 
 
 def _draw_block(law, rows, n, rng):
