@@ -1,15 +1,15 @@
 """Deterministic fan-out over work items.
 
-It has two uses.  The harness maps over blocks of replications whose
-bounds depend only on the horizon N and the kernel arity m, and the Holder
-pair scan (holder.holder_norms) maps over fixed chunks of 128 path rows;
-neither ever depends on the thread count, and each item is a few large
-numpy calls, or one per lag, that release the interpreter lock.  Results
-come back in index order no matter how many workers run, so any
-reduction applied afterwards sees a fixed operand order and experiment
-output is independent of the thread count.  No more workers start than
-there are items or usable cores: between those calls Python holds the
-interpreter lock, and extra workers only trade it back and forth.
+It has one use: the Holder pair scan (holder.holder_norms) maps over fixed
+chunks of 128 path rows, whose bounds never depend on the thread count,
+and each chunk runs one large numpy call per lag, which releases the
+interpreter lock.  Every other stage runs in the calling thread: between
+its numpy calls Python holds the lock, and a second thread measured
+slower than one.  Results come back in index order no matter how many
+workers run, so any reduction applied afterwards sees a fixed operand
+order and experiment output is independent of the thread count.  No more
+workers start than there are items or usable cores, since extra workers
+only trade the lock back and forth.
 """
 
 from __future__ import annotations

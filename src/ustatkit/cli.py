@@ -40,7 +40,7 @@ from .harness import (
 )
 from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
-from .kernels import Distribution, kernel_from_config, stream
+from .kernels import Distribution, json_int, kernel_from_config, stream
 from .spaces import BanachSpaceDescriptor
 from .ustat import EvaluationBudgetError, complete_ustat
 from ._parallel import resolve_threads
@@ -245,7 +245,7 @@ class RunManifest:
 def _effective_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
-    seed = config_field(raw, "seed", int, 0)
+    seed = config_field(raw, "seed", json_int, 0)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {seed}")
     return seed
@@ -267,7 +267,7 @@ def _load_sample(raw: dict, seed: int) -> np.ndarray:
         return np.asarray(sample, dtype=np.float64).ravel()
     if "distribution" in raw:
         dist = config_field(raw, "distribution", Distribution.from_dict)
-        n = config_field(raw, "n", int)
+        n = config_field(raw, "n", json_int)
         if n < 0:
             raise ConfigError(f"n: must be nonnegative, got {n}")
         return dist.sample(stream(seed, "compute-sample"), n)
@@ -326,7 +326,7 @@ def cmd_decompose(args) -> int:
     _check_threads(args.threads)
     inner = config_field(raw, "inner", nested_draws, 1024)
     outer = config_field(raw, "outer", nested_draws, 256)
-    level = config_field(raw, "level", int, None)
+    level = config_field(raw, "level", json_int, None)
     check_fields(raw, {"kernel", "distribution", "space", "seed", "inner", "outer", "level"})
     if level is not None and not kernel.symmetric:
         raise ConfigError("level: level projections need a symmetric kernel")

@@ -30,14 +30,15 @@ Experiments draw through per-replication streams derived from the master
 seed: replication r reads its sample from the stream of (seed, *path, r).
 Trajectories are simulated in blocks of replications whose size depends
 only on the horizon N and the arity m, one prefix-engine call per block,
-and worker threads map over whole blocks.  A block derives all its rows'
-Philox keys in one stream_keys pass and re-keys one bit generator of its
-own per row (kernels.streams), which draws exactly what stream(seed, *path,
-r) would.  Every row of a block is bit-identical to the trajectory of that
-replication alone, so a report is bit-for-bit reproducible for a fixed
-config and depends neither on the worker thread count nor on the block
-size.  The Holder experiment's pair scan maps fixed row chunks of each
-horizon's paths over the same workers (holder.holder_norms).
+and the blocks run in order in the calling thread.  A block derives all
+its rows' Philox keys in one stream_keys pass and re-keys one bit
+generator of its own per row (kernels.streams), which draws exactly what
+stream(seed, *path, r) would.  Every row of a block is bit-identical to
+the trajectory of that replication alone, so a report is bit-for-bit
+reproducible for a fixed config and does not depend on the block size.
+The one stage on worker threads is the Holder pair scan
+(holder.holder_norms), over fixed row chunks of each horizon's paths, so
+no report depends on the thread count either.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, incomplete_moment_experiment
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, streams,
+    Distribution, Kernel, evaluate_batch, evaluate_nested, json_int, kernel_from_config, streams,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
@@ -72,7 +73,6 @@ from .tails import (
     tail_integral,
     weak_lp_norm,
 )
-from ._parallel import parallel_map
 from .ustat import completion_weight, prefix_values
 
 __all__ = [
@@ -158,7 +158,7 @@ def kernel_space(kernel: Kernel, space: BanachSpaceDescriptor | None) -> BanachS
 
 def nested_draws(draws) -> int:
     """An inner or outer Monte Carlo budget: an int of at least 2."""
-    draws = int(draws)
+    draws = json_int(draws)
     if draws < 2:
         raise ValueError(f"nested estimates need at least 2 draws, got {draws}")
     return draws
@@ -171,8 +171,8 @@ class ExperimentConfig:
     Grids are tuples; `grid` holds (n, p_n) pairs and only feeds the
     incomplete-moment experiment.  `q` defaults to p where a bound leaves it
     free.  `replications` drives tail frequencies and path statistics,
-    `moment_replications` drives moment estimates.  `threads = None` defers
-    to the USTAT_THREADS environment variable, then to 1.
+    `moment_replications` drives moment estimates.  `threads` is the Holder
+    pair scan's worker count; None defers to USTAT_THREADS, then to 1.
     """
 
     kernel: Kernel
@@ -268,12 +268,12 @@ class ExperimentConfig:
         "kernel": kernel_from_config, "distribution": Distribution.from_dict,
         "space": BanachSpaceDescriptor.from_dict, "design": SamplingDesign.from_dict,
         "experiment": lambda name: name,
-        "p": float, "q": float, "d": int, "alpha": float, "gamma": float, "eps": float,
-        "t_points": int, "replications": int, "moment_replications": int,
-        "inner": int, "outer": int, "seed": int, "threads": int, "stability_factor": float,
+        "p": float, "q": float, "alpha": float, "gamma": float, "eps": float, "stability_factor": float,
+        "d": json_int, "t_points": json_int, "seed": json_int, "threads": json_int, "inner": json_int,
+        "outer": json_int, "replications": json_int, "moment_replications": json_int,
         "t_grid": lambda ts: tuple(float(t) for t in ts),
-        "n_grid": lambda ns: tuple(int(n) for n in ns),
-        "grid": lambda cells: tuple((int(float(n)), float(rate)) for n, rate in cells),
+        "n_grid": lambda ns: tuple(json_int(n) for n in ns),
+        "grid": lambda cells: tuple((json_int(n), float(rate)) for n, rate in cells),
     }
     _KEYS = frozenset(_BUILDERS)
 
@@ -342,11 +342,11 @@ def _certify_order(config: ExperimentConfig, space: BanachSpaceDescriptor):
 
 
 def _block_rows(n: int, m: int) -> int:
-    """Replications per block at horizon n; never depends on the threads."""
+    """Replications per block at horizon n, from n and m alone."""
     return max(1, _BLOCK_ELEMENTS // max(n, comb(n - 1, m - 1)))
 
 
-def _simulate(h, dist, n, replications, seed, path, threads, reduce):
+def _simulate(h, dist, n, replications, seed, path, reduce):
     """Trajectory statistics of every replication, in replication order.
 
     Replication r draws n points from the stream of (seed, *path, r); a
@@ -354,16 +354,14 @@ def _simulate(h, dist, n, replications, seed, path, threads, reduce):
     generator of its own.  Each block of replications runs through the
     prefix engine once, and reduce(trajectories, samples) turns the block
     into a tuple of arrays with one row per replication; the blocks' arrays
-    are stacked in order.
+    are stacked in order.  The blocks run in the calling thread.
     """
     rows = _block_rows(n, h.arity)
-
-    def one(block: int) -> tuple:
-        reps = np.arange(block * rows, min((block + 1) * rows, replications))
+    blocks = []
+    for start in range(0, replications, rows):
+        reps = np.arange(start, min(start + rows, replications))
         sample = np.vstack([dist.sample(rng, n) for rng in streams(seed, *path, reps)])
-        return reduce(prefix_values(h, sample, n), sample)
-
-    blocks = parallel_map(one, -(-replications // rows), threads)
+        blocks.append(reduce(prefix_values(h, sample, n), sample))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -372,7 +370,7 @@ def _row_norms(space: BanachSpaceDescriptor, traj: np.ndarray) -> np.ndarray:
     return space.norms(traj.reshape((-1,) + traj.shape[2:])).reshape(traj.shape[:2])
 
 
-def _max_norm_matrix(h, dist, n_grid, replications, seed, threads, space, tag):
+def _max_norm_matrix(h, dist, n_grid, replications, seed, space, tag):
     """One row per replication of max_{m<=k<=N} ||U_k|| at each horizon."""
     m = h.arity
     cols = np.asarray(n_grid, dtype=np.int64) - m
@@ -381,8 +379,7 @@ def _max_norm_matrix(h, dist, n_grid, replications, seed, threads, space, tag):
         running = np.maximum.accumulate(_row_norms(space, traj[:, m:]), axis=1)
         return (running[:, cols],)
 
-    (maxima,) = _simulate(h, dist, max(n_grid), replications, seed, (tag,),
-                          threads, reduce)
+    (maxima,) = _simulate(h, dist, max(n_grid), replications, seed, (tag,), reduce)
     return maxima
 
 
@@ -451,7 +448,7 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
 
     deg = _certify_all_but_one(config, space)
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              config.seed, config.threads, space, "deviation")
+                              config.seed, space, "deviation")
     t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
         maxima[:, -1], config.t_points)
 
@@ -677,7 +674,7 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
             raise ConfigError(f"kernel: {shown} certifies inconclusive; raise inner/outer")
 
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              seed, config.threads, space, "deviation")
+                              seed, space, "deviation")
     t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
         maxima[:, -1], config.t_points)
     t_arr = np.asarray(t_grid, dtype=np.float64)
@@ -812,7 +809,7 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
 
     lhs_expo = m - d + d / p
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              config.seed, config.threads, space, "order-d")
+                              config.seed, space, "order-d")
     if config.t_grid is not None:
         t_grid = config.t_grid
     else:
@@ -877,8 +874,7 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
     deg = _certify_all_but_one(config, space)
 
     reps = config.moment_replications
-    maxima = _max_norm_matrix(h, dist, n_grid, reps,
-                              config.seed, config.threads, space, "moment")
+    maxima = _max_norm_matrix(h, dist, n_grid, reps, config.seed, space, "moment")
     moment_p = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     if q == p:
@@ -990,7 +986,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
         return stats + (suffix[:, ::-1][:, cols],)
 
     sups, terminal, *rate_stats = _simulate(
-        h, dist, n_max, reps, config.seed, ("lln",), config.threads, reduce)
+        h, dist, n_max, reps, config.seed, ("lln",), reduce)
     moment = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     rows = []
@@ -1098,12 +1094,10 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
                 return (traj,)
             return traj, prefix_values(raw_kernel, sample, _n)
 
-        trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n),
-                                         config.threads, reduce)
+        trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n), reduce)
         # the scan's row chunks are not the simulation's blocks: it takes
         # every path of this horizon at once, in fixed chunks of its own
-        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha,
-                              config.threads)
+        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha, config.threads)
         quantile_rows.append({
             "n": int(n),
             "median": float(np.quantile(hnorms, 0.5)),

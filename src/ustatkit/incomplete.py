@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import count_tuples, unrank_many
-from .kernels import Distribution, Kernel, evaluate_batch, stream, streams
+from .kernels import Distribution, Kernel, evaluate_batch, json_int, stream, streams
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor
 from .ustat import (
@@ -147,7 +147,7 @@ class SamplingDesign:
         if variant in ("without_replacement", "with_replacement"):
             if "draws" not in d:
                 raise ValueError(f"{variant} design dict needs key 'draws'")
-            return cls(variant, draws=int(d["draws"]))
+            return cls(variant, draws=json_int(d["draws"], "draws"))
         raise ValueError(f"unknown design variant {variant!r}")
 
 

@@ -829,15 +829,20 @@ def kernel_from_expression(
     )
 
 
+def json_int(value, name: str = "") -> int:
+    """`value` if it is an int and not a bool: a JSON 2.7 or true is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
+    return value
+
+
 def kernel_from_config(d: dict) -> Kernel:
     """Build a kernel from a JSON-style mapping: a builtin "name" and its
     parameters, or an "expr" and "symmetric"; "m" (default 2) is the arity.
     Any other key, a non-integer m or a non-boolean flag is a ValueError."""
     if ("name" in d) == ("expr" in d):
         raise ValueError("kernel config needs exactly one of a builtin 'name' and an 'expr'")
-    m = d.get("m", 2)
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError(f"m must be an integer, got {m!r}")
+    m = json_int(d.get("m", 2), "m")
     if "name" in d:
         params = {k: v for k, v in d.items() if k not in ("name", "m")}
         return builtin_kernel(d["name"], m, **params)

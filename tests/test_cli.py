@@ -449,6 +449,28 @@ def test_decompose_unparsable_budget_exits_2(tmp_path, capsys):
     assert "inner" in err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("compute", "n", 12.5),  # ran as n = 12
+    ("compute", "seed", 1.5),
+    ("compute", "design", {"variant": "without_replacement", "draws": 2.7}),
+    ("decompose", "level", 1.5),  # ran as level 1
+    ("decompose", "inner", 64.5),
+    ("decompose", "outer", True),
+])
+def test_fractional_integer_field_exits_2(tmp_path, capsys, command, field, value):
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"name": "product", "m": 2},
+        "distribution": {"family": "rademacher"},
+        **({"n": 12} if command == "compute" else {}),
+        field: value,
+    })
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith(f"config error: {field}: ")
+    assert "must be an integer" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["compute", "decompose"])
 def test_non_object_kernel_exits_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path, "c.json", {

@@ -64,26 +64,38 @@ def test_from_dict_requires_kernel_and_distribution():
 
 
 def test_field_errors_name_the_field():
-    cases = {
-        "p": dict(p=0.5),
-        "q": dict(q=-1.0),
-        "d": dict(d=3),
-        "alpha": dict(alpha=0.7),
-        "gamma": dict(gamma=-0.1),
-        "eps": dict(eps=0.0),
-        "t_grid": dict(t_grid=[2.0, 1.0]),
-        "n_grid": dict(n_grid=[4, 4]),
-        "grid": dict(grid=[[16, 1.5]]),
-        "t_points": dict(t_points=0),
-        "replications": dict(replications=0),
-        "moment_replications": dict(moment_replications=0),
-        "inner": dict(inner=1),
-        "outer": dict(outer=0),
-        "seed": dict(seed=-1),
-        "threads": dict(threads=0),
-        "stability_factor": dict(stability_factor=0.0),
-    }
-    for field, kw in cases.items():
+    cases = [
+        ("p", dict(p=0.5)),
+        ("q", dict(q=-1.0)),
+        ("d", dict(d=3)),
+        ("alpha", dict(alpha=0.7)),
+        ("gamma", dict(gamma=-0.1)),
+        ("eps", dict(eps=0.0)),
+        ("t_grid", dict(t_grid=[2.0, 1.0])),
+        ("n_grid", dict(n_grid=[4, 4])),
+        ("grid", dict(grid=[[16, 1.5]])),
+        ("t_points", dict(t_points=0)),
+        ("replications", dict(replications=0)),
+        ("moment_replications", dict(moment_replications=0)),
+        ("inner", dict(inner=1)),
+        ("outer", dict(outer=0)),
+        ("seed", dict(seed=-1)),
+        ("threads", dict(threads=0)),
+        ("stability_factor", dict(stability_factor=0.0)),
+        # an integer field takes a JSON integer only: these ran truncated
+        ("seed", dict(seed=1.5)),
+        ("replications", dict(replications=2.7)),
+        ("moment_replications", dict(moment_replications=True)),
+        ("n_grid", dict(n_grid=[8.5, 16])),
+        ("d", dict(d=2.9)),
+        ("threads", dict(threads=True)),
+        ("grid", dict(grid=[[16.7, 0.5]])),
+        ("t_points", dict(t_points=4.0)),
+        ("inner", dict(inner=64.5)),
+        ("outer", dict(outer=False)),
+        ("design", dict(design={"variant": "with_replacement", "draws": 2.7})),
+    ]
+    for field, kw in cases:
         with pytest.raises(ConfigError, match=f"^{field}"):
             make(**kw)
 
@@ -878,45 +890,70 @@ def test_incomplete_moment_through_harness():
     builtin_kernel("product", 2),
     kernel_from_expression("x1 * x2 / (i1 + i2)", 2),
 ])
-def test_max_norm_matrix_independent_of_threads_and_blocks(monkeypatch, kernel):
+def test_max_norm_matrix_independent_of_blocks(monkeypatch, kernel):
     # Gaussian data: every sum carries rounding, so a change in summation
-    # order between block sizes or thread counts would show in the bytes
+    # order between block sizes would show in the bytes
     from ustatkit import harness
     from ustatkit.kernels import stream
     from ustatkit.ustat import running_max_norms
 
     dist = Distribution.gaussian()
     n_grid, reps, seed = (8, 16, 32), 700, 41
-    args = (kernel, dist, n_grid, reps, seed)
-    space = kernel.codomain
+    args = (kernel, dist, n_grid, reps, seed, kernel.codomain, "deviation")
     assert harness._block_rows(32, 2) < reps  # the default spans two blocks
-    base = harness._max_norm_matrix(*args, 1, space, "deviation")
+    base = harness._max_norm_matrix(*args)
     assert base.shape == (reps, len(n_grid))
-    assert harness._max_norm_matrix(*args, 8, space, "deviation").tobytes() == base.tobytes()
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 256)
     assert harness._block_rows(32, 2) == 8
-    for threads in (1, 8):
-        again = harness._max_norm_matrix(*args, threads, space, "deviation")
-        assert again.tobytes() == base.tobytes()
+    assert harness._max_norm_matrix(*args).tobytes() == base.tobytes()
     # row r is replication r simulated on its own
     cols = np.asarray(n_grid) - 2
     for rep in (0, 9, reps - 1):
         sample = dist.sample(stream(seed, "deviation", rep), 32)
-        want = running_max_norms(kernel, sample, 32, space)[cols]
+        want = running_max_norms(kernel, sample, 32, kernel.codomain)[cols]
         assert want.tobytes() == base[rep].tobytes()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_simulate_block_samples_are_the_per_replication_streams(threads):
+def test_simulate_block_samples_are_the_per_replication_streams():
     from ustatkit import harness
     from ustatkit.kernels import stream
 
     dist, n, reps, seed = Distribution.gaussian(), 32, 1100, 17
     assert harness._block_rows(n, 2) * 2 < reps  # three blocks, the last short
     (samples,) = harness._simulate(builtin_kernel("product", 2), dist, n, reps, seed,
-                                   ("deviation",), threads, lambda traj, sample: (sample,))
+                                   ("deviation",), lambda traj, sample: (sample,))
     want = np.vstack([dist.sample(stream(seed, "deviation", r), n) for r in range(reps)])
     assert samples.tobytes() == want.tobytes()
+
+
+class _NoPool(RuntimeError):
+    pass
+
+
+def test_only_the_holder_scan_starts_threads(monkeypatch):
+    # eight usable cores and a pool that cannot start: every experiment
+    # but the Holder scan must run its blocks in the calling thread
+    from ustatkit import _parallel, harness
+    from ustatkit.holder import holder_norms
+
+    cases = [
+        dict(experiment="deviation", p=2.0, n_grid=[8, 16], replications=40),
+        dict(experiment="lln", p=1.5, n_grid=[8, 16], replications=40),
+        dict(experiment="moment", p=2.0, n_grid=[8, 16], moment_replications=40),
+    ]
+    refs = [run_experiment(make(threads=1, **kw)) for kw in cases]
+
+    def no_pool(max_workers):
+        raise _NoPool(f"a pool of {max_workers} workers was asked for")
+
+    monkeypatch.setattr(_parallel, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 64)  # 4 rows a block at N = 16
+    for kw, ref in zip(cases, refs):
+        assert _same_report(run_experiment(make(threads=8, **kw)), ref)
+    paths = np.cumsum(np.random.default_rng(3).standard_normal((300, 17)), axis=1)
+    with pytest.raises(_NoPool):
+        holder_norms(paths, 0.3, threads=2)
 
 
 def test_block_rows_depend_on_horizon_and_arity_only():

@@ -10,9 +10,10 @@ every workload in perfbench/workloads.py (read only) at its default seed,
 each at its own thread count (one where it names none).  With one or more
 `--threads N`, every config runs at each N instead, recorded as
 `NAME/tN`.  Every run is a
-fresh process, so a time includes interpreter start-up and imports.  The
-runs of one config alternate between the sources, REPEATS rounds, and
-the best wall time of each counts.  Writes one JSON object: the machine,
+fresh process, so a time includes interpreter start-up and imports.  A
+config runs REPEATS rounds; each round runs it at every thread count on
+every source in turn, so the times compared come from the same stretch of
+machine load, and the best wall time of each counts.  Writes one JSON object: the machine,
 and per source and config the thread count, every wall time, the best
 one and the sha256 of the report.json written, which must be the same in
 every round.
@@ -37,8 +38,8 @@ REPEATS = 3
 
 
 def _configs(threads=None):
-    """(name, config) of every recipe, then every workload; with a list of
-    thread counts, each config once per count, named NAME/tN."""
+    """Per recipe, then per workload, a list of (name, config): the config
+    itself, or with a list of thread counts one NAME/tN entry per count."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     from recipes import _RECIPES
@@ -48,10 +49,9 @@ def _configs(threads=None):
                *((key, make_config(key, seed)) for key, seed in DEFAULT_SEEDS.items())]
     for name, config in configs:
         if threads:
-            for n in threads:
-                yield f"{name}/t{n}", {**config, "threads": n}
+            yield [(f"{name}/t{n}", {**config, "threads": n}) for n in threads]
         else:
-            yield name, config
+            yield [(name, config)]
 
 
 def _timed_run(src: str, config: dict) -> tuple[float, str]:
@@ -97,20 +97,23 @@ def main(argv=None) -> int:
     import numpy
 
     results = {label: {} for label, _ in args.src}
-    for name, config in _configs(args.threads):
-        for label, _ in args.src:
-            results[label][name] = {"threads": config.get("threads", 1), "wall_s": []}
+    for group in _configs(args.threads):
+        for name, config in group:
+            for label, _ in args.src:
+                results[label][name] = {"threads": config.get("threads", 1), "wall_s": []}
         for _ in range(REPEATS):
-            for label, src in args.src:
-                wall, digest = _timed_run(src, config)
+            for name, config in group:
+                for label, src in args.src:
+                    wall, digest = _timed_run(src, config)
+                    entry = results[label][name]
+                    entry["wall_s"].append(round(wall, 4))
+                    if entry.setdefault("report_sha256", digest) != digest:
+                        raise RuntimeError(f"{label} {name}: report changed between runs")
+        for name, _ in group:
+            for label, _ in args.src:
                 entry = results[label][name]
-                entry["wall_s"].append(round(wall, 4))
-                if entry.setdefault("report_sha256", digest) != digest:
-                    raise RuntimeError(f"{label} {name}: report changed between runs")
-        for label, _ in args.src:
-            entry = results[label][name]
-            entry["best_s"] = min(entry["wall_s"])
-            print(label, name, entry["best_s"], flush=True)
+                entry["best_s"] = min(entry["wall_s"])
+                print(label, name, entry["best_s"], flush=True)
 
     ledger = {
         "machine": {
