@@ -914,13 +914,15 @@ def test_max_norm_matrix_independent_of_blocks(monkeypatch, kernel):
         assert want.tobytes() == base[rep].tobytes()
 
 
-def test_simulate_block_samples_are_the_per_replication_streams():
+@pytest.mark.parametrize("arity", [1, 2])
+def test_simulate_block_samples_are_the_per_replication_streams(arity):
+    # the samples do not depend on the kernel's order, only on the streams
     from ustatkit import harness
     from ustatkit.kernels import stream
 
     dist, n, reps, seed = Distribution.gaussian(), 32, 1100, 17
-    assert harness._block_rows(n, 2) * 2 < reps  # three blocks, the last short
-    (samples,) = harness._simulate(builtin_kernel("product", 2), dist, n, reps, seed,
+    assert harness._block_rows(n, arity) * 2 < reps  # three blocks, the last short
+    (samples,) = harness._simulate(builtin_kernel("product", arity), dist, n, reps, seed,
                                    ("deviation",), lambda traj, sample: (sample,))
     want = np.vstack([dist.sample(stream(seed, "deviation", r), n) for r in range(reps)])
     assert samples.tobytes() == want.tobytes()
