@@ -36,7 +36,6 @@ from .incomplete import (
     WeightSet,
     bernoulli_sum_moment_check,
     draw_design,
-    incomplete_moment_experiment,
     incomplete_ustat,
 )
 from .kernels import (
@@ -90,7 +89,6 @@ __all__ = [
     "holder_norm",
     "holder_norm_grid",
     "holder_norms",
-    "incomplete_moment_experiment",
     "incomplete_ustat",
     "kernel_from_expression",
     "norm_moment",

@@ -12,9 +12,9 @@ past the summand cap counts, since adding a `design`, or lowering the rate or
 draw count of the one given, fixes it), and 3 an internal error (any other
 exception, reported with its traceback).  Only parsing and validation
 produce exit 2.  The experiment command writes manifest.json first, then
-report.json and the grid CSVs; report.json carries no timestamps, so
-identical (config, seed) runs produce byte-identical reports regardless of
---threads.
+report.json and rows.csv; report.json carries no timestamps, so identical
+(config, seed) runs produce byte-identical reports regardless of
+--threads, which only the experiment command takes.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .harness import (
 )
 from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
-from .kernels import Distribution, json_int, kernel_from_config, stream
-from .spaces import BanachSpaceDescriptor
+from .kernels import Distribution, kernel_from_config, stream
+from .spaces import BanachSpaceDescriptor, json_int
 from .ustat import EvaluationBudgetError, complete_ustat
 from ._parallel import resolve_threads
 
@@ -74,14 +74,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
-
-
-def _check_threads(threads: int | None) -> None:
-    """A bad USTAT_THREADS is a usage error, not an internal one."""
-    try:
-        resolve_threads(threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _load_config(path: str | None) -> tuple[bytes, dict]:
@@ -281,7 +273,6 @@ def cmd_compute(args) -> int:
     _, raw = _load_config(args.config)
     kernel = config_field(raw, "kernel", kernel_from_config)
     seed = _effective_seed(args, raw)
-    _check_threads(args.threads)  # validates the setting even though compute is serial
     sample = _load_sample(raw, seed)
     design = config_field(raw, "design", SamplingDesign.from_dict, None)
     check_fields(raw, {"kernel", "seed", "data", "data_file", "distribution", "n", "design"})
@@ -323,7 +314,6 @@ def cmd_decompose(args) -> int:
     space = kernel_space(
         kernel, config_field(raw, "space", BanachSpaceDescriptor.from_dict, None))
     seed = _effective_seed(args, raw)
-    _check_threads(args.threads)
     inner = config_field(raw, "inner", nested_draws, 1024)
     outer = config_field(raw, "outer", nested_draws, 256)
     level = config_field(raw, "level", json_int, None)
@@ -373,32 +363,26 @@ def cmd_experiment(args) -> int:
         overrides["moment_replications"] = args.replications
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    _check_threads(config.threads)
+    try:  # a bad USTAT_THREADS is a usage error, not an internal one
+        resolve_threads(config.threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     started = _utcnow()
     report = run_experiment(config)
 
     os.makedirs(args.out, exist_ok=True)
-    extra_csv: dict[str, list] = {}
-    if report.kind == "holder":
-        extra_csv["cells.csv"] = report.details.get("cells", [])
-        extra_csv["layer_sums.csv"] = report.details.get("layer_sums", [])
-        extra_csv["quantiles.csv"] = report.details.get("quantiles", [])
-    outputs = ("report.json", "rows.csv", *extra_csv)
-
     manifest = RunManifest(
         config_sha256=hashlib.sha256(blob).hexdigest(),
         master_seed=config.seed,
         version=__version__,
         started_at=started,
         written_at=_utcnow(),
-        outputs=outputs,
+        outputs=("report.json", "rows.csv"),
     )
     _write_json(os.path.join(args.out, "manifest.json"), manifest.to_dict())
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     _write_csv(os.path.join(args.out, "rows.csv"), report.rows)
-    for name, rows in extra_csv.items():
-        _write_csv(os.path.join(args.out, name), rows)
 
     status = "PASS" if report.passed else "FAIL"
     print(f"{report.kind}: {status} fitted_constant={report.fitted_constant:.6g} "
@@ -424,8 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--seed", metavar="U64", type=_u64, default=None,
                         help="master seed (default: config value, then 0)")
-        sp.add_argument("--threads", metavar="N", type=_positive_int, default=None,
-                        help="worker threads (default: USTAT_THREADS, then 1)")
 
     sp = sub.add_parser("compute", help="evaluate one statistic")
     common(sp)
@@ -438,6 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="run an inequality experiment")
     sp.add_argument("action", choices=["run"], help="experiment action")
     common(sp)
+    sp.add_argument("--threads", metavar="N", type=_positive_int, default=None,
+                    help="worker threads (default: USTAT_THREADS, then 1)")
     sp.add_argument("--out", metavar="DIR", help="output directory")
     sp.add_argument("--replications", metavar="N", type=_positive_int,
                     default=None, help="override replication counts")

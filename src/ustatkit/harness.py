@@ -9,7 +9,7 @@ experiments, the max/min spread) stays below the configured factor while N
 doubles.  Monte Carlo left sides carry standard errors so no downstream check
 ever compares bare random numbers.
 
-Five experiment families live here:
+Six experiment families live here:
 
   deviation          max_{m<=n<=N} ||sum over Inc^m_n|| tail frequency vs. the
                      three-group tail-integral bound; one shared degenerate
@@ -25,6 +25,11 @@ Five experiment families live here:
                      and an optional heuristic rate-series curve.
   holder             Holder-norm quantiles of the interpolated trajectory and
                      the dyadic increment exceedance curve.
+  incomplete-moment  E||U_inc||^q of Bernoulli-subsampled statistics of an
+                     order-d degenerate kernel across an (n, p_n) grid.
+
+Every experiment takes an ExperimentConfig, and every degeneracy claim it
+rests on goes through one gate (_certify) at the config's budgets.
 
 Experiments draw through per-replication streams derived from the master
 seed: replication r reads its sample from the stream of (seed, *path, r).
@@ -58,12 +63,12 @@ from .holder import (
     dyadic_increment_exceedance,
     holder_norms,
 )
-from .incomplete import SamplingDesign, incomplete_moment_experiment
+from .incomplete import SamplingDesign, bernoulli_moment_cell
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, evaluate_nested, json_int, kernel_from_config, streams,
+    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, streams,
 )
 from .reporting import InequalityReport, ratio_report
-from .spaces import BanachSpaceDescriptor
+from .spaces import BanachSpaceDescriptor, json_float, json_int
 from .tails import (
     EmpiricalTail,
     _nested_powered_norms,
@@ -84,6 +89,7 @@ __all__ = [
     "config_field",
     "deviation_experiment",
     "holder_tightness_experiment",
+    "incomplete_moment_experiment",
     "kernel_space",
     "lln_experiment",
     "moment_experiment",
@@ -268,12 +274,13 @@ class ExperimentConfig:
         "kernel": kernel_from_config, "distribution": Distribution.from_dict,
         "space": BanachSpaceDescriptor.from_dict, "design": SamplingDesign.from_dict,
         "experiment": lambda name: name,
-        "p": float, "q": float, "alpha": float, "gamma": float, "eps": float, "stability_factor": float,
+        "p": json_float, "q": json_float, "alpha": json_float, "gamma": json_float,
+        "eps": json_float, "stability_factor": json_float,
         "d": json_int, "t_points": json_int, "seed": json_int, "threads": json_int, "inner": json_int,
         "outer": json_int, "replications": json_int, "moment_replications": json_int,
-        "t_grid": lambda ts: tuple(float(t) for t in ts),
+        "t_grid": lambda ts: tuple(json_float(t) for t in ts),
         "n_grid": lambda ns: tuple(json_int(n) for n in ns),
-        "grid": lambda cells: tuple((json_int(n), float(rate)) for n, rate in cells),
+        "grid": lambda cells: tuple((json_int(n), json_float(rate)) for n, rate in cells),
     }
     _KEYS = frozenset(_BUILDERS)
 
@@ -306,38 +313,31 @@ def _horizons(config: ExperimentConfig) -> tuple[int, ...]:
     return config.n_grid
 
 
-def _certify_all_but_one(config: ExperimentConfig, space: BanachSpaceDescriptor):
-    report = check_degeneracy(
-        config.kernel, config.dist,
-        inner=config.inner, outer=config.outer, seed=config.seed, space=space,
-    )
-    if report.degenerate is False:
-        raise ConfigError(
-            "kernel: an all-but-one conditional mean is nonzero; "
-            "this bound needs a degenerate kernel"
-        )
-    if report.degenerate is None:
-        raise ConfigError(
-            "kernel: degeneracy inconclusive at the configured inner/outer budgets"
-        )
-    return report
+def _certify(config: ExperimentConfig, space: BanachSpaceDescriptor, order: bool = False,
+             kernel: Kernel | None = None, shown: str = "the kernel"):
+    """The degeneracy report of kernel (default config.kernel) at the config's
+    budgets, or a ConfigError when it does not certify.
 
-
-def _certify_order(config: ExperimentConfig, space: BanachSpaceDescriptor):
-    if config.d is None:
+    By default every all-but-one conditional mean must vanish; with order,
+    the certified order must be the claimed config.d, which is required.
+    shown names the kernel in the messages.
+    """
+    if order and config.d is None:
         raise ConfigError("d: the claimed degeneracy order is required")
     report = check_degeneracy(
-        config.kernel, config.dist,
+        config.kernel if kernel is None else kernel, config.dist,
         inner=config.inner, outer=config.outer, seed=config.seed, space=space,
     )
-    if report.order is None:
+    verdict = report.order if order else report.degenerate
+    if verdict is None:
         raise ConfigError(
-            "kernel: degeneracy order inconclusive at the configured inner/outer budgets"
-        )
-    if report.order != config.d:
+            f"kernel: {shown} certifies inconclusive at the configured inner/outer budgets")
+    if not order and verdict is False:
         raise ConfigError(
-            f"d: kernel certifies to degeneracy order {report.order}, config claims {config.d}"
-        )
+            f"kernel: {shown} is not degenerate: an all-but-one conditional mean is nonzero")
+    if order and verdict != config.d:
+        raise ConfigError(f"d: kernel certifies to degeneracy order {verdict}, "
+                          f"config claims {config.d}")
     return report
 
 
@@ -446,7 +446,7 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     if h.weighted:
         return _deviation_weighted(config, h, dist, space, n_grid, p, q)
 
-    deg = _certify_all_but_one(config, space)
+    deg = _certify(config, space)
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
                               config.seed, space, "deviation")
     t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
@@ -666,12 +666,7 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
         gates = ((_frozen_index_kernel(h, index),
                   f"summand at index {tuple(i + 1 for i in index)}") for index in indices)
     for kernel, shown in gates:
-        report = check_degeneracy(kernel, dist, inner=config.inner, outer=config.outer,
-                                  seed=seed, space=space)
-        if report.degenerate is False:
-            raise ConfigError(f"kernel: {shown} is not degenerate")
-        if report.degenerate is None:
-            raise ConfigError(f"kernel: {shown} certifies inconclusive; raise inner/outer")
+        _certify(config, space, kernel=kernel, shown=shown)
 
     maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
                               seed, space, "deviation")
@@ -804,7 +799,7 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     m = h.arity
     p = config.p
     q = config.q if config.q is not None else p
-    deg = _certify_order(config, space)
+    deg = _certify(config, space, order=True)
     d = config.d
 
     lhs_expo = m - d + d / p
@@ -842,6 +837,13 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
 # moment
 
 
+def _mean_se(powered: np.ndarray) -> tuple[float, float]:
+    """Mean of a Monte Carlo sample and its standard error (0 for one value)."""
+    reps = powered.size
+    se = float(powered.std(ddof=1) / sqrt(reps)) if reps > 1 else 0.0
+    return float(powered.mean()), se
+
+
 def _tail_power_moment(tail: EmpiricalTail, power: float) -> float:
     """E[Y^power] for the empirical law the tail carries."""
     if tail.size == 0:
@@ -871,7 +873,7 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
     q = config.q if config.q is not None else p
     if q < p:
         raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={p}")
-    deg = _certify_all_but_one(config, space)
+    deg = _certify(config, space)
 
     reps = config.moment_replications
     maxima = _max_norm_matrix(h, dist, n_grid, reps, config.seed, space, "moment")
@@ -908,9 +910,7 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
 
     rows = []
     for col, n in enumerate(n_grid):
-        powered = maxima[:, col] ** q
-        lhs = float(powered.mean())
-        se = float(powered.std(ddof=1) / sqrt(reps)) if reps > 1 else 0.0
+        lhs, se = _mean_se(maxima[:, col] ** q)
         rhs = float(rhs_for(n))
         rows.append({"N": int(n), "lhs": lhs, "lhs_se": se, "rhs": rhs,
                      "ratio": _ratio(lhs, rhs)})
@@ -964,7 +964,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
         )
     n_grid = _horizons(config)
     m = h.arity
-    deg = _certify_all_but_one(config, space)
+    deg = _certify(config, space)
 
     n_max = max(n_grid)
     cols = np.asarray(n_grid, dtype=np.int64) - m
@@ -1071,7 +1071,7 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
     params = HolderParams(config.alpha)
     n_grid = _horizons(config)
     _check_holder_horizons(n_grid)
-    _certify_order(config, space)
+    _certify(config, space, order=True)
     d = config.d
     m = h.arity
     seed = config.seed
@@ -1161,10 +1161,22 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# incomplete-moment
 
 
-def _incomplete_moment(config: ExperimentConfig) -> InequalityReport:
+def incomplete_moment_experiment(config: ExperimentConfig) -> InequalityReport:
+    """Moment growth of Bernoulli-subsampled statistics across an (n, p_n) grid.
+
+    Each grid entry (n, p_n) yields a Monte Carlo estimate of E[||U_inc||^q]
+    over moment_replications (incomplete.bernoulli_moment_cell) against
+    the bound shape
+
+        n^(q(m-d) + dq/p) p_n^q + n^(mq/p) p_n^(q/p) + n^m p_n;
+
+    the expectation factor E||h||^q is constant across the grid and is left
+    out of the shape, so the fitted constant absorbs it.  The kernel must be
+    symmetric, index-free and certify to the claimed order d.
+    """
     if not config.grid:
         raise ConfigError("grid: (n, p_n) pairs are required for the incomplete-moment experiment")
     h = config.kernel
@@ -1173,17 +1185,40 @@ def _incomplete_moment(config: ExperimentConfig) -> InequalityReport:
             "kernel: the incomplete-moment experiment needs a symmetric, "
             "index-independent kernel"
         )
-    q = config.q if config.q is not None else config.p
-    if q < config.p:
-        raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={config.p}")
-    space = kernel_space(config.kernel, config.space)
-    _certify_order(config, space)
-    return incomplete_moment_experiment(
-        h, config.dist, config.grid, config.p, q, config.d,
-        replications=config.moment_replications, seed=config.seed,
-        space=space, certify=False,
-        stability_factor=config.stability_factor,
-    )
+    p = config.p
+    q = config.q if config.q is not None else p
+    if q < p:
+        raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={p}")
+    space = kernel_space(h, config.space)
+    _certify(config, space, order=True)
+    m, d = h.arity, config.d
+    reps = config.moment_replications
+
+    rows = []
+    for idx, (n, rate) in enumerate(config.grid):
+        powered = bernoulli_moment_cell(h, config.dist, space.norm, q, n, rate,
+                                        config.seed, idx, reps)
+        est, se = _mean_se(powered)
+        shape = (
+            n ** (q * (m - d) + d * q / p) * rate**q
+            + n ** (m * q / p) * rate ** (q / p)
+            + n**m * rate
+        )
+        rows.append({"n": n, "p_n": rate, "moment_estimate": est, "bound_shape": shape,
+                     "ratio": est / shape if shape > 0 else 0.0, "standard_error": se})
+
+    # the fitted constant, the largest ratio, must be positive
+    return ratio_report("incomplete-moment", rows, {
+        "p": p,
+        "q": q,
+        "d": d,
+        "m": m,
+        "replications": reps,
+    }, config.stability_factor, score="spread", extra=any(row["ratio"] > 0 for row in rows))
+
+
+# ---------------------------------------------------------------------------
+# dispatch
 
 
 EXPERIMENTS = {
@@ -1192,7 +1227,7 @@ EXPERIMENTS = {
     "moment": moment_experiment,
     "lln": lln_experiment,
     "holder": holder_tightness_experiment,
-    "incomplete-moment": _incomplete_moment,
+    "incomplete-moment": incomplete_moment_experiment,
 }
 
 

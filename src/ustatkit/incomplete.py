@@ -27,10 +27,9 @@ Y_{a,b})^p with i.i.d. Bernoulli(y) entries and q >= p,
                      + |A|^(q/p) |B|^(q/p) y^(q/p)
                      + |A| |B| y),
 
-and the end-to-end moment growth experiment for subsampled statistics of
-degenerate kernels, whose bound shape in (n, p_n) is
-
-    n^(q(m-d) + dq/p) p_n^q + n^(mq/p) p_n^(q/p) + n^m p_n.
+and the batched cell engine of the incomplete-moment experiment
+(bernoulli_moment_cell), which harness.incomplete_moment_experiment runs
+once per (n, p_n) grid entry.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import count_tuples, unrank_many
-from .kernels import Distribution, Kernel, evaluate_batch, json_int, stream, streams
-from .reporting import InequalityReport, ratio_report
-from .spaces import BanachSpaceDescriptor
+from .kernels import Distribution, Kernel, evaluate_batch, stream, streams
+from .spaces import json_float, json_int
 from .ustat import (
     MAX_EVALUATION_TERMS,
     EvaluationBudgetError,
@@ -56,9 +54,9 @@ __all__ = [
     "BernoulliMomentCheck",
     "SamplingDesign",
     "WeightSet",
+    "bernoulli_moment_cell",
     "bernoulli_sum_moment_check",
     "draw_design",
-    "incomplete_moment_experiment",
     "incomplete_ustat",
 ]
 
@@ -143,7 +141,7 @@ class SamplingDesign:
         if variant == "bernoulli":
             if "p_n" not in d:
                 raise ValueError("bernoulli design dict needs key 'p_n'")
-            return cls.bernoulli(d["p_n"])
+            return cls.bernoulli(json_float(d["p_n"], "p_n"))
         if variant in ("without_replacement", "with_replacement"):
             if "draws" not in d:
                 raise ValueError(f"{variant} design dict needs key 'draws'")
@@ -326,7 +324,7 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
     )
 
 
-def _powered_norms(
+def bernoulli_moment_cell(
     h: Kernel,
     dist: Distribution,
     norm,
@@ -342,8 +340,9 @@ def _powered_norms(
     Replication r draws its sample from the stream of (seed, "inc-moment",
     cell_idx, r, 0) and its Bernoulli(rate) design from (..., r, 1), as
     draw_design does, and its value equals norm(incomplete_ustat(...).value)
-    ** q on them bit for bit.  Only the draws are made per replication, and
-    an empty selection keeps norm(0) ** q.  A selection of at most _CHUNK
+    ** q on them bit for bit.  Only the draws are made per replication (the
+    Binomial count is checked against the cap before any rank is drawn),
+    and an empty selection keeps norm(0) ** q.  A selection of at most _CHUNK
     tuples joins a batch (up to _BATCH_TUPLES tuples or _BATCH_SAMPLE_VALUES
     stacked sample values), which takes one unrank, one gather and one
     kernel call and then sums each replication's contiguous slice: the same
@@ -467,98 +466,3 @@ def bernoulli_sum_moment_check(
         bound_shape=shape,
         ratio=ratio,
     )
-
-
-def incomplete_moment_experiment(
-    h: Kernel,
-    dist: Distribution,
-    grid,
-    p: float,
-    q: float,
-    d: int,
-    replications: int = 1000,
-    seed: int = 0,
-    space: BanachSpaceDescriptor | None = None,
-    certify: bool = True,
-    stability_factor: float = 5.0,
-) -> InequalityReport:
-    """Moment growth of Bernoulli-subsampled statistics across an (n, p_n) grid.
-
-    Each grid entry (n, p_n) yields a Monte Carlo estimate of
-    E[||U_inc||^q] and the theoretical bound shape in (n, p_n); the
-    expectation factor E||h||^q is constant across the grid placement and
-    is deliberately left out of the shape so the fitted constant absorbs
-    it.  The kernel must be symmetric, unweighted, and degenerate of the
-    claimed order d (checked up front unless certify=False).
-
-    Replication r of grid entry c reads its sample from the stream of
-    (seed, "inc-moment", c, r, 0) and its design from (..., r, 1); each
-    entry derives all its keys in one pass and runs its replications in
-    order on two re-keyed bit generators.  Per replication only the sample,
-    the Binomial count (checked against the cap) and the Floyd ranks are
-    drawn.  The selections then gather into batches of about 4,096 tuples,
-    each unranked, gathered and evaluated in one call, and every
-    replication's sum is its own slice of the batch; the values equal
-    those of draw_design and incomplete_ustat bit for bit.  A batch stays
-    small because it stacks its replications' samples and several int64
-    arrays per tuple: stacking a whole cell at n = 2048 would hold
-    replications x 2048 sample values and every rank of the cell.  It runs
-    in the calling thread: the per-replication draws are small numpy calls
-    with Python between them, so worker threads would only contend for the
-    interpreter lock.
-    """
-    if not q >= p > 1.0:
-        raise ValueError(f"need q >= p > 1, got p={p}, q={q}")
-    if not 1 <= d <= h.arity:
-        raise ValueError(f"claimed order d={d} outside [1, {h.arity}]")
-    if h.weighted or not h.symmetric:
-        raise ValueError("experiment needs a symmetric, index-free kernel")
-    grid = [(int(n), float(rate)) for n, rate in grid]
-    for n, rate in grid:
-        if n < h.arity:
-            raise ValueError(f"grid n={n} smaller than kernel arity {h.arity}")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"grid rate {rate} outside [0, 1]")
-
-    if certify:
-        from .hoeffding import check_degeneracy
-
-        report = check_degeneracy(h, dist, seed=seed, space=space)
-        if report.order != d:
-            raise ValueError(
-                f"kernel certifies to degeneracy order {report.order}, "
-                f"experiment claims d={d}"
-            )
-
-    m = h.arity
-    norm = (space if space is not None else h.codomain).norm
-
-    rows = []
-    for idx, (n, rate) in enumerate(grid):
-        powered = _powered_norms(h, dist, norm, q, n, rate, seed, idx, replications)
-        est = float(powered.mean())
-        se = float(powered.std(ddof=1) / np.sqrt(replications)) if replications > 1 else 0.0
-        shape = (
-            n ** (q * (m - d) + d * q / p) * rate**q
-            + n ** (m * q / p) * rate ** (q / p)
-            + n**m * rate
-        )
-        rows.append(
-            {
-                "n": n,
-                "p_n": rate,
-                "moment_estimate": est,
-                "bound_shape": shape,
-                "ratio": est / shape if shape > 0 else 0.0,
-                "standard_error": se,
-            }
-        )
-
-    # the fitted constant, the largest ratio, must be positive
-    return ratio_report("incomplete-moment", rows, {
-        "p": p,
-        "q": q,
-        "d": d,
-        "m": m,
-        "replications": replications,
-    }, stability_factor, score="spread", extra=any(row["ratio"] > 0 for row in rows))

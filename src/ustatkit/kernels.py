@@ -26,7 +26,6 @@ the block, or the thread, that asked for it.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import BanachSpaceDescriptor, real_line
+from .spaces import BanachSpaceDescriptor, json_float, json_int, real_line
 
 __all__ = [
     "Distribution",
@@ -247,11 +246,8 @@ _FAMILIES = {
 
 
 def _finite_params(family: str, *params) -> tuple[float, ...]:
-    """The parameters as floats; NaN or inf is a ValueError."""
-    out = tuple(float(x) for x in params)
-    if not all(np.isfinite(out)):
-        raise ValueError(f"{family} parameters must be finite, got {list(out)}")
-    return out
+    """The parameters as floats; a string, a bool, NaN or inf is a ValueError."""
+    return tuple(json_float(x, f"{family} parameter", finite=True) for x in params)
 
 
 @dataclass(frozen=True)
@@ -567,12 +563,7 @@ def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
         raise ValueError(f"unknown key {min(params)!r} for builtin kernel {name!r}")
     if spec.arity is not None and m != spec.arity:
         raise ValueError(f"{name} kernel has arity {spec.arity}")
-    for key, value in values.items():
-        # a bool is an int to Python, and NaN passes json.loads
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not np.isfinite(value)):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
-        values[key] = float(value)
+    values = {key: json_float(value, key, finite=True) for key, value in values.items()}
     return kernel_from_expression(spec.text(m, **values), m, symmetric=spec.symmetric)
 
 
@@ -827,13 +818,6 @@ def kernel_from_expression(
         factors=_one_term(parser.chain, m) if codomain.dimension == 1 else None,
         split=split,
     )
-
-
-def json_int(value, name: str = "") -> int:
-    """`value` if it is an int and not a bool: a JSON 2.7 or true is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
-    return value
 
 
 def kernel_from_config(d: dict) -> Kernel:

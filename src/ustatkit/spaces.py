@@ -8,14 +8,34 @@ has no closed form here, and no code path needs its value.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BanachSpaceDescriptor",
+    "json_float",
+    "json_int",
     "real_line",
 ]
+
+
+def json_int(value, name: str = "") -> int:
+    """`value` if it is an int and not a bool: a JSON 2.7 or true is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
+    return value
+
+
+def json_float(value, name: str = "", finite: bool = False) -> float:
+    """`value` as a float if it is a real number and not a bool: a JSON "2" or
+    true is a ValueError, and so are NaN and inf when `finite` is set."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or finite and not np.isfinite(value)):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}".lstrip())
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -92,8 +112,8 @@ class BanachSpaceDescriptor:
     @classmethod
     def from_dict(cls, d: dict) -> "BanachSpaceDescriptor":
         return cls(
-            dimension=int(d.get("dimension", 1)),
-            norm_exponent=float(d.get("norm_exponent", 2.0)),
+            dimension=json_int(d.get("dimension", 1), "dimension"),
+            norm_exponent=json_float(d.get("norm_exponent", 2.0), "norm_exponent"),
         )
 
 

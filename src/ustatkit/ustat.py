@@ -259,7 +259,9 @@ def _engine_prefix(h: Kernel, block: np.ndarray, N: int) -> np.ndarray:
     out = np.zeros((rows, N + 1) + point)
     if N < m:
         return out
-    sub_cols = _colex_columns(N - 1, m - 1) if m > 1 else []
+    # colex order makes Inc^(m-1)_k a prefix of Inc^(m-1)_(N-1), which the
+    # steps slice
+    sub_cols = unrank_many(np.arange(comb(N - 1, m - 1)), N - 1, m - 1)
     gathered = [np.take(block, c, axis=1) for c in sub_cols]
     total = np.zeros((rows,) + point)
     comp = np.zeros((rows,) + point)
@@ -273,27 +275,6 @@ def _engine_prefix(h: Kernel, block: np.ndarray, N: int) -> np.ndarray:
         total, comp = _kahan_add(total, comp, vals.sum(axis=1))
         out[:, n] = total
     return out
-
-
-def _colex_columns(n: int, m: int) -> list[np.ndarray]:
-    """Columns of all increasing m-tuples from range(n) in colex order.
-
-    Colex order makes Inc^m_c a prefix of Inc^m_n for c <= n, which is what
-    the prefix engine slices.
-    """
-    total = count_tuples(n, m)
-    cols = [np.empty(total, dtype=np.int64) for _ in range(m)]
-    if m == 0 or total == 0:
-        return cols
-    sub = _colex_columns(n - 1, m - 1) if m > 1 else []
-    offset = 0
-    for c in range(m - 1, n):
-        k = comb(c, m - 1)
-        for j in range(m - 1):
-            cols[j][offset:offset + k] = sub[j][:k]
-        cols[m - 1][offset:offset + k] = c
-        offset += k
-    return cols
 
 
 def running_max_norms(
@@ -390,7 +371,7 @@ def decomposition_identity_check(
         if c == 0:
             level_sum = component.constant
         else:
-            cols = _colex_columns(n, c)
+            cols = unrank_many(np.arange(count_tuples(n, c)), n, c)
             vals = component.evaluate_batch([sample[col] for col in cols])
             level_sum = float(np.asarray(vals).sum())
         rhs += count_tuples(n, m) * comb(m, c) / comb(n, c) * level_sum

@@ -337,15 +337,13 @@ def test_experiment_holder_extra_csvs(tmp_path, capsys):
                       "--out", str(out_dir)], capsys)
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert set(manifest["outputs"]) == {
-        "report.json", "rows.csv", "cells.csv", "layer_sums.csv",
-        "quantiles.csv",
-    }
-    for name in manifest["outputs"]:
-        assert (out_dir / name).exists()
-    with open(out_dir / "cells.csv", newline="") as fh:
-        header = next(csv.reader(fh))
-    assert header == ["j", "k", "frequency", "low", "high"]
+    # the holder tables are written once, under the report's details
+    assert manifest["outputs"] == ["report.json", "rows.csv"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "manifest.json", "report.json", "rows.csv"]
+    details = json.loads((out_dir / "report.json").read_text())["details"]
+    assert list(details["cells"][0]) == ["frequency", "high", "j", "k", "low"]
+    assert details["layer_sums"] and details["quantiles"]
 
 
 def test_experiment_failing_report_exits_1(tmp_path, capsys):
@@ -487,6 +485,11 @@ def test_non_object_kernel_exits_2(tmp_path, capsys, command):
     ("kernel", None), ("kernel", "product"), ("distribution", ["rademacher"]),
     ("space", 3), ("design", "x"), ("n_grid", 8), ("grid", [5]),
     ("experiment", ["deviation"]), ("replications", 1e999),
+    # these once ran as the number a string or a bool spells, or truncated
+    ("space", {"dimension": 1.5}), ("space", {"dimension": 1, "norm_exponent": "2"}),
+    ("gamma", True), ("stability_factor", "10"), ("grid", [[16, True]]),
+    ("design", {"variant": "bernoulli", "p_n": "0.5"}),
+    ("distribution", {"family": "uniform", "a": "0", "b": 1.0}),
 ])
 def test_experiment_malformed_field_exits_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, field: value})
@@ -578,19 +581,12 @@ def test_mid_run_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
-@pytest.mark.parametrize("command", ["compute", "decompose", "experiment"])
+@pytest.mark.parametrize("command", ["experiment"])
 def test_bad_ustat_threads_exits_2(tmp_path, capsys, monkeypatch, value, command):
+    # only experiment run starts threads, so only it reads USTAT_THREADS
     monkeypatch.setenv("USTAT_THREADS", value)
-    if command == "experiment":
-        cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
-        args = ["experiment", "run", "--config", cfg, "--out", str(tmp_path / "o")]
-    else:
-        cfg = write_config(tmp_path, "c.json", {
-            "kernel": {"name": "product", "m": 2},
-            "distribution": {"family": "rademacher"},
-            "data": [1, -1, 2],
-        })
-        args = [command, "--config", cfg]
+    cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
+    args = [command, "run", "--config", cfg, "--out", str(tmp_path / "o")]
     code, _, err = run(args, capsys)
     assert code == 2
     assert "USTAT_THREADS" in err and "internal error" not in err

@@ -94,6 +94,16 @@ def test_field_errors_name_the_field():
         ("inner", dict(inner=64.5)),
         ("outer", dict(outer=False)),
         ("design", dict(design={"variant": "with_replacement", "draws": 2.7})),
+        # a number field takes a JSON number only: these ran as the number
+        # a string or a bool spells, or truncated
+        ("space", dict(space={"dimension": 1.5})),
+        ("space", dict(space={"norm_exponent": "2"})),
+        ("gamma", dict(gamma=True)),
+        ("stability_factor", dict(stability_factor="10")),
+        ("grid", dict(grid=[[16, True]])),
+        ("t_grid", dict(t_grid=["1.5"])),
+        ("design", dict(design={"variant": "bernoulli", "p_n": "0.5"})),
+        ("distribution", dict(distribution={"family": "uniform", "a": "0", "b": 1.0})),
     ]
     for field, kw in cases:
         with pytest.raises(ConfigError, match=f"^{field}"):

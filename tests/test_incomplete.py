@@ -10,12 +10,12 @@ from scipy import stats
 
 from ustatkit import incomplete
 from ustatkit.combinatorics import count_tuples, rank_tuple
+from ustatkit.harness import ExperimentConfig, run_experiment
 from ustatkit.incomplete import (
     SamplingDesign,
     WeightSet,
     bernoulli_sum_moment_check,
     draw_design,
-    incomplete_moment_experiment,
     incomplete_ustat,
 )
 from ustatkit.kernels import Distribution, Kernel, builtin_kernel, stream
@@ -176,11 +176,10 @@ def test_over_cap_cell_refused_before_ranks_are_drawn(monkeypatch):
 
     monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
     monkeypatch.setattr(incomplete, "_distinct_ranks", never)
+    h = builtin_kernel("product", 2)
     with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
-        incomplete_moment_experiment(
-            builtin_kernel("product", 2), Distribution.rademacher(),
-            grid=[(12, 0.5)], p=2.0, q=2.0, d=2, replications=5, seed=5,
-            certify=False)
+        incomplete.bernoulli_moment_cell(
+            h, Distribution.rademacher(), h.codomain.norm, 2.0, 12, 0.5, 5, 0, 5)
 
 
 def test_with_replacement_capped_on_distinct_count(monkeypatch):
@@ -317,12 +316,17 @@ def test_bernoulli_constant_stable_across_rates():
 # moment growth experiment
 
 
+def _incomplete_moment(h, dist, grid, **fields):
+    return run_experiment(ExperimentConfig(
+        kernel=h, dist=dist, experiment="incomplete-moment", grid=tuple(grid), **fields))
+
+
 def test_incomplete_moment_experiment_smoke():
     h = builtin_kernel("product", 2)
-    report = incomplete_moment_experiment(
+    report = _incomplete_moment(
         h, Distribution.rademacher(),
         grid=[(16, 0.25), (32, 0.125)],
-        p=2.0, q=2.0, d=2, replications=200, seed=31)
+        p=2.0, q=2.0, d=2, moment_replications=200, seed=31)
     assert report.kind == "incomplete-moment"
     assert len(report.rows) == 2
     assert report.passed
@@ -332,21 +336,22 @@ def test_incomplete_moment_experiment_smoke():
 
 
 def test_incomplete_moment_experiment_validates():
+    # a ConfigError is a ValueError
     h = builtin_kernel("product", 2)
     d = Distribution.rademacher()
-    with pytest.raises(ValueError):
-        incomplete_moment_experiment(h, d, [(16, 0.5)], p=1.0, q=2.0, d=2)
-    with pytest.raises(ValueError):
-        incomplete_moment_experiment(h, d, [(16, 0.5)], p=2.0, q=2.0, d=3)
-    with pytest.raises(ValueError):
-        incomplete_moment_experiment(h, d, [(1, 0.5)], p=2.0, q=2.0, d=2)
-    with pytest.raises(ValueError):
-        incomplete_moment_experiment(h, d, [(16, 2.0)], p=2.0, q=2.0, d=2)
+    with pytest.raises(ValueError, match="^p:"):
+        _incomplete_moment(h, d, [(16, 0.5)], p=1.0, q=2.0, d=2)
+    with pytest.raises(ValueError, match="^d:"):
+        _incomplete_moment(h, d, [(16, 0.5)], p=2.0, q=2.0, d=3)
+    with pytest.raises(ValueError, match="^grid:"):
+        _incomplete_moment(h, d, [(1, 0.5)], p=2.0, q=2.0, d=2)
+    with pytest.raises(ValueError, match="^grid:"):
+        _incomplete_moment(h, d, [(16, 2.0)], p=2.0, q=2.0, d=2)
     # certification catches a wrong degeneracy claim
     s = builtin_kernel("sum", 2)
-    with pytest.raises(ValueError):
-        incomplete_moment_experiment(s, d, [(16, 0.5)], p=2.0, q=2.0, d=2,
-                                     replications=10)
+    with pytest.raises(ValueError, match="^d: kernel certifies to degeneracy order 1"):
+        _incomplete_moment(s, d, [(16, 0.5)], p=2.0, q=2.0, d=2,
+                           moment_replications=10)
 
 
 def test_incomplete_moment_default_space_is_kernel_codomain():
@@ -354,11 +359,10 @@ def test_incomplete_moment_default_space_is_kernel_codomain():
     weights = np.array([1.0, -2.0, 0.5])
     h = Kernel(2, lambda xs, idx: (xs[0] * xs[1])[..., None] * weights,
                symmetric=True, codomain=space)
-    kwargs = dict(grid=[(32, 0.5)], p=1.5, q=1.5, d=2, replications=50,
-                  seed=43, certify=False)
-    default = incomplete_moment_experiment(h, Distribution.rademacher(), **kwargs)
-    explicit = incomplete_moment_experiment(h, Distribution.rademacher(),
-                                            space=space, **kwargs)
+    kwargs = dict(grid=[(32, 0.5)], p=1.5, q=1.5, d=2, moment_replications=50,
+                  seed=43)
+    default = _incomplete_moment(h, Distribution.rademacher(), **kwargs)
+    explicit = _incomplete_moment(h, Distribution.rademacher(), space=space, **kwargs)
     assert default.rows == explicit.rows
 
 
@@ -405,7 +409,7 @@ _GAUSSIAN = Distribution.gaussian()
         "l1.5-dim3-column-major"])
 def test_batched_cell_matches_draw_design_bit_for_bit(kernel, dist, n, rate, q):
     args = (kernel, dist, kernel.codomain.norm, q, n, rate, 17, 2, 300)
-    got = incomplete._powered_norms(*args)
+    got = incomplete.bernoulli_moment_cell(*args)
     want = _cell_oracle(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -429,7 +433,7 @@ def test_batched_cell_sums_large_selections_alone(monkeypatch):
     alone = _counting(monkeypatch, "incomplete_ustat")
     h = builtin_kernel("product", 2)
     args = (h, _GAUSSIAN, h.codomain.norm, 2.0, 32, 0.13, 23, 0, 200)
-    got = incomplete._powered_norms(*args)
+    got = incomplete.bernoulli_moment_cell(*args)
     assert 0 < len(alone) < 200
     want = _cell_oracle(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -444,7 +448,7 @@ def test_batched_cell_splits_batches_mid_cell(monkeypatch, bound, value):
     batches = _counting(monkeypatch, "evaluate_batch")
     h = _vector_kernel()
     args = (h, _GAUSSIAN, h.codomain.norm, 1.5, 24, 0.1, 29, 1, 200)
-    got = incomplete._powered_norms(*args)
+    got = incomplete.bernoulli_moment_cell(*args)
     assert len(batches) > 10
     want = _cell_oracle(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
