@@ -36,11 +36,14 @@ seed: replication r reads its sample from the stream of (seed, *path, r).
 Trajectories are simulated in blocks of replications whose size depends
 only on the horizon N and the arity m, one prefix-engine call per block,
 and the blocks run in order in the calling thread.  A block derives all
-its rows' Philox keys in one stream_keys pass and re-keys one bit
-generator of its own per row (kernels.streams), which draws exactly what
-stream(seed, *path, r) would.  Every row of a block is bit-identical to
-the trajectory of that replication alone, so a report is bit-for-bit
-reproducible for a fixed config and does not depend on the block size.
+its rows' Philox keys in one stream_keys pass and draws its (rows, N)
+sample in one kernels.sample_rows call: one vectorised Philox pass for
+a Rademacher, uniform or finite law on short rows, and one bit generator
+re-keyed per row for a Gaussian law (its ziggurat takes a variable
+number of words) or long rows.  Either way every row of a block is
+bit-identical to the trajectory of that replication alone, drawn from
+stream(seed, *path, r), so a report is bit-for-bit reproducible for a
+fixed config and does not depend on the block size.
 The one stage on worker threads is the Holder pair scan
 (holder.holder_norms), over fixed row chunks of each horizon's paths, so
 no report depends on the thread count either.
@@ -65,7 +68,8 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, bernoulli_moment_cell
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, streams,
+    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, sample_rows,
+    stream_keys,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor, json_float, json_int
@@ -213,6 +217,10 @@ class ExperimentConfig:
             raise ConfigError("space: expected a BanachSpaceDescriptor")
         if self.design is not None and not isinstance(self.design, SamplingDesign):
             raise ConfigError("design: expected a SamplingDesign")
+        # a config built in Python is held to the types from_dict builds
+        for key, build in self._BUILDERS.items():
+            if key not in _OBJECT_KEYS:
+                config_field(vars(self), key, build, None)
         space = self.space if self.space is not None else self.kernel.codomain
         lo, hi = space.admissible_p_range()
         if not space.contains_p(self.p):
@@ -259,8 +267,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"moment_replications: must be at least 1, got {self.moment_replications}"
             )
-        for key in ("inner", "outer"):
-            config_field(vars(self), key, nested_draws)
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {self.seed}")
         if self.threads is not None and self.threads < 1:
@@ -276,8 +282,9 @@ class ExperimentConfig:
         "experiment": lambda name: name,
         "p": json_float, "q": json_float, "alpha": json_float, "gamma": json_float,
         "eps": json_float, "stability_factor": json_float,
-        "d": json_int, "t_points": json_int, "seed": json_int, "threads": json_int, "inner": json_int,
-        "outer": json_int, "replications": json_int, "moment_replications": json_int,
+        "d": json_int, "t_points": json_int, "seed": json_int, "threads": json_int,
+        "inner": nested_draws, "outer": nested_draws,
+        "replications": json_int, "moment_replications": json_int,
         "t_grid": lambda ts: tuple(json_float(t) for t in ts),
         "n_grid": lambda ns: tuple(json_int(n) for n in ns),
         "grid": lambda cells: tuple((json_int(n), json_float(rate)) for n, rate in cells),
@@ -350,8 +357,7 @@ def _simulate(h, dist, n, replications, seed, path, reduce):
     """Trajectory statistics of every replication, in replication order.
 
     Replication r draws n points from the stream of (seed, *path, r); a
-    block takes its rows from streams(seed, *path, reps), one re-keyed bit
-    generator of its own.  Each block of replications runs through the
+    block draws its rows in one sample_rows call and runs through the
     prefix engine once, and reduce(trajectories, samples) turns the block
     into a tuple of arrays with one row per replication; the blocks' arrays
     are stacked in order.  The blocks run in the calling thread.
@@ -360,7 +366,7 @@ def _simulate(h, dist, n, replications, seed, path, reduce):
     blocks = []
     for start in range(0, replications, rows):
         reps = np.arange(start, min(start + rows, replications))
-        sample = np.vstack([dist.sample(rng, n) for rng in streams(seed, *path, reps)])
+        sample = sample_rows(dist, stream_keys(seed, *path, reps), n)
         blocks.append(reduce(prefix_values(h, sample, n), sample))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 

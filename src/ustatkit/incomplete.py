@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import count_tuples, unrank_many
-from .kernels import Distribution, Kernel, evaluate_batch, stream, streams
+from .kernels import Distribution, Kernel, evaluate_batch, sample_rows, stream, stream_keys, streams
 from .spaces import json_float, json_int
 from .ustat import (
     MAX_EVALUATION_TERMS,
@@ -340,8 +340,10 @@ def bernoulli_moment_cell(
     Replication r draws its sample from the stream of (seed, "inc-moment",
     cell_idx, r, 0) and its Bernoulli(rate) design from (..., r, 1), as
     draw_design does, and its value equals norm(incomplete_ustat(...).value)
-    ** q on them bit for bit.  Only the draws are made per replication (the
-    Binomial count is checked against the cap before any rank is drawn),
+    ** q on them bit for bit.  The samples are drawn by sample_rows in
+    chunks of at most _BATCH_SAMPLE_VALUES values (one row when n is
+    larger); only the design draws are made per replication (the Binomial
+    count is checked against the cap before any rank is drawn),
     and an empty selection keeps norm(0) ** q.  A selection of at most _CHUNK
     tuples joins a batch (up to _BATCH_TUPLES tuples or _BATCH_SAMPLE_VALUES
     stacked sample values), which takes one unrank, one gather and one
@@ -353,7 +355,8 @@ def bernoulli_moment_cell(
     m = h.arity
     total = _rank_space(n, m)
     reps = np.arange(replications)
-    samples = streams(seed, "inc-moment", cell_idx, reps, 0)
+    keys = stream_keys(seed, "inc-moment", cell_idx, reps, 0)
+    chunk = max(1, _BATCH_SAMPLE_VALUES // n)
     designs = streams(seed, "inc-moment", cell_idx, reps, 1)
     powered = np.full(replications, norm(h.codomain.zero()) ** q)
     batch: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rep, sample, ranks)
@@ -376,8 +379,10 @@ def bernoulli_moment_cell(
             powered[rep] = norm(vals[a:b].sum(axis=0)) ** q
         batch.clear()
 
-    for rep, (rng_x, rng_w) in enumerate(zip(samples, designs)):
-        sample = dist.sample(rng_x, n)
+    for rep, rng_w in enumerate(designs):
+        if rep % chunk == 0:
+            samples = sample_rows(dist, keys[rep:rep + chunk], n)
+        sample = samples[rep % chunk]
         count = _bernoulli_count(rng_w, total, rate)
         if count == 0:
             continue

@@ -14,11 +14,15 @@ of (seed, path) is Philox (Salmon et al., SC 2011) at counter 0 under the
 np.uint64).  That key is a fixed uint32 hash of the entropy words (M. E.
 O'Neill's seed_seq design as numpy implements it), so stream_keys computes
 it directly and, when a path element is an array, for every element at
-once: the seed's words enter the pool once, and the path's words are mixed
-into whole arrays.  A Philox's state is its key, its counter and a small
-output buffer, so setting counter 0, a new key and an empty buffer makes a
-used bit generator draw exactly what a fresh stream of that key draws.
-streams() re-keys one bit generator that way for each row of a block; each
+once.  Inside a stream, block k >= 1 of four words is Philox4x64-10 of the
+counter (k, 0, 0, 0), so sample_rows computes a block of rows in one pass
+of numpy uint64 arithmetic for a law whose values each take one draw of
+fixed width: Rademacher (numpy's 32-bit Lemire draw on range 2, bit 31 of
+a half word, never rejects), uniform and finite (one word, as a double).
+A Gaussian ziggurat or a Binomial design count takes a variable number of
+words, and numpy's own Philox is faster on long rows, so those rows come
+from one bit generator re-keyed per row (streams()): counter 0, a new key
+and an empty buffer make it draw exactly what a fresh stream draws.  Each
 generator it yields is used up before the next is taken and never leaves
 the block, or the thread, that asked for it.
 """
@@ -44,6 +48,7 @@ __all__ = [
     "evaluate_batch",
     "evaluate_nested",
     "kernel_from_expression",
+    "sample_rows",
     "stream",
     "stream_keys",
     "streams",
@@ -188,7 +193,11 @@ def streams(seed: int, *path):
     is the same object: draw from it before taking the next, and do not
     keep it.  Its draws equal those of stream() on the row's path.
     """
-    keys = stream_keys(seed, *path).reshape(-1, 2)
+    yield from _rekeyed(stream_keys(seed, *path).reshape(-1, 2))
+
+
+def _rekeyed(keys: np.ndarray):
+    """Yield one bit generator re-keyed to each row of an (R, 2) key array."""
     if not len(keys):
         return
     rng = np.random.Generator(np.random.Philox(key=keys[0]))
@@ -205,6 +214,68 @@ def streams(seed: int, *path):
         yield rng
 
 
+# Philox4x64-10's two round multipliers, each with its low and high 32-bit
+# halves, and its key increments (numpy/random/src/philox/philox.h)
+_PHILOX_M = [tuple(np.uint64(v) for v in (m, m & _MASK32, m >> 32))
+             for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+
+
+def _mulhilo(a: np.ndarray, multiplier) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * m, from 32-bit halves."""
+    m, m0, m1 = multiplier
+    a0, a1 = a & _MASK32, a >> 32
+    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * m
+
+
+def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` uint64 outputs of a fresh Philox of each key row.
+
+    Block k = 1, 2, ... of four outputs is Philox4x64-10 of the counter
+    (k, 0, 0, 0): numpy adds one to the counter before its first block.
+    """
+    rows, blocks = len(keys), -(-count // 4)
+    zero = np.zeros((rows, blocks), dtype=np.uint64)
+    x = [zero + np.arange(1, blocks + 1, dtype=np.uint64), zero, zero, zero]
+    for i in range(10):
+        if i:
+            keys = keys + _PHILOX_W
+        hi0, lo0 = _mulhilo(x[0], _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x[2], _PHILOX_M[1])
+        x = [hi1 ^ x[1] ^ keys[:, :1], lo1, hi0 ^ x[3] ^ keys[:, 1:], lo0]
+    return np.stack(x, axis=-1).reshape(rows, 4 * blocks)[:, :count]
+
+
+# Longest row, in uint64 words, drawn by the Philox pass: the pass costs
+# about 0.15 us a word, a re-keyed row 8-15 us plus a few ns a word, so
+# they break even near 128 (numpy 2.4 on a 2-vCPU x86-64 VM).
+_PASS_WORDS = 128
+
+
+def sample_rows(dist: "Distribution", keys: np.ndarray, n: int) -> np.ndarray:
+    """(R, n) sample whose row r is dist.sample on a fresh stream of keys[r].
+
+    keys is an (R, 2) array from stream_keys.  A family with fixed-width
+    words (_FAMILIES) takes one Philox pass over all rows when a row needs
+    at most _PASS_WORDS words; other rows come from a re-keyed generator.
+    """
+    bits, values = _FAMILIES[dist.family].words or (64, None)
+    count = -(-n * bits // 64)
+    if values is None or count > _PASS_WORDS:
+        out = np.empty((len(keys), n))
+        for row, rng in zip(out, _rekeyed(keys)):
+            row[:] = dist.sample(rng, n)
+        return out
+    words = _philox_words(keys, count)
+    if bits == 32:
+        # next_uint32 hands out a word's low half, then its high half
+        words = np.stack([words & _MASK32, words >> 32], axis=-1)
+        words = words.reshape(len(keys), 2 * count)
+    return values(words[:, :n], *dist.params)
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -213,16 +284,23 @@ _REQUIRED = object()
 # One record per family: its config keys paired with their defaults
 # (_REQUIRED where the key must be given), which the classmethod named
 # after the family validates into params; sample(rng, size, *params);
-# mean(*params); and, for a finite support only, support(*params) giving
-# the atoms and their probabilities.
-_Family = namedtuple("_Family", "keys sample mean support", defaults=(None,))
+# mean(*params); for a finite support only, support(*params) giving the
+# atoms and their probabilities; and, when each value takes one 32- or
+# 64-bit draw, words = (bits, values(draws, *params)) giving sample's
+# values from those draws in stream order (see sample_rows).
+_Family = namedtuple("_Family", "keys sample mean support words", defaults=(None, None))
 
 
-def _sample_finite(rng, size, values, probs):
+def _finite_atoms(u, values, probs):
+    """The atom each uniform draw u in [0, 1) selects by inverse CDF."""
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    return np.asarray(values, dtype=np.float64)[idx]
+    return np.asarray(values, dtype=np.float64)[np.searchsorted(cum, u, side="right")]
+
+
+def _unit(x):
+    """numpy's random(): the top 53 bits of a uint64 word as a double in [0, 1)."""
+    return (x >> 11) * 2.0**-53
 
 
 def _atoms(values, probs):
@@ -232,16 +310,20 @@ def _atoms(values, probs):
 _FAMILIES = {
     "rademacher": _Family(
         (), lambda rng, size: rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0,
-        lambda: 0.0, lambda: _atoms((-1.0, 1.0), (0.5, 0.5))),
+        lambda: 0.0, lambda: _atoms((-1.0, 1.0), (0.5, 0.5)),
+        (32, lambda x: (x >> 31).astype(np.float64) * 2.0 - 1.0)),
     "uniform": _Family(
         (("a", _REQUIRED), ("b", _REQUIRED)),
-        lambda rng, size, a, b: rng.uniform(a, b, size=size), lambda a, b: 0.5 * (a + b)),
+        lambda rng, size, a, b: rng.uniform(a, b, size=size), lambda a, b: 0.5 * (a + b),
+        words=(64, lambda x, a, b: a + (b - a) * _unit(x))),
     "gaussian": _Family(
         (("mean", 0.0), ("sd", 1.0)),
         lambda rng, size, mean, sd: rng.normal(mean, sd, size=size), lambda mean, sd: mean),
     "finite": _Family(
         (("values", _REQUIRED), ("probabilities", _REQUIRED)),
-        _sample_finite, lambda values, probs: float(np.dot(values, probs)), _atoms),
+        lambda rng, size, values, probs: _finite_atoms(rng.random(size), values, probs),
+        lambda values, probs: float(np.dot(values, probs)), _atoms,
+        (64, lambda x, values, probs: _finite_atoms(_unit(x), values, probs))),
 }
 
 

@@ -110,6 +110,16 @@ def test_field_errors_name_the_field():
             make(**kw)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma", "1"), ("p", "1.5"), ("stability_factor", True), ("replications", "10"),
+    ("seed", 2.0), ("t_grid", (1.0, "2")), ("n_grid", ("8",)), ("grid", ((16, "0.5"),)),
+])
+def test_a_config_built_in_python_names_a_bad_number_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig(kernel=builtin_kernel("product", 2), dist=Distribution.rademacher(),
+                         **{field: value})
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)

@@ -4,9 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ustatkit import kernels
 from ustatkit.kernels import (
     Distribution,
     Kernel,
@@ -16,6 +17,7 @@ from ustatkit.kernels import (
     evaluate_nested,
     kernel_from_config,
     kernel_from_expression,
+    sample_rows,
     stream,
     stream_keys,
     streams,
@@ -644,6 +646,50 @@ def test_rekeyed_generator_draws_like_a_fresh_stream(dist):
         state = rng.bit_generator.state
         assert state["has_uint32"] == 1 and state["state"]["counter"].any()
     assert list(streams(11, "rekey", np.array([], dtype=np.int64))) == []
+
+
+_REALS = st.floats(-1e6, 1e6, allow_subnormal=False)
+# every family's parameters; Rademacher, uniform and finite rows are drawn
+# in one Philox pass, Gaussian rows from a re-keyed generator
+_LAW_PARAMS = {
+    "rademacher": st.just(()),
+    "uniform": st.tuples(_REALS, _REALS).filter(lambda ab: ab[0] < ab[1]),
+    "gaussian": st.tuples(_REALS, st.floats(1e-3, 1e3)),
+    "finite": st.lists(st.tuples(_REALS, st.floats(1e-3, 1.0)), min_size=1, max_size=5).map(
+        lambda atoms: ([v for v, _ in atoms],
+                       [w / sum(w for _, w in atoms) for _, w in atoms])),
+}
+
+
+_LAWS = st.sampled_from(sorted(kernels._FAMILIES)).flatmap(
+    lambda family: _LAW_PARAMS[family].map(lambda p: getattr(Distribution, family)(*p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dist=_LAWS, seed=_SEEDS,
+       # n = 0 and 1; n ending part-way through a four-word block: 3, 9
+       # and 33 for a law of two draws per word, 7, 9 and 33 for one; and
+       # the last n of the Philox pass and the first past it, at 128 words
+       n=st.sampled_from([0, 1, 3, 7, 8, 9, 33, 128, 129, 256, 257]) | st.integers(0, 300),
+       reps=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), max_size=6))
+@example(dist=Distribution.rademacher(), seed=0, n=1024, reps=[0, 2**40])
+@example(dist=Distribution.uniform(-1.5, 2.25), seed=5, n=1023, reps=[])
+def test_sample_rows_equal_each_rows_own_stream(dist, seed, n, reps):
+    got = sample_rows(dist, stream_keys(seed, "rows", np.array(reps, dtype=np.uint64)), n)
+    want = [dist.sample(stream(seed, "rows", r), n) for r in reps]
+    assert got.dtype == np.float64 and got.shape == (len(reps), n)
+    assert got.tobytes() == np.array(want).reshape(len(reps), n).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, reps=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+       count=st.integers(0, 41))
+def test_philox_pass_equals_numpy_philox_words(seed, reps, count):
+    keys = stream_keys(seed, "words", np.array(reps, dtype=np.uint64))
+    want = [np.random.Philox(key=key).random_raw(count) for key in keys]
+    got = kernels._philox_words(keys, count)
+    assert got.shape == (len(reps), count)
+    assert got.tobytes() == np.array(want, dtype=np.uint64).reshape(len(reps), count).tobytes()
 
 
 # ---------------------------------------------------------------------------
