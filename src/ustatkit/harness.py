@@ -39,11 +39,12 @@ and the blocks run in order in the calling thread.  A block derives all
 its rows' Philox keys in one stream_keys pass and draws its (rows, N)
 sample in one kernels.sample_rows call: one vectorised Philox pass for
 a Rademacher, uniform or finite law on short rows, and one bit generator
-re-keyed per row for a Gaussian law (its ziggurat takes a variable
-number of words) or long rows.  Either way every row of a block is
-bit-identical to the trajectory of that replication alone, drawn from
-stream(seed, *path, r), so a report is bit-for-bit reproducible for a
-fixed config and does not depend on the block size.
+re-keyed per row otherwise, giving the raw words of such a law's long
+rows or drawing a Gaussian law's rows (its ziggurat takes a variable
+number of words).  Either way every row of a block is bit-identical to
+the trajectory of that replication alone, drawn from stream(seed, *path,
+r), so a report is bit-for-bit reproducible for a fixed config and does
+not depend on the block size.
 The one stage on worker threads is the Holder pair scan
 (holder.holder_norms), over fixed row chunks of each horizon's paths, so
 no report depends on the thread count either.
@@ -77,7 +78,9 @@ from .tails import (
     EmpiricalTail,
     _nested_powered_norms,
     conditional_moment_tail,
+    median,
     norm_moment,
+    quantile,
     required_integrability,
     tail_integral,
     weak_lp_norm,
@@ -337,8 +340,18 @@ def _certify(config: ExperimentConfig, space: BanachSpaceDescriptor, order: bool
     )
     verdict = report.order if order else report.degenerate
     if verdict is None:
+        entries = report.level_entries if order else report.coordinate_entries
+        # the first inconclusive entry is the one that blocks the verdict
+        blocking = next((e for e in entries if e.verdict == "inconclusive"), None)
+        if blocking is None:
+            # only an order can be None without one: every level is zero
+            raise ConfigError(
+                f"kernel: {shown} has no degeneracy order: every prefix level certifies zero")
         raise ConfigError(
-            f"kernel: {shown} certifies inconclusive at the configured inner/outer budgets")
+            f"kernel: {shown} certifies inconclusive: {blocking.label} has "
+            f"squared_statistic {blocking.squared_statistic:.6g} and squared_se "
+            f"{blocking.squared_se:.6g}, scale {report.scale:.6g}, at "
+            f"inner={config.inner}, outer={config.outer}; raise inner/outer")
     if not order and verdict is False:
         raise ConfigError(
             f"kernel: {shown} is not degenerate: an all-but-one conditional mean is nonzero")
@@ -391,14 +404,14 @@ def _max_norm_matrix(h, dist, n_grid, replications, seed, space, tag):
 
 def _auto_t_grid(terminal: np.ndarray, points: int) -> tuple[float, ...]:
     """Quantile grid over the largest-horizon maxima, upper half of the law."""
-    grid = np.quantile(np.asarray(terminal, dtype=np.float64),
-                       np.linspace(0.5, 0.96, points))
-    grid = np.unique(grid[grid > 0])
+    grid = np.sort(quantile(terminal, np.linspace(0.5, 0.96, points)))
+    grid = grid[grid > 0]
     if grid.size == 0:
         raise ConfigError(
             "t_grid: every simulated maximum is zero; supply an explicit grid"
         )
-    return tuple(float(t) for t in grid)
+    # np.unique without its masked-array check: sorted, adjacent repeats dropped
+    return tuple(float(t) for t in grid[np.r_[True, grid[1:] != grid[:-1]]])
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -1005,7 +1018,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
             "weak_norm_se": _weak_norm_se(tail, p, reps),
             "moment": moment,
             "ratio": _ratio(wnorm, moment),
-            "terminal_median": float(np.median(terminal[:, col])),
+            "terminal_median": median(terminal[:, col]),
         })
 
     medians = [row["terminal_median"] for row in rows]
@@ -1018,8 +1031,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
     }
     if alpha is not None:
         (suffix_stats,) = rate_stats
-        eps = config.eps if config.eps is not None else float(
-            np.median(suffix_stats[:, 0]))
+        eps = config.eps if config.eps is not None else median(suffix_stats[:, 0])
         entries = []
         partial = 0.0
         partial_sums = []
@@ -1106,8 +1118,8 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
         hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha, config.threads)
         quantile_rows.append({
             "n": int(n),
-            "median": float(np.quantile(hnorms, 0.5)),
-            "q90": float(np.quantile(hnorms, 0.9)),
+            "median": float(quantile(hnorms, 0.5)),
+            "q90": float(quantile(hnorms, 0.9)),
         })
         if n == n_exc:
             exceed_paths = paths[0] if paths else trajectories

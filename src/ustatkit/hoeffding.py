@@ -289,7 +289,8 @@ class DegeneracyReport:
         """Smallest j with a nonvanishing prefix conditional mean.
 
         Order 0 flags a non-centered kernel; valid degeneracy orders start
-        at 1.  None means an inconclusive entry blocks the call.
+        at 1.  None means an inconclusive entry blocks the call, or that
+        every level is zero.
         """
         for j, entry in enumerate(self.level_entries):
             if entry.verdict == "nonzero":

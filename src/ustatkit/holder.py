@@ -47,6 +47,7 @@ from math import floor, log2
 import numpy as np
 
 from ._parallel import parallel_map
+from .tails import quantile
 
 __all__ = [
     "DyadicExceedanceTable",
@@ -338,4 +339,4 @@ def calibrate_epsilon(paths, alpha: float, d: int, j_max: int, level: float = 0.
         inc = np.abs(S[:, high] - S[:, low]) / (scale * 2.0 ** (-alpha * j))
         pool.append(inc.ravel())
     pooled = np.concatenate(pool)
-    return float(np.quantile(pooled, level))
+    return float(quantile(pooled, level))

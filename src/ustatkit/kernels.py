@@ -19,10 +19,12 @@ counter (k, 0, 0, 0), so sample_rows computes a block of rows in one pass
 of numpy uint64 arithmetic for a law whose values each take one draw of
 fixed width: Rademacher (numpy's 32-bit Lemire draw on range 2, bit 31 of
 a half word, never rejects), uniform and finite (one word, as a double).
-A Gaussian ziggurat or a Binomial design count takes a variable number of
-words, and numpy's own Philox is faster on long rows, so those rows come
-from one bit generator re-keyed per row (streams()): counter 0, a new key
-and an empty buffer make it draw exactly what a fresh stream draws.  Each
+On rows longer than _PASS_WORDS words, numpy's own Philox is faster, so
+their words come from one bit generator re-keyed per row and go through
+the same map.  A Gaussian ziggurat or a Binomial design count takes a
+variable number of words, so those rows are drawn by numpy from the
+re-keyed generator (streams()): counter 0, a new key and an empty buffer
+make it draw exactly what a fresh stream draws.  Each
 generator it yields is used up before the next is taken and never leaves
 the block, or the thread, that asked for it.
 """
@@ -248,27 +250,36 @@ def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     return np.stack(x, axis=-1).reshape(rows, 4 * blocks)[:, :count]
 
 
-# Longest row, in uint64 words, drawn by the Philox pass: the pass costs
-# about 0.15 us a word, a re-keyed row 8-15 us plus a few ns a word, so
-# they break even near 128 (numpy 2.4 on a 2-vCPU x86-64 VM).
-_PASS_WORDS = 128
+# Longest row, in uint64 words, computed by the Philox pass: the pass
+# costs 0.06-0.11 us a word, a re-keyed row's random_raw 2.5-5 us plus a
+# few ns a word, so they break even near 48-56 words (numpy 2.4 on a
+# 2-vCPU x86-64 VM).  Past it, mapping a row's raw words costs 4.7 us for
+# 256 Rademacher values and 14 us for 2,048, against 11 and 23 us through
+# Distribution.sample.
+_PASS_WORDS = 48
 
 
 def sample_rows(dist: "Distribution", keys: np.ndarray, n: int) -> np.ndarray:
     """(R, n) sample whose row r is dist.sample on a fresh stream of keys[r].
 
     keys is an (R, 2) array from stream_keys.  A family with fixed-width
-    words (_FAMILIES) takes one Philox pass over all rows when a row needs
-    at most _PASS_WORDS words; other rows come from a re-keyed generator.
+    words (_FAMILIES) maps its rows' Philox words: one pass over all rows
+    when a row needs at most _PASS_WORDS words, else each row's random_raw
+    from a re-keyed generator.  Other families sample a re-keyed generator.
     """
     bits, values = _FAMILIES[dist.family].words or (64, None)
-    count = -(-n * bits // 64)
-    if values is None or count > _PASS_WORDS:
+    if values is None:
         out = np.empty((len(keys), n))
         for row, rng in zip(out, _rekeyed(keys)):
             row[:] = dist.sample(rng, n)
         return out
-    words = _philox_words(keys, count)
+    count = -(-n * bits // 64)
+    if count <= _PASS_WORDS:
+        words = _philox_words(keys, count)
+    else:
+        words = np.empty((len(keys), count), dtype=np.uint64)
+        for row, rng in zip(words, _rekeyed(keys)):
+            row[:] = rng.bit_generator.random_raw(count)
     if bits == 32:
         # next_uint32 hands out a word's low half, then its high half
         words = np.stack([words & _MASK32, words >> 32], axis=-1)

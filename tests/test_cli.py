@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ustatkit
 from ustatkit.cli import _cell, _dump_json, _jsonable, _write_csv, _write_json, main
 from ustatkit.kernels import builtin_kernel
 from ustatkit.ustat import complete_ustat
@@ -267,6 +271,68 @@ def test_experiment_nan_threshold_exits_2(tmp_path, capsys):
     assert code == 2
     assert "t_grid" in err
     assert not out_dir.exists()
+
+
+def test_experiment_inconclusive_certification_names_the_blocking_entry(tmp_path, capsys):
+    # the product kernel on Gaussian data at seed 99 leaves all-but-0
+    # inconclusive at the default 1024/256 budgets
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "seed": 99,
+                                            "distribution": {"family": "gaussian"}})
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "certifies inconclusive: all-but-0 has squared_statistic" in err
+    assert "squared_se" in err and "scale" in err and "inner=1024, outer=256" in err
+
+
+def test_experiment_vanishing_kernel_has_no_degeneracy_order(tmp_path, capsys):
+    # every prefix level of the zero kernel is exactly zero on a finite law,
+    # so no budget makes it certify: the message must not ask for one
+    cfg = write_config(tmp_path, "e.json", {
+        **EXP_CONFIG, "experiment": "order-d-deviation", "d": 2,
+        "kernel": {"expr": "0 * x1 * x2", "m": 2, "symmetric": True}})
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "no degeneracy order: every prefix level certifies zero" in err
+    assert "inconclusive" not in err
+
+
+# One config of each experiment kind; deviation and order-d-deviation
+# build the automatic t-grid, lln with alpha the default eps.
+_KIND_CONFIGS = {
+    "deviation-auto": {"experiment": "deviation", "n_grid": [8, 16], "replications": 200},
+    "lln": {"experiment": "lln", "p": 1.5, "n_grid": [16, 32], "replications": 50},
+    "lln-alpha": {"experiment": "lln", "p": 1.5, "alpha": 0.25, "n_grid": [16, 32],
+                  "replications": 50},
+    "holder": {"experiment": "holder", "alpha": 0.3, "d": 2, "n_grid": [64],
+               "replications": 20},
+    "moment": {"experiment": "moment", "p": 1.5, "n_grid": [8, 16],
+               "moment_replications": 50},
+    "order-d": {"experiment": "order-d-deviation", "d": 2, "n_grid": [8, 16],
+                "replications": 100},
+    "incomplete-moment": {"experiment": "incomplete-moment", "d": 2, "p": 2.0, "q": 2.0,
+                          "grid": [[32, 1 / 32]], "moment_replications": 50},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
+def test_experiment_run_does_not_import_numpy_ma(tmp_path, kind):
+    # importing numpy.ma takes 8-17 ms, a quarter of a short run; pytest
+    # and Hypothesis may import it themselves, so the run gets its own process
+    cfg = write_config(tmp_path, "e.json", {
+        "kernel": {"name": "product", "m": 2}, "distribution": {"family": "rademacher"},
+        "seed": 3, **_KIND_CONFIGS[kind]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ustatkit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys; from ustatkit.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "experiment", "run", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout + proc.stderr
 
 
 def test_experiment_reports_identical_across_runs_and_threads(tmp_path, capsys):

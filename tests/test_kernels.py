@@ -665,12 +665,16 @@ _LAWS = st.sampled_from(sorted(kernels._FAMILIES)).flatmap(
     lambda family: _LAW_PARAMS[family].map(lambda p: getattr(Distribution, family)(*p)))
 
 
+_GATE = [n for words in (kernels._PASS_WORDS, 2 * kernels._PASS_WORDS) for n in (words, words + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(dist=_LAWS, seed=_SEEDS,
        # n = 0 and 1; n ending part-way through a four-word block: 3, 9
        # and 33 for a law of two draws per word, 7, 9 and 33 for one; and
-       # the last n of the Philox pass and the first past it, at 128 words
-       n=st.sampled_from([0, 1, 3, 7, 8, 9, 33, 128, 129, 256, 257]) | st.integers(0, 300),
+       # the last n of the Philox pass and the first past it, for one and
+       # for two draws per word
+       n=st.sampled_from([0, 1, 3, 7, 8, 9, 33, *_GATE]) | st.integers(0, 300),
        reps=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), max_size=6))
 @example(dist=Distribution.rademacher(), seed=0, n=1024, reps=[0, 2**40])
 @example(dist=Distribution.uniform(-1.5, 2.25), seed=5, n=1023, reps=[])

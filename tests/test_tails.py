@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from ustatkit.kernels import Distribution, builtin_kernel, stream
@@ -9,7 +11,9 @@ from ustatkit.spaces import BanachSpaceDescriptor
 from ustatkit.tails import (
     EmpiricalTail,
     conditional_moment_tail,
+    median,
     norm_moment,
+    quantile,
     required_integrability,
     tail_integral,
     weak_lp_norm,
@@ -251,3 +255,40 @@ def test_required_integrability_validation():
         required_integrability(2, 1, -1.0, 2.0, 0.2)
     with pytest.raises(ValueError):
         required_integrability(2, 1, 0.0, 2.0, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+
+
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.0]
+# a few distinct values drawn again and again make ties, of +-0.0 too
+_SAMPLES = st.lists(
+    st.sampled_from(_EDGES) | st.floats(allow_subnormal=True) | st.integers(-3, 3).map(float),
+    min_size=1, max_size=64)
+_LEVELS = (st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.9]) | st.floats(0.0, 1.0),
+                    min_size=1, max_size=6).map(np.array)
+           | st.integers(1, 24).map(lambda k: np.linspace(0.5, 0.96, k)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_SAMPLES, levels=_LEVELS)
+def test_quantile_and_median_equal_numpy_bit_for_bit(values, levels):
+    x = np.array(values)
+    with np.errstate(all="ignore"):  # inf - inf, 1e308 + 1e308
+        want = np.quantile(x, levels)
+        assert _bits(quantile(x, levels)).tolist() == _bits(want).tolist()
+        for level in levels:
+            assert _bits(quantile(x, float(level))) == _bits(np.quantile(x, float(level)))
+        assert _bits(median(x)) == _bits(np.median(x))
+    assert x.tobytes() == np.array(values).tobytes()  # the input is left as it was
+
+
+def test_quantile_refuses_a_level_outside_the_unit_interval():
+    for level in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="levels"):
+            quantile([1.0, 2.0], [0.5, level])

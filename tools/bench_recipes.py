@@ -10,13 +10,16 @@ every workload in perfbench/workloads.py (read only) at its default seed,
 each at its own thread count (one where it names none).  With one or more
 `--threads N`, every config runs at each N instead, recorded as
 `NAME/tN`.  Every run is a
-fresh process, so a time includes interpreter start-up and imports.  A
-config runs REPEATS rounds; each round runs it at every thread count on
-every source in turn, so the times compared come from the same stretch of
-machine load, and the best wall time of each counts.  Writes one JSON object: the machine,
-and per source and config the thread count, every wall time, the best
-one and the sha256 of the report.json written, which must be the same in
-every round.
+fresh process.  It records two times: the process's wall time, which
+includes interpreter start-up and imports, and the wall time of the
+child's own `cli.main` call, timed as perfbench/child.py times it, which
+leaves start-up out and so shows gaps of a few ms that start-up noise
+hides.  A config runs REPEATS rounds; each round runs it at every thread
+count on every source in turn, so the times compared come from the same
+stretch of machine load, and the median of each time counts.  Writes one
+JSON object: the machine, and per source and config the thread count,
+every time of both kinds, their medians and the sha256 of the
+report.json written, which must be the same in every round.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,8 +37,20 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Rounds per config and source; the best wall time of each counts.
-REPEATS = 3
+# Rounds per config and source; the median of each time counts.
+REPEATS = 7
+
+# The child: ustatkit from PYTHONPATH, and only the CLI call timed.
+_CHILD = """
+import json, sys, time
+from ustatkit import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[2:])
+wall = time.perf_counter() - start
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump({"cli_s": wall}, fh)
+sys.exit(code)
+"""
 
 
 def _configs(threads=None):
@@ -54,27 +70,30 @@ def _configs(threads=None):
             yield [(name, config)]
 
 
-def _timed_run(src: str, config: dict) -> tuple[float, str]:
-    """Wall seconds of one `ustat experiment run` importing ustatkit from src,
-    and the sha256 of the report.json it writes."""
+def _timed_run(src: str, config: dict) -> tuple[float, float, str]:
+    """Wall seconds of one `ustat experiment run` process importing ustatkit
+    from src and of its CLI call, and the sha256 of the report.json it writes."""
     with tempfile.TemporaryDirectory() as wdir:
         config_path = os.path.join(wdir, "config.json")
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         out = os.path.join(wdir, "out")
+        timing_path = os.path.join(wdir, "timing.json")
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("USTAT_THREADS", None)
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "ustatkit.cli", "experiment", "run",
+            [sys.executable, "-c", _CHILD, timing_path, "experiment", "run",
              "--config", config_path, "--out", out],
             env=env, cwd=wdir, capture_output=True)
         wall = time.perf_counter() - start
         # 0 and 1 both write a report: a passed and a failed verdict
         if proc.returncode not in (0, 1):
             raise RuntimeError(f"exit {proc.returncode}:\n{proc.stderr.decode()}")
+        with open(timing_path, encoding="utf-8") as fh:
+            cli_s = json.load(fh)["cli_s"]
         with open(os.path.join(out, "report.json"), "rb") as fh:
-            return wall, hashlib.sha256(fh.read()).hexdigest()
+            return wall, cli_s, hashlib.sha256(fh.read()).hexdigest()
 
 
 def _source(arg: str) -> tuple[str, str]:
@@ -100,20 +119,23 @@ def main(argv=None) -> int:
     for group in _configs(args.threads):
         for name, config in group:
             for label, _ in args.src:
-                results[label][name] = {"threads": config.get("threads", 1), "wall_s": []}
+                results[label][name] = {
+                    "threads": config.get("threads", 1), "wall_s": [], "cli_s": []}
         for _ in range(REPEATS):
             for name, config in group:
                 for label, src in args.src:
-                    wall, digest = _timed_run(src, config)
+                    wall, cli_s, digest = _timed_run(src, config)
                     entry = results[label][name]
                     entry["wall_s"].append(round(wall, 4))
+                    entry["cli_s"].append(round(cli_s, 5))
                     if entry.setdefault("report_sha256", digest) != digest:
                         raise RuntimeError(f"{label} {name}: report changed between runs")
         for name, _ in group:
             for label, _ in args.src:
                 entry = results[label][name]
-                entry["best_s"] = min(entry["wall_s"])
-                print(label, name, entry["best_s"], flush=True)
+                entry["median_wall_s"] = statistics.median(entry["wall_s"])
+                entry["median_cli_s"] = statistics.median(entry["cli_s"])
+                print(label, name, entry["median_wall_s"], entry["median_cli_s"], flush=True)
 
     ledger = {
         "machine": {
