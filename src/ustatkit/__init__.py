@@ -9,6 +9,21 @@ bounds that govern such statistics.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# numpy's bundled OpenBLAS starts a worker thread per core inside `import
+# numpy`, which costs more than most runs here, whose products are too
+# small to repay it; and a threaded ddot sums in an order set by the core
+# count, which moves the last bits of tails.norm_moment.  So when ustatkit
+# loads numpy, it loads a one-thread BLAS, unless the user chose a thread
+# count (once numpy is loaded the variable could no longer take effect).
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del _os, _sys
+
 from .combinatorics import (
     count_tuples,
     enumerate_tuples,

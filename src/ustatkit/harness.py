@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import MISSING, dataclass, fields
-from math import comb, floor, inf, log2, sqrt
+from math import comb, floor, inf, isfinite, log2, sqrt
 
 import numpy as np
 
@@ -116,7 +116,9 @@ _WEIGHTED_MC_DRAWS = 16384
 # Tiles hold a multiple of 4 tuples: OpenBLAS's gemv sums its rows in
 # groups of four and a leftover row by another kernel, so with whole groups
 # a tuple's sum does not move with the tile boundaries (a tile this small
-# runs gemv on one thread, which would otherwise split the rows).
+# runs gemv on one thread, which would otherwise split the rows).  `import
+# ustatkit` loads a one-thread BLAS, but a library caller who imported numpy
+# first may run a threaded one, and the tile size still covers that case.
 _WEIGHTED_TILE_ENTRIES = 1 << 18
 # Replications simulated together: a block's widest arrays, the (B, k)
 # columns of one colex step and the (B, N) sample, hold at most this many
@@ -338,6 +340,13 @@ def _certify(config: ExperimentConfig, space: BanachSpaceDescriptor, order: bool
         config.kernel if kernel is None else kernel, config.dist,
         inner=config.inner, outer=config.outer, seed=config.seed, space=space,
     )
+    # an inf or NaN kernel value leaves every verdict below meaningless
+    bad = next((e for e in (*report.coordinate_entries, *report.level_entries)
+                if not isfinite(e.squared_statistic)), None)
+    if bad is not None or not isfinite(report.scale):
+        where = f"{bad.label} has squared_statistic {bad.squared_statistic:.6g}, " if bad else ""
+        raise ConfigError(f"kernel: {shown} is not finite under the law: "
+                          f"{where}scale {report.scale:.6g}")
     verdict = report.order if order else report.degenerate
     if verdict is None:
         entries = report.level_entries if order else report.coordinate_entries

@@ -298,6 +298,25 @@ def test_experiment_vanishing_kernel_has_no_degeneracy_order(tmp_path, capsys):
     assert "inconclusive" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("expr", ["x1 * x2 / (x1 - x1)", "x1 * x2 * 1e308 * 1e308"])
+@pytest.mark.parametrize("kind", [{"experiment": "deviation"},
+                                  {"experiment": "order-d-deviation", "d": 2}])
+def test_experiment_non_finite_kernel_is_named_as_such(tmp_path, capsys, family, expr,
+                                                       kind):
+    # without the check, Rademacher data read "not degenerate" (or "order
+    # 0") and Gaussian data "certifies inconclusive ... raise inner/outer"
+    cfg = write_config(tmp_path, "e.json", {
+        **EXP_CONFIG, **kind, "kernel": {"expr": expr, "m": 2, "symmetric": True},
+        "distribution": {"family": family}})
+    code, _, err = run(["experiment", "run", "--config", cfg,
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "kernel: the kernel is not finite under the law: all-but-0 has" in err
+    assert "degenera" not in err and "inconclusive" not in err
+
+
 # One config of each experiment kind; deviation and order-d-deviation
 # build the automatic t-grid, lln with alpha the default eps.
 _KIND_CONFIGS = {
@@ -316,6 +335,20 @@ _KIND_CONFIGS = {
 }
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(args, blas_env=None):
+    """A fresh interpreter run with args, importing ustatkit from this
+    checkout, with none of the BLAS thread variables but those in blas_env."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ustatkit.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env.update(blas_env or {}, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 @pytest.mark.parametrize("kind", sorted(_KIND_CONFIGS))
 def test_experiment_run_does_not_import_numpy_ma(tmp_path, kind):
     # importing numpy.ma takes 8-17 ms, a quarter of a short run; pytest
@@ -323,16 +356,59 @@ def test_experiment_run_does_not_import_numpy_ma(tmp_path, kind):
     cfg = write_config(tmp_path, "e.json", {
         "kernel": {"name": "product", "m": 2}, "distribution": {"family": "rademacher"},
         "seed": 3, **_KIND_CONFIGS[kind]})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ustatkit.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys; from ustatkit.cli import main; code = main(sys.argv[1:]); "
               "print(code, 'numpy.ma' in sys.modules)")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "experiment", "run", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = _fresh_python(["-c", script, "experiment", "run", "--config", cfg,
+                          "--out", str(tmp_path / "o")])
     assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout + proc.stderr
+
+
+def test_import_loads_numpy_with_a_one_thread_blas():
+    # a meta-path finder reads the variable as numpy's import begins
+    script = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import ustatkit\n"
+        "print(seen, os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    proc = _fresh_python(["-c", script])
+    assert proc.stdout.split() == ["['1']", "1"], proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name", _BLAS_THREAD_VARIABLES)
+def test_import_leaves_a_chosen_blas_thread_count_alone(name):
+    script = ("import os, ustatkit; "
+              f"print(sorted(k + '=' + os.environ[k] for k in {_BLAS_THREAD_VARIABLES!r} "
+              "if k in os.environ))")
+    proc = _fresh_python(["-c", script], {name: "2"})
+    assert proc.stdout.strip() == repr([f"{name}=2"]), proc.stdout + proc.stderr
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    script = ("import os; before = dict(os.environ); import numpy, ustatkit; "
+              "print(dict(os.environ) == before)")
+    proc = _fresh_python(["-c", script])
+    assert proc.stdout.strip() == "True", proc.stdout + proc.stderr
+
+
+def test_experiment_report_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # the bound's tails.norm_moment ends in a dot over 65,536 Gaussian
+    # draws, which a multi-threaded BLAS splits by the machine's core count
+    cfg = write_config(tmp_path, "e.json", {
+        "kernel": {"name": "product", "m": 2}, "distribution": {"family": "gaussian"},
+        "experiment": "deviation", "n_grid": [8], "replications": 100, "seed": 5})
+    reports = []
+    for tag, blas_env in (("unset", None), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / tag
+        proc = _fresh_python(["-m", "ustatkit.cli", "experiment", "run",
+                              "--config", cfg, "--out", str(out)], blas_env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_experiment_reports_identical_across_runs_and_threads(tmp_path, capsys):

@@ -10,15 +10,19 @@ every workload in perfbench/workloads.py (read only) at its default seed,
 each at its own thread count (one where it names none).  With one or more
 `--threads N`, every config runs at each N instead, recorded as
 `NAME/tN`.  Every run is a
-fresh process.  It records two times: the process's wall time, which
-includes interpreter start-up and imports, and the wall time of the
-child's own `cli.main` call, timed as perfbench/child.py times it, which
-leaves start-up out and so shows gaps of a few ms that start-up noise
-hides.  A config runs REPEATS rounds; each round runs it at every thread
+fresh process.  It records three times: the process's wall time, which
+includes interpreter start-up and imports; its CPU time (user plus
+system, from the rusage os.wait4 returns, as perfbench/run.py reads it),
+which also counts every thread the process starts; and the wall time of
+the child's own `cli.main` call, timed as perfbench/child.py times it,
+which leaves start-up out and so shows gaps of a few ms that start-up
+noise hides.  A config runs REPEATS rounds; each round runs it at every thread
 count on every source in turn, so the times compared come from the same
-stretch of machine load, and the median of each time counts.  Writes one
+stretch of machine load, and the sources take turns at running first,
+since the second of two back-to-back runs of one config can read slower
+on identical trees.  The median of each time counts.  Writes one
 JSON object: the machine, and per source and config the thread count,
-every time of both kinds, their medians and the sha256 of the
+every time of the three kinds, their medians and the sha256 of the
 report.json written, which must be the same in every round.
 """
 
@@ -70,9 +74,10 @@ def _configs(threads=None):
             yield [(name, config)]
 
 
-def _timed_run(src: str, config: dict) -> tuple[float, float, str]:
-    """Wall seconds of one `ustat experiment run` process importing ustatkit
-    from src and of its CLI call, and the sha256 of the report.json it writes."""
+def _timed_run(src: str, config: dict) -> tuple[float, float, float, str]:
+    """Wall and CPU seconds of one `ustat experiment run` process importing
+    ustatkit from src, the wall seconds of its CLI call, and the sha256 of
+    the report.json it writes."""
     with tempfile.TemporaryDirectory() as wdir:
         config_path = os.path.join(wdir, "config.json")
         with open(config_path, "w", encoding="utf-8") as fh:
@@ -81,19 +86,25 @@ def _timed_run(src: str, config: dict) -> tuple[float, float, str]:
         timing_path = os.path.join(wdir, "timing.json")
         env = {**os.environ, "PYTHONPATH": src}
         env.pop("USTAT_THREADS", None)
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, timing_path, "experiment", "run",
-             "--config", config_path, "--out", out],
-            env=env, cwd=wdir, capture_output=True)
-        wall = time.perf_counter() - start
+        log_path = os.path.join(wdir, "child.log")
+        with open(log_path, "wb") as log:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _CHILD, timing_path, "experiment", "run",
+                 "--config", config_path, "--out", out],
+                env=env, cwd=wdir, stdout=log, stderr=subprocess.STDOUT)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
         # 0 and 1 both write a report: a passed and a failed verdict
         if proc.returncode not in (0, 1):
-            raise RuntimeError(f"exit {proc.returncode}:\n{proc.stderr.decode()}")
+            with open(log_path, encoding="utf-8", errors="replace") as fh:
+                raise RuntimeError(f"exit {proc.returncode}:\n{fh.read()}")
         with open(timing_path, encoding="utf-8") as fh:
             cli_s = json.load(fh)["cli_s"]
         with open(os.path.join(out, "report.json"), "rb") as fh:
-            return wall, cli_s, hashlib.sha256(fh.read()).hexdigest()
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return wall, usage.ru_utime + usage.ru_stime, cli_s, digest
 
 
 def _source(arg: str) -> tuple[str, str]:
@@ -120,22 +131,26 @@ def main(argv=None) -> int:
         for name, config in group:
             for label, _ in args.src:
                 results[label][name] = {
-                    "threads": config.get("threads", 1), "wall_s": [], "cli_s": []}
-        for _ in range(REPEATS):
+                    "threads": config.get("threads", 1),
+                    "wall_s": [], "cpu_s": [], "cli_s": []}
+        for round_ in range(REPEATS):
+            sources = args.src[round_ % len(args.src):] + args.src[:round_ % len(args.src)]
             for name, config in group:
-                for label, src in args.src:
-                    wall, cli_s, digest = _timed_run(src, config)
+                for label, src in sources:
+                    wall, cpu, cli_s, digest = _timed_run(src, config)
                     entry = results[label][name]
                     entry["wall_s"].append(round(wall, 4))
+                    entry["cpu_s"].append(round(cpu, 4))
                     entry["cli_s"].append(round(cli_s, 5))
                     if entry.setdefault("report_sha256", digest) != digest:
                         raise RuntimeError(f"{label} {name}: report changed between runs")
         for name, _ in group:
             for label, _ in args.src:
                 entry = results[label][name]
-                entry["median_wall_s"] = statistics.median(entry["wall_s"])
-                entry["median_cli_s"] = statistics.median(entry["cli_s"])
-                print(label, name, entry["median_wall_s"], entry["median_cli_s"], flush=True)
+                for key in ("wall_s", "cpu_s", "cli_s"):
+                    entry[f"median_{key}"] = statistics.median(entry[key])
+                print(label, name, entry["median_wall_s"], entry["median_cpu_s"],
+                      entry["median_cli_s"], flush=True)
 
     ledger = {
         "machine": {
@@ -143,6 +158,10 @@ def main(argv=None) -> int:
             "processor": platform.machine(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
+            # a BLAS thread count set here reaches every child
+            "blas_env": {k: os.environ[k] for k in (
+                "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+                if k in os.environ},
         },
         "repeats": REPEATS,
         "results": results,

@@ -1,6 +1,6 @@
 """Print the sha256 of each report.json that a fixed set of runs writes.
 
-    python3 tools/report_hashes.py
+    python3 tools/report_hashes.py [--check]
 
 Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, every
 benchmark workload (perfbench/workloads.py, read only) at its default
@@ -11,11 +11,14 @@ reorders floating-point work.  Each run is one
 `src` directory of this checkout.  Three `ustat decompose` configs follow,
 hashed by the report they print on stdout.  Prints one `name sha256` line
 per report, so two checkouts give the same lines exactly when their
-reports are byte-identical.
+reports are byte-identical.  With --check, it also compares the lines with
+the ledger tools/report_hashes.expected, names every line that differs,
+is missing or is new, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -24,6 +27,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEDGER = os.path.join(ROOT, "tools", "report_hashes.expected")
 
 _PRODUCT = {"name": "product", "m": 2}
 _GAUSSIAN = {"family": "gaussian"}
@@ -176,13 +180,30 @@ def decompose_hash(config: dict, wdir: str) -> str:
     return hashlib.sha256(_ustat(["decompose"], config, wdir)).hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="diff against tools/report_hashes.expected")
+    args = parser.parse_args(argv)
+    expected = {}
+    if args.check:
+        with open(LEDGER, encoding="utf-8") as fh:
+            expected = dict(line.split() for line in fh if line.strip())
+
     runs = [(name, config, report_hash) for name, config in _configs()]
     runs += [(name, config, decompose_hash) for name, config in DECOMPOSE.items()]
+    differ = []
     for name, config, digest in runs:
         with tempfile.TemporaryDirectory() as wdir:
-            print(name, digest(config, wdir), flush=True)
-    return 0
+            value = digest(config, wdir)
+        print(name, value, flush=True)
+        want = expected.pop(name, None)
+        if args.check and want != value:
+            differ.append(f"{name}: ledger {want or 'has no line'}, run {value}")
+    differ += [f"{name}: in the ledger but not run" for name in expected]
+    for line in differ:
+        print(line, file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
