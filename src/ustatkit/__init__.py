@@ -44,6 +44,7 @@ from .holder import (
     dyadic_increment_exceedance,
     holder_norm,
     holder_norm_grid,
+    holder_norm_quantiles,
     holder_norms,
 )
 from .incomplete import (
@@ -103,6 +104,7 @@ __all__ = [
     "enumerate_tuples",
     "holder_norm",
     "holder_norm_grid",
+    "holder_norm_quantiles",
     "holder_norms",
     "incomplete_ustat",
     "kernel_from_expression",

@@ -1,15 +1,18 @@
 """Deterministic fan-out over work items.
 
-It has one use: the Holder pair scan (holder.holder_norms) maps over fixed
-chunks of 128 path rows, whose bounds never depend on the thread count,
-and each chunk runs one large numpy call per lag, which releases the
-interpreter lock.  Every other stage runs in the calling thread: between
-its numpy calls Python holds the lock, and a second thread measured
-slower than one.  Results come back in index order no matter how many
-workers run, so any reduction applied afterwards sees a fixed operand
-order and experiment output is independent of the thread count.  No more
-workers start than there are items or usable cores, since extra workers
-only trade the lock back and forth.
+It has one use: holder.holder_norms, the full Holder pair scan that
+holder_norm_quantiles is checked against, maps over fixed chunks of 128
+path rows, whose bounds never depend on the thread count, and each chunk
+runs one large numpy call per lag, which releases the interpreter lock.
+Every experiment stage runs in the calling thread: between its numpy
+calls Python holds the lock, and a second thread measured slower than
+one; the Holder experiment's quantile scan selects rows across a whole
+horizon, so its rows do not split into independent chunks.  Results
+come back in index order no matter how many workers run, so any
+reduction applied afterwards sees a fixed operand order and the output
+is independent of the thread count.  No more workers start than there
+are items or usable cores, since extra workers only trade the lock back
+and forth.
 """
 
 from __future__ import annotations

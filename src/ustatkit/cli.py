@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .harness import (
     ConfigError, ExperimentConfig, check_fields, config_field, kernel_space, nested_draws,
-    run_experiment,
+    require_finite, run_experiment,
 )
 from .hoeffding import check_degeneracy, project_degenerate_level
 from .incomplete import SamplingDesign, draw_design, incomplete_ustat
@@ -125,13 +125,47 @@ def _json_scalar(obj) -> str | None:
     return "null" if obj is None else None
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _table_rows(items, indent: str) -> list[str] | None:
+    """The JSON text of each row of a table at indent, or None if items
+    is not one: a table is a list of dicts with one set of str keys, whose
+    values are all plain str, int, float, bool or None."""
+    first = items[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = first.keys()
+    if (any(type(key) is not str for key in keys)
+            or any(type(row) is not dict or row.keys() != keys for row in items)):
+        return None
+    names = sorted(keys)
+    texts = []
+    for key in names:
+        column = [row[key] for row in items]
+        kinds = set(map(type, column))
+        if not kinds <= _PLAIN:
+            return None
+        # an all-float or all-int column skips _json_scalar's dispatch
+        if kinds == {float}:
+            texts.append([_NONFINITE.get(text, text) for text in map(float.__repr__, column)])
+        else:
+            texts.append(map(int.__repr__ if kinds == {int} else _json_scalar, column))
+    inner = indent + "  "
+    template = "{" + ",".join(
+        f"\n{inner}" + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+        for key in names) + f"\n{indent}}}"
+    return [template % row for row in zip(*texts)]
+
+
 def _dump_json(payload, fh) -> None:
     """Write payload and a newline to fh, byte for byte as
     json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n".
 
     json.dumps is this writer's oracle.  Its indented encoder is pure
     Python and would first need _jsonable's copy of the tree; this one
-    converts numpy values where it meets them and hands fh its text every
+    converts numpy values where it meets them, writes a table of plain
+    rows (_table_rows) one template per row, and hands fh its text every
     few thousand pieces, so a report is never held whole.
     """
     out = []
@@ -157,6 +191,10 @@ def _dump_json(payload, fh) -> None:
             out.append("{}" if keyed else "[]")
             return
         inner = indent + "  "
+        table = None if keyed else _table_rows(items, inner)
+        if table is not None:
+            out.append("[\n" + inner + (",\n" + inner).join(table) + "\n" + indent + "]")
+            return
         sep = ("{\n" if keyed else "[\n") + inner
         for item in items:
             if keyed:
@@ -326,6 +364,7 @@ def cmd_decompose(args) -> int:
                                   seed=seed, space=space)
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
+    require_finite(report)
     payload = report.to_dict()
 
     if level is not None:

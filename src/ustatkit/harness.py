@@ -45,9 +45,10 @@ number of words).  Either way every row of a block is bit-identical to
 the trajectory of that replication alone, drawn from stream(seed, *path,
 r), so a report is bit-for-bit reproducible for a fixed config and does
 not depend on the block size.
-The one stage on worker threads is the Holder pair scan
-(holder.holder_norms), over fixed row chunks of each horizon's paths, so
-no report depends on the thread count either.
+Every stage runs in the calling thread, the Holder scan included
+(holder.holder_norm_quantiles: its row selection compares rows across a
+whole horizon), so no report depends on the thread count either; the
+`threads` field is validated and kept for configs that set it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .holder import (
     HolderParams,
     calibrate_epsilon,
     dyadic_increment_exceedance,
-    holder_norms,
+    holder_norm_quantiles,
 )
 from .incomplete import SamplingDesign, bernoulli_moment_cell
 from .kernels import (
@@ -102,6 +103,7 @@ __all__ = [
     "moment_experiment",
     "nested_draws",
     "order_d_deviation_experiment",
+    "require_finite",
     "run_experiment",
 ]
 
@@ -186,8 +188,9 @@ class ExperimentConfig:
     Grids are tuples; `grid` holds (n, p_n) pairs and only feeds the
     incomplete-moment experiment.  `q` defaults to p where a bound leaves it
     free.  `replications` drives tail frequencies and path statistics,
-    `moment_replications` drives moment estimates.  `threads` is the Holder
-    pair scan's worker count; None defers to USTAT_THREADS, then to 1.
+    `moment_replications` drives moment estimates.  `threads` is validated
+    (None defers to USTAT_THREADS, then to 1), but every experiment stage
+    runs in the calling thread.
     """
 
     kernel: Kernel
@@ -325,6 +328,18 @@ def _horizons(config: ExperimentConfig) -> tuple[int, ...]:
     return config.n_grid
 
 
+def require_finite(report, shown: str = "the kernel") -> None:
+    """A ConfigError when a degeneracy report's scale or an entry's squared
+    statistic is inf or NaN: such a kernel value leaves every verdict
+    meaningless.  shown names the kernel in the message."""
+    bad = next((e for e in (*report.coordinate_entries, *report.level_entries)
+                if not isfinite(e.squared_statistic)), None)
+    if bad is not None or not isfinite(report.scale):
+        where = f"{bad.label} has squared_statistic {bad.squared_statistic:.6g}, " if bad else ""
+        raise ConfigError(f"kernel: {shown} is not finite under the law: "
+                          f"{where}scale {report.scale:.6g}")
+
+
 def _certify(config: ExperimentConfig, space: BanachSpaceDescriptor, order: bool = False,
              kernel: Kernel | None = None, shown: str = "the kernel"):
     """The degeneracy report of kernel (default config.kernel) at the config's
@@ -340,13 +355,7 @@ def _certify(config: ExperimentConfig, space: BanachSpaceDescriptor, order: bool
         config.kernel if kernel is None else kernel, config.dist,
         inner=config.inner, outer=config.outer, seed=config.seed, space=space,
     )
-    # an inf or NaN kernel value leaves every verdict below meaningless
-    bad = next((e for e in (*report.coordinate_entries, *report.level_entries)
-                if not isfinite(e.squared_statistic)), None)
-    if bad is not None or not isfinite(report.scale):
-        where = f"{bad.label} has squared_statistic {bad.squared_statistic:.6g}, " if bad else ""
-        raise ConfigError(f"kernel: {shown} is not finite under the law: "
-                          f"{where}scale {report.scale:.6g}")
+    require_finite(report, shown)
     verdict = report.order if order else report.degenerate
     if verdict is None:
         entries = report.level_entries if order else report.coordinate_entries
@@ -1122,14 +1131,9 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
             return traj, prefix_values(raw_kernel, sample, _n)
 
         trajectories, *paths = _simulate(h, dist, n, reps, seed, ("holder", n), reduce)
-        # the scan's row chunks are not the simulation's blocks: it takes
-        # every path of this horizon at once, in fixed chunks of its own
-        hnorms = holder_norms(trajectories / float(n) ** exponent, config.alpha, config.threads)
-        quantile_rows.append({
-            "n": int(n),
-            "median": float(quantile(hnorms, 0.5)),
-            "q90": float(quantile(hnorms, 0.9)),
-        })
+        median, q90 = holder_norm_quantiles(
+            trajectories / float(n) ** exponent, config.alpha, [0.5, 0.9]).tolist()
+        quantile_rows.append({"n": int(n), "median": median, "q90": q90})
         if n == n_exc:
             exceed_paths = paths[0] if paths else trajectories
 

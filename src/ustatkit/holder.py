@@ -33,6 +33,25 @@ row's norm keeps its bits.  A row whose span is not finite (it holds NaN
 or +-inf, or its span overflows) scans every lag: inf - inf is a NaN that
 its norm must show.
 
+holder_norm_quantiles reads quantiles of the norms, as quantile of
+holder_norms does, bit for bit, while scanning to the end only the rows
+that can be one of the order statistics those quantiles read (bound-based
+selection, after Floyd and Rivest, CACM 1975).  Each row's norm lies in
+[lb, ub]: lb is |x(0)| plus the best ratio over the lags scanned so far,
+and ub bounds every later lag by octave bands.  A pair at a lag in
+[2^b, 2^(b+1)) lies in a window of at most 2^(b+1) points, so by the same
+monotone rounding its computed |increment| is at most the row's largest
+window range max - min at that width, which a doubling ("sparse") table
+of window maxima and minima gives (Bender and Farach-Colton, LATIN 2000).
+Every STOP_CHECK_LAGS lags a row stops scanning when its bound on later
+lags is at most its best ratio (its norm is exact: the span stop again),
+or when, for each needed order statistic k of the sorted lbs and ubs, its
+ub is below the k-th lb or its lb above the k-th ub.  Such a row lies
+strictly on one side of every needed order statistic, and so does its lb,
+which stands in for its norm from then on (with ub = lb), so the order
+statistics and the quantiles keep their bits.  A matrix with a row whose
+span is not finite takes the full scan.
+
 The dyadic statistic counts, per cell (j, k), how often the raw partial
 sum increment |S_floor(n(k+1)/2^j) - S_floor(nk/2^j)| exceeds
 n^(d/2) 2^(-a j) eps, and reports the tail sums over j >= J whose decay is
@@ -47,7 +66,7 @@ from math import floor, log2
 import numpy as np
 
 from ._parallel import parallel_map
-from .tails import quantile
+from .tails import order_positions, quantile
 
 __all__ = [
     "DyadicExceedanceTable",
@@ -56,6 +75,7 @@ __all__ = [
     "dyadic_increment_exceedance",
     "holder_norm",
     "holder_norm_grid",
+    "holder_norm_quantiles",
     "holder_norms",
 ]
 
@@ -107,6 +127,41 @@ def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
+def _check_scan(values: np.ndarray, alpha: float) -> int:
+    """The breakpoint count of a value matrix the pair scan can take."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    npts = values.shape[1]
+    if npts > MAX_SCAN_BREAKPOINTS + 1:
+        raise ValueError(
+            f"{npts} breakpoints exceed the pair-scan cap "
+            f"{MAX_SCAN_BREAKPOINTS}; use the dyadic statistic instead"
+        )
+    return npts
+
+
+def _gap_powers(t: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each lag's one gap power on a uniform grid, and the smallest gap
+    power at each lag or any later one (pow need not be monotone)."""
+    lag_gaps = (t[1:] - t[0]) ** alpha
+    return lag_gaps, np.minimum.accumulate(lag_gaps[::-1])[::-1]
+
+
+def _lag_ratios(rows: np.ndarray, lag: int, lag_gaps: np.ndarray) -> np.ndarray:
+    """Each row's largest |increment| at lag over that lag's one gap power."""
+    diffs = rows[:, lag:] - rows[:, :-lag]
+    return np.maximum(diffs.max(axis=1), -diffs.min(axis=1)) / lag_gaps[lag - 1]
+
+
+def _uniform_matrix(values) -> tuple[np.ndarray, np.ndarray]:
+    """values as a float64 (B, n+1) matrix, and the grid k/n it lies on."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError("values must be a (B, n+1) matrix with n >= 0")
+    n = values.shape[1] - 1
+    return values, np.arange(n + 1) / max(n, 1)
+
+
 def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float,
                uniform: bool = False) -> np.ndarray:
     """Norms of the rows of a (B, npts) value matrix over breakpoints t.
@@ -119,18 +174,9 @@ def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float,
     every live row; each row's arithmetic is the same as scanning that row
     alone.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
-    npts = values.shape[1]
-    if npts > MAX_SCAN_BREAKPOINTS + 1:
-        raise ValueError(
-            f"{npts} breakpoints exceed the pair-scan cap "
-            f"{MAX_SCAN_BREAKPOINTS}; use the dyadic statistic instead"
-        )
+    npts = _check_scan(values, alpha)
     if uniform:
-        lag_gaps = (t[1:] - t[0]) ** alpha
-        # the smallest gap power at each lag or any later one
-        floors = np.minimum.accumulate(lag_gaps[::-1])[::-1]
+        lag_gaps, floors = _gap_powers(t, alpha)
         spans = values.max(axis=1) - values.min(axis=1)
     best = np.zeros(values.shape[0])
     live, rows = np.arange(values.shape[0]), values
@@ -142,10 +188,10 @@ def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float,
                 rows = values[live]
                 if not live.size:
                     break
-        diffs = rows[:, lag:] - rows[:, :-lag]
         if uniform:
-            top = np.maximum(diffs.max(axis=1), -diffs.min(axis=1)) / lag_gaps[lag - 1]
+            top = _lag_ratios(rows, lag, lag_gaps)
         else:
+            diffs = rows[:, lag:] - rows[:, :-lag]
             top = (np.abs(diffs) / (t[lag:] - t[:-lag]) ** alpha).max(axis=1)
         best[live] = np.maximum(best[live], top)
     return np.abs(values[:, 0]) + best
@@ -162,11 +208,7 @@ def holder_norms(values, alpha: float, threads: int | None = None) -> np.ndarray
 
     Chunks of SCAN_CHUNK_ROWS rows are mapped over `threads` workers.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] < 1:
-        raise ValueError("values must be a (B, n+1) matrix with n >= 0")
-    n = values.shape[1] - 1
-    t = np.arange(n + 1) / max(n, 1)
+    values, t = _uniform_matrix(values)
 
     def scan(chunk: int) -> np.ndarray:
         rows = values[chunk * SCAN_CHUNK_ROWS:(chunk + 1) * SCAN_CHUNK_ROWS]
@@ -174,6 +216,66 @@ def holder_norms(values, alpha: float, threads: int | None = None) -> np.ndarray
 
     chunks = max(-(-values.shape[0] // SCAN_CHUNK_ROWS), 1)
     return np.concatenate(parallel_map(scan, chunks, threads))
+
+
+def holder_norm_quantiles(values, alpha: float, levels) -> np.ndarray:
+    """quantile(holder_norms(values, alpha), levels), bit for bit.
+
+    Only the rows that can be one of the order statistics the quantiles
+    read are scanned to their last useful lag (see the module docstring).
+    Runs in the calling thread: the selection compares rows across the
+    whole matrix.
+    """
+    values, t = _uniform_matrix(values)
+    npts = _check_scan(values, alpha)
+    count = values.shape[0]
+    spans = values.max(axis=1) - values.min(axis=1)
+    if npts == 1 or not (count and np.isfinite(spans).all()):
+        # no lag or no row to select from, or a norm that must show NaN
+        return quantile(holder_norms(values, alpha, threads=1), levels)
+    _, _, lo, hi = order_positions(count, levels)
+    ranks = sorted({k % count for k in (*lo.tolist(), *hi.tolist())})
+    lag_gaps, floors = _gap_powers(t, alpha)
+
+    # ranges[:, b]: the largest window range over 2^(b+1) points, which
+    # bounds every |increment| at a lag in band [2^b, 2^(b+1)); the last
+    # band's windows reach past the row, so its bound is the span.  Only
+    # the current level of the doubling table is kept.
+    bands = (npts - 1).bit_length()
+    ranges = np.empty((count, bands))
+    top_w = low_w = values
+    for b in range(bands - 1):
+        width = 1 << b
+        top_w = np.maximum(top_w[:, :-width], top_w[:, width:])
+        low_w = np.minimum(low_w[:, :-width], low_w[:, width:])
+        ranges[:, b] = (top_w - low_w).max(axis=1)
+    ranges[:, -1] = spans
+    # later[:, b]: the bound on every lag of band b or any later band
+    later = np.zeros((count, bands + 1))
+    bound = ranges / floors[(1 << np.arange(bands)) - 1]
+    later[:, :bands] = np.maximum.accumulate(bound[:, ::-1], axis=1)[:, ::-1]
+
+    head = np.abs(values[:, 0])
+    best = np.zeros(count)
+    upper = np.empty(count)
+    live, rows = np.arange(count), values
+    for lag in range(1, npts):
+        if lag % STOP_CHECK_LAGS == 0:
+            band = lag.bit_length() - 1
+            rest = np.maximum(ranges[live, band] / floors[lag - 1], later[live, band + 1])
+            lower = head + best
+            upper[live] = head[live] + np.maximum(best[live], rest)
+            low_k, up_k = np.sort(lower)[ranks], np.sort(upper)[ranks]
+            outside = ((upper[live, None] < low_k) | (lower[live, None] > up_k)).all(axis=1)
+            done = outside | (rest <= best[live])
+            if done.any():
+                upper[live[done]] = lower[live[done]]
+                live = live[~done]
+                if not live.size:
+                    break
+                rows = values[live]
+        best[live] = np.maximum(best[live], _lag_ratios(rows, lag, lag_gaps))
+    return quantile(head + best, levels)
 
 
 def holder_norm_grid(path, alpha: float, points: int = 20000) -> float:
@@ -286,16 +388,10 @@ def dyadic_increment_exceedance(
         inc = np.abs(S[:, high] - S[:, low])
         threshold = scale * 2.0 ** (-alpha * j) * eps
         freq = (inc > threshold).mean(axis=0)
-        for k in range(2**j):
-            rows.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "frequency": float(freq[k]),
-                    "low": int(low[k]),
-                    "high": int(high[k]),
-                }
-            )
+        rows.extend(
+            {"j": j, "k": k, "frequency": f, "low": a, "high": b}
+            for k, (f, a, b) in enumerate(zip(freq.tolist(), low.tolist(), high.tolist()))
+        )
         layer_sums.append((j, float(freq.sum())))
 
     tails = []

@@ -44,6 +44,7 @@ __all__ = [
     "conditional_moment_tail",
     "median",
     "norm_moment",
+    "order_positions",
     "quantile",
     "required_integrability",
     "tail_integral",
@@ -95,25 +96,33 @@ class EmpiricalTail:
         return float(self.values[pos])
 
 
-def quantile(values, levels) -> np.ndarray:
-    """np.quantile(values, levels), method "linear", in the shape of levels.
+def order_positions(n: int, levels):
+    """The order statistics quantile reads from n values at levels.
 
-    Partitions a float64 copy on numpy's own kth set, {0, -1} with the
-    floor of each virtual index v = (n - 1) q and the next index, both -1
-    at or past n - 1, so ties of unequal bits (+-0.0) land where numpy
-    puts them; interpolates as numpy's _lerp does.
+    Returns the levels q as a float64 array, the virtual indexes
+    v = (n - 1) q, and the floor of each v and the next index, both -1
+    at or past n - 1: the positions numpy's "linear" method reads.
     """
-    part = np.array(values, dtype=np.float64).ravel()
     q = np.asarray(levels, dtype=np.float64)
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    n = part.size
     v = (n - 1) * q.ravel()
     lo = np.floor(v)
     hi = lo + 1
     top = v >= n - 1
     lo[top] = hi[top] = -1
-    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    return q, v, lo.astype(np.intp), hi.astype(np.intp)
+
+
+def quantile(values, levels) -> np.ndarray:
+    """np.quantile(values, levels), method "linear", in the shape of levels.
+
+    Partitions a float64 copy on numpy's own kth set, {0, -1} with the
+    order_positions, so ties of unequal bits (+-0.0) land where numpy
+    puts them; interpolates as numpy's _lerp does.
+    """
+    part = np.array(values, dtype=np.float64).ravel()
+    q, v, lo, hi = order_positions(part.size, levels)
     part.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
     a, b = part[lo], part[hi]
     g = v - lo

@@ -317,6 +317,23 @@ def test_experiment_non_finite_kernel_is_named_as_such(tmp_path, capsys, family,
     assert "degenera" not in err and "inconclusive" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", ["rademacher", "gaussian"])
+@pytest.mark.parametrize("expr", ["x1 * x2 / (x1 - x1)", "x1 * x2 * 1e308 * 1e308"])
+def test_decompose_refuses_a_non_finite_kernel_as_experiment_does(tmp_path, capsys, family,
+                                                                 expr):
+    # decompose printed bare NaN, which is not JSON, and exited 0
+    law = {"kernel": {"expr": expr, "m": 2, "symmetric": True},
+           "distribution": {"family": family}}
+    cfg = write_config(tmp_path, "d.json", law)
+    code, out, err = run(["decompose", "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert "kernel: the kernel is not finite under the law: all-but-0 has" in err
+    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "experiment": "deviation", **law})
+    assert run(["experiment", "run", "--config", cfg, "--out", str(tmp_path / "o")],
+               capsys) == (2, "", err)
+
+
 # One config of each experiment kind; deviation and order-d-deviation
 # build the automatic t-grid, lln with alpha the default eps.
 _KIND_CONFIGS = {
@@ -809,13 +826,29 @@ _SCALARS = st.one_of(
     hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
                hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
 )
+_PLAIN_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+                          st.text(max_size=6))
+_KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["x%", "%s", "%%", "\u00e9%d"]))
+
+
+def _tables(cells):
+    """Lists (or tuples) of dicts that share one key set, as report row
+    tables do; a cell is a plain scalar or, now and then, anything else."""
+    def rows(spec):
+        keys, length = spec
+        row = st.fixed_dictionaries({key: cells for key in keys})
+        return st.lists(row, min_size=length, max_size=length)
+    shape = st.tuples(st.lists(_KEYS, max_size=4, unique=True), st.integers(1, 5))
+    return st.one_of(shape.flatmap(rows), shape.flatmap(rows).map(tuple))
+
+
 _TREES = st.recursive(
     _SCALARS,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-20, 20)), children,
-                        max_size=4),
+        st.dictionaries(st.one_of(_KEYS, st.integers(-20, 20)), children, max_size=4),
+        _tables(st.one_of(_PLAIN_SCALARS, _PLAIN_SCALARS, _PLAIN_SCALARS, children)),
     ),
     max_leaves=24,
 )

@@ -954,9 +954,10 @@ class _NoPool(RuntimeError):
     pass
 
 
-def test_only_the_holder_scan_starts_threads(monkeypatch):
+def test_no_experiment_starts_threads(monkeypatch):
     # eight usable cores and a pool that cannot start: every experiment
-    # but the Holder scan must run its blocks in the calling thread
+    # runs in the calling thread, the Holder scan of 300 paths (more than
+    # two of holder_norms' row chunks) included; holder_norms still fans out
     from ustatkit import _parallel, harness
     from ustatkit.holder import holder_norms
 
@@ -964,6 +965,7 @@ def test_only_the_holder_scan_starts_threads(monkeypatch):
         dict(experiment="deviation", p=2.0, n_grid=[8, 16], replications=40),
         dict(experiment="lln", p=1.5, n_grid=[8, 16], replications=40),
         dict(experiment="moment", p=2.0, n_grid=[8, 16], moment_replications=40),
+        dict(experiment="holder", alpha=0.3, d=2, n_grid=[16, 32], replications=300),
     ]
     refs = [run_experiment(make(threads=1, **kw)) for kw in cases]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ustatkit.holder
 from ustatkit.holder import (
     MAX_SCAN_BREAKPOINTS,
     SCAN_CHUNK_ROWS,
@@ -17,10 +18,12 @@ from ustatkit.holder import (
     dyadic_increment_exceedance,
     holder_norm,
     holder_norm_grid,
+    holder_norm_quantiles,
     holder_norms,
     _pair_scan,
 )
 from ustatkit.kernels import builtin_kernel
+from ustatkit.tails import quantile
 from ustatkit.ustat import PartialSumPath, partial_sum_path
 
 
@@ -249,6 +252,70 @@ def test_scan_chunks_bit_identical_at_any_thread_count():
     want = _per_pair(walks, 0.3)
     for threads in (1, 2, 8):
         assert holder_norms(walks, 0.3, threads=threads).tobytes() == want.tobytes()
+
+
+def _quantile_row(kind: str, n: int, rng) -> np.ndarray:
+    if kind in ("walk", "copy"):
+        return np.concatenate([[0.0], rng.normal(size=n).cumsum()])
+    if kind == "ties":  # integer walks: many rows share their norm
+        return np.concatenate([[0.0], rng.choice([-1.0, 1.0], size=n).cumsum()])
+    if kind == "constant":
+        return np.full(n + 1, rng.choice([0.0, -0.0, 2.5]))
+    if kind == "huge":  # a finite span whose ratios overflow to inf
+        return rng.uniform(-8e307, 8e307, size=n + 1)
+    row = rng.normal(size=n + 1)  # one NaN or +-inf
+    row[rng.integers(n + 1)] = rng.choice([np.nan, np.inf, -np.inf])
+    return row
+
+
+_LEVELS = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.sampled_from([1, 2, 3, 9, 40]),
+       n=st.sampled_from([0, 1, 2, 15, 16, 17, 40, 70]), alpha=st.floats(0.01, 0.99),
+       levels=_LEVELS, check=st.integers(1, 19))
+def test_norm_quantiles_bit_equal_to_the_full_scan(data, count, n, alpha, levels, check):
+    kinds = data.draw(st.lists(
+        st.sampled_from(["walk", "ties", "copy", "constant", "huge", "special"]),
+        min_size=count, max_size=count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:  # a copy repeats the row before it, bounds and all
+        rows.append(rows[-1] if kind == "copy" and rows else _quantile_row(kind, n, rng))
+    values = np.stack(rows)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(ustatkit.holder, "STOP_CHECK_LAGS", check)
+        got = holder_norm_quantiles(values, alpha, levels)
+        want = quantile(holder_norms(values, alpha), levels)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_norm_quantiles_scan_few_steps(monkeypatch):
+    # on the Holder experiment's product-kernel paths, only the rows near
+    # the median and the 90% quantile scan to their last useful lag
+    rng = np.random.default_rng(11)
+    count, n = 400, 256
+    walks = np.concatenate([np.zeros((count, 1)), rng.choice([-1.0, 1.0], (count, n))],
+                           axis=1).cumsum(axis=1)
+    walks = (walks * walks - np.arange(n + 1)) / 2.0 / n
+    steps = []
+    ratios = ustatkit.holder._lag_ratios
+    monkeypatch.setattr(ustatkit.holder, "_lag_ratios",
+                        lambda rows, *args: steps.append(len(rows)) or ratios(rows, *args))
+    got = holder_norm_quantiles(walks, 0.3, [0.5, 0.9])
+    assert sum(steps) < 0.15 * count * n
+    assert got.tobytes() == quantile(holder_norms(walks, 0.3), [0.5, 0.9]).tobytes()
+
+
+def test_norm_quantiles_validation():
+    for values, alpha, levels in ((np.zeros(9), 0.3, 0.5), (np.zeros((2, 5)), 1.0, 0.5),
+                                  (np.zeros((2, MAX_SCAN_BREAKPOINTS + 2)), 0.3, 0.5),
+                                  (np.zeros((2, 5)), 0.3, 1.5)):
+        with pytest.raises(ValueError):
+            holder_norm_quantiles(values, alpha, levels)
 
 
 def test_path_object_input():
