@@ -11,10 +11,10 @@ Exit codes are CI-oriented: 0 success/pass, 1 experiment criteria failed,
 past the summand cap counts, since adding a `design`, or lowering the rate or
 draw count of the one given, fixes it), and 3 an internal error (any other
 exception, reported with its traceback).  Only parsing and validation
-produce exit 2.  The experiment command writes manifest.json first, then
-report.json and rows.csv; report.json carries no timestamps, so identical
-(config, seed) runs produce byte-identical reports regardless of
---threads, which only the experiment command takes.
+produce exit 2; an --out that is a file or lies under one is refused
+before the experiment runs.  The experiment command writes manifest.json
+first, then report.json and rows.csv; report.json carries no timestamps,
+so identical (config, seed) runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .incomplete import SamplingDesign, draw_design, incomplete_ustat
 from .kernels import Distribution, kernel_from_config, stream
 from .spaces import BanachSpaceDescriptor, json_int
 from .ustat import EvaluationBudgetError, complete_ustat
-from ._parallel import resolve_threads
 
 __all__ = ["main"]
 
@@ -387,25 +386,32 @@ def cmd_decompose(args) -> int:
 # experiment
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse an output directory that is a file or lies under one.
+
+    Nothing is created, so a config error still leaves no directory.
+    """
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out: {path} exists and is not a directory")
+
+
 def cmd_experiment(args) -> int:
     blob, raw = _load_config(args.config)
     if args.out is None:
         raise ConfigError("--out: an output directory is required")
+    _check_out_dir(args.out)
     config = ExperimentConfig.from_dict(raw)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.replications is not None:
         overrides["replications"] = args.replications
         overrides["moment_replications"] = args.replications
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    try:  # a bad USTAT_THREADS is a usage error, not an internal one
-        resolve_threads(config.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     started = _utcnow()
     report = run_experiment(config)
@@ -459,8 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="run an inequality experiment")
     sp.add_argument("action", choices=["run"], help="experiment action")
     common(sp)
-    sp.add_argument("--threads", metavar="N", type=_positive_int, default=None,
-                    help="worker threads (default: USTAT_THREADS, then 1)")
     sp.add_argument("--out", metavar="DIR", help="output directory")
     sp.add_argument("--replications", metavar="N", type=_positive_int,
                     default=None, help="override replication counts")

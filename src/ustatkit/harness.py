@@ -44,11 +44,7 @@ rows or drawing a Gaussian law's rows (its ziggurat takes a variable
 number of words).  Either way every row of a block is bit-identical to
 the trajectory of that replication alone, drawn from stream(seed, *path,
 r), so a report is bit-for-bit reproducible for a fixed config and does
-not depend on the block size.
-Every stage runs in the calling thread, the Holder scan included
-(holder.holder_norm_quantiles: its row selection compares rows across a
-whole horizon), so no report depends on the thread count either; the
-`threads` field is validated and kept for configs that set it.
+not depend on the block size.  Every stage runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -188,9 +184,7 @@ class ExperimentConfig:
     Grids are tuples; `grid` holds (n, p_n) pairs and only feeds the
     incomplete-moment experiment.  `q` defaults to p where a bound leaves it
     free.  `replications` drives tail frequencies and path statistics,
-    `moment_replications` drives moment estimates.  `threads` is validated
-    (None defers to USTAT_THREADS, then to 1), but every experiment stage
-    runs in the calling thread.
+    `moment_replications` drives moment estimates.
     """
 
     kernel: Kernel
@@ -213,7 +207,6 @@ class ExperimentConfig:
     inner: int = 1024
     outer: int = 256
     seed: int = 0
-    threads: int | None = None
     stability_factor: float = 10.0
 
     def __post_init__(self) -> None:
@@ -277,8 +270,6 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {self.seed}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads: must be at least 1, got {self.threads}")
         if not self.stability_factor > 0:
             raise ConfigError(f"stability_factor: must be positive, got {self.stability_factor}")
 
@@ -290,14 +281,14 @@ class ExperimentConfig:
         "experiment": lambda name: name,
         "p": json_float, "q": json_float, "alpha": json_float, "gamma": json_float,
         "eps": json_float, "stability_factor": json_float,
-        "d": json_int, "t_points": json_int, "seed": json_int, "threads": json_int,
+        "d": json_int, "t_points": json_int, "seed": json_int,
         "inner": nested_draws, "outer": nested_draws,
         "replications": json_int, "moment_replications": json_int,
         "t_grid": lambda ts: tuple(json_float(t) for t in ts),
         "n_grid": lambda ns: tuple(json_int(n) for n in ns),
         "grid": lambda cells: tuple((json_int(n), json_float(rate)) for n, rate in cells),
     }
-    _KEYS = frozenset(_BUILDERS)
+    _KEYS = frozenset(_BUILDERS) | {"threads"}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -305,6 +296,10 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object at the top level")
         check_fields(raw, cls._KEYS)
+        # checked and dropped: perfbench workloads, tools/report_hashes.py and criterion 13 set it
+        threads = config_field(raw, "threads", json_int, 1)
+        if threads < 1:
+            raise ConfigError(f"threads: must be at least 1, got {threads}")
         defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
         for key, build in cls._BUILDERS.items():

@@ -62,7 +62,7 @@ _EXACT_ZERO_RTOL = 1e-10
 _RELATIVE_ZERO_FLOOR = 1e-3
 # Kernel values per slab of a component evaluation (2 MiB): OpenBLAS runs a
 # gemv this small on one thread, so no value depends on its thread count (a
-# larger gemv splits its rows between threads, moving some rows' last bits).
+# larger gemv splits its rows between BLAS workers, moving some rows' last bits).
 # `import ustatkit` loads a one-thread BLAS, but a library caller who
 # imported numpy first may run a threaded one; the slab still covers that.
 _EVAL_SLAB = 1 << 18

@@ -12,45 +12,43 @@ breakpoints.  The norm is therefore the largest corner ratio
 takes one lag j - i at a time, for one path or a whole matrix of paths on
 a shared grid.
 
-On the uniform grid k/n of holder_norms every pair at lag L has the same
-gap, so the scan takes each row's largest |increment| at that lag first
-and divides once.  This is exact: division by a positive g is correctly
-rounded and therefore monotone, so max_i (|D_i| / g) = (max_i |D_i|) / g
-bit for bit, and a NaN in a row reaches the maximum either way.  The one
-gap per lag is t[L] - t[0]; when n is a power of two k/n is exact in
-binary, so it equals every pair's t[i+L] - t[i] and the norms are the
-per-pair scan's bits.  For other n, t[L] - t[0] is L/n rounded once,
-while t[i+L] - t[i] carries the roundings of both breakpoints, up to 2n/L
-units in the last place of L/n, so the two scans agree to about
-alpha n / L ulps of the norm, and the one gap is the nearer to L/n.
-holder_norm keeps the per-pair gaps, on any breakpoints, as the oracle.
+On the uniform grid k/n of holder_norms and holder_norm_quantiles every
+pair at lag L has the same gap, so their one scan takes each row's largest
+|increment| at that lag first and divides once.  This is exact: division
+by a positive g is correctly rounded and therefore monotone, so
+max_i (|D_i| / g) = (max_i |D_i|) / g bit for bit, and a NaN in a row
+reaches the maximum either way.  The one gap per lag is t[L] - t[0]; when
+n is a power of two k/n is exact in binary, so it equals every pair's
+t[i+L] - t[i] and the norms are the per-pair scan's bits.  For other n,
+t[L] - t[0] is L/n rounded once, while t[i+L] - t[i] carries the
+roundings of both breakpoints, up to 2n/L units in the last place of L/n,
+so the two scans agree to about alpha n / L ulps of the norm, and the one
+gap is the nearer to L/n.  holder_norm keeps the per-pair gaps, on any
+breakpoints, as the oracle.
 
-The uniform scan also drops a row once no later lag can raise its norm.
-No computed increment of a row exceeds its span max - min (rounding is
-monotone), so when span / g <= best for the smallest gap power g at the
-current lag or any later one, every later ratio is at most best, and the
-row's norm keeps its bits.  A row whose span is not finite (it holds NaN
-or +-inf, or its span overflows) scans every lag: inf - inf is a NaN that
-its norm must show.
+The scan drops a row once no later lag can change what is read of it.
+Each row's norm lies in [lb, ub]: lb is |x(0)| plus the best ratio over
+the lags scanned so far, and ub bounds every later lag by octave bands.  A
+pair at a lag in [2^b, 2^(b+1)) lies in a window of at most 2^(b+1)
+points, so, rounding being monotone, its computed |increment| is at most
+the row's largest computed window range max - min at that width, which a
+doubling ("sparse") table of window maxima and minima gives (Bender and
+Farach-Colton, LATIN 2000); the last band's windows reach past the row,
+so its bound is the span.  Every STOP_CHECK_LAGS lags a row whose span is
+finite stops when its bound on later lags is at most its best ratio: no
+later ratio can exceed best, so its norm keeps its bits.  A row whose
+span is not finite (it holds NaN or +-inf, or its span overflows) scans
+every lag: inf - inf is a NaN that its norm must show.
 
 holder_norm_quantiles reads quantiles of the norms, as quantile of
-holder_norms does, bit for bit, while scanning to the end only the rows
-that can be one of the order statistics those quantiles read (bound-based
-selection, after Floyd and Rivest, CACM 1975).  Each row's norm lies in
-[lb, ub]: lb is |x(0)| plus the best ratio over the lags scanned so far,
-and ub bounds every later lag by octave bands.  A pair at a lag in
-[2^b, 2^(b+1)) lies in a window of at most 2^(b+1) points, so by the same
-monotone rounding its computed |increment| is at most the row's largest
-window range max - min at that width, which a doubling ("sparse") table
-of window maxima and minima gives (Bender and Farach-Colton, LATIN 2000).
-Every STOP_CHECK_LAGS lags a row stops scanning when its bound on later
-lags is at most its best ratio (its norm is exact: the span stop again),
-or when, for each needed order statistic k of the sorted lbs and ubs, its
-ub is below the k-th lb or its lb above the k-th ub.  Such a row lies
-strictly on one side of every needed order statistic, and so does its lb,
-which stands in for its norm from then on (with ub = lb), so the order
-statistics and the quantiles keep their bits.  A matrix with a row whose
-span is not finite takes the full scan.
+holder_norms does, bit for bit.  When every span is finite it also stops
+the rows that cannot be one of the order statistics those quantiles read
+(bound-based selection, after Floyd and Rivest, CACM 1975): a row whose ub
+is below the k-th smallest lb or whose lb is above the k-th smallest ub,
+for each needed order statistic k.  Such a row lies strictly on one side
+of every needed order statistic, and so does its lb, which stands in for
+its norm from then on (with ub = lb), so the order statistics and the
+quantiles keep their bits.
 
 The dyadic statistic counts, per cell (j, k), how often the raw partial
 sum increment |S_floor(n(k+1)/2^j) - S_floor(nk/2^j)| exceeds
@@ -65,7 +63,6 @@ from math import floor, log2
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .tails import order_positions, quantile
 
 __all__ = [
@@ -102,12 +99,6 @@ class HolderParams:
 # Lags between the uniform scan's tests for rows it can drop.
 STOP_CHECK_LAGS = 16
 
-# Rows per scan chunk.  Chunk bounds never depend on the thread count, so
-# the norms are the same bits at any thread count.  A matrix of at most
-# this many rows is one chunk, scanned in the calling thread: chunks of a
-# few dozen rows lose more to thread hand-offs than a second thread wins.
-SCAN_CHUNK_ROWS = 128
-
 
 def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     if hasattr(path, "breakpoints") and hasattr(path, "values"):
@@ -140,102 +131,55 @@ def _check_scan(values: np.ndarray, alpha: float) -> int:
     return npts
 
 
-def _gap_powers(t: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each lag's one gap power on a uniform grid, and the smallest gap
-    power at each lag or any later one (pow need not be monotone)."""
-    lag_gaps = (t[1:] - t[0]) ** alpha
-    return lag_gaps, np.minimum.accumulate(lag_gaps[::-1])[::-1]
-
-
 def _lag_ratios(rows: np.ndarray, lag: int, lag_gaps: np.ndarray) -> np.ndarray:
     """Each row's largest |increment| at lag over that lag's one gap power."""
     diffs = rows[:, lag:] - rows[:, :-lag]
     return np.maximum(diffs.max(axis=1), -diffs.min(axis=1)) / lag_gaps[lag - 1]
 
 
-def _uniform_matrix(values) -> tuple[np.ndarray, np.ndarray]:
-    """values as a float64 (B, n+1) matrix, and the grid k/n it lies on."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] < 1:
-        raise ValueError("values must be a (B, n+1) matrix with n >= 0")
-    n = values.shape[1] - 1
-    return values, np.arange(n + 1) / max(n, 1)
-
-
-def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float,
-               uniform: bool = False) -> np.ndarray:
+def _pair_scan(t: np.ndarray, values: np.ndarray, alpha: float) -> np.ndarray:
     """Norms of the rows of a (B, npts) value matrix over breakpoints t.
 
-    Each pair is divided by its own gap power (t_{i+lag} - t_i)^alpha, or,
-    with `uniform` (t = k/n), each row's largest |increment| at a lag is
-    divided once by that lag's one gap power (t_lag - t_0)^alpha, and every
-    STOP_CHECK_LAGS lags the rows that no later lag can change are dropped;
-    both are exact (see the module docstring).  One numpy op per lag covers
-    every live row; each row's arithmetic is the same as scanning that row
-    alone.
+    Each pair is divided by its own gap power (t_{i+lag} - t_i)^alpha.  One
+    numpy op per lag covers every row; each row's arithmetic is the same as
+    scanning that row alone.
     """
     npts = _check_scan(values, alpha)
-    if uniform:
-        lag_gaps, floors = _gap_powers(t, alpha)
-        spans = values.max(axis=1) - values.min(axis=1)
     best = np.zeros(values.shape[0])
-    live, rows = np.arange(values.shape[0]), values
     for lag in range(1, npts):
-        if uniform and lag % STOP_CHECK_LAGS == 0:
-            done = np.isfinite(spans[live]) & (spans[live] / floors[lag - 1] <= best[live])
-            if done.any():
-                live = live[~done]
-                rows = values[live]
-                if not live.size:
-                    break
-        if uniform:
-            top = _lag_ratios(rows, lag, lag_gaps)
-        else:
-            diffs = rows[:, lag:] - rows[:, :-lag]
-            top = (np.abs(diffs) / (t[lag:] - t[:-lag]) ** alpha).max(axis=1)
-        best[live] = np.maximum(best[live], top)
+        diffs = values[:, lag:] - values[:, :-lag]
+        top = (np.abs(diffs) / (t[lag:] - t[:-lag]) ** alpha).max(axis=1)
+        best = np.maximum(best, top)
     return np.abs(values[:, 0]) + best
 
 
-def holder_norm(path, alpha: float) -> float:
-    """|x(0)| plus the exact increment supremum of a piecewise-linear path."""
-    t, y = _path_arrays(path)
-    return float(_pair_scan(t, y[None, :], alpha)[0])
+def _uniform_scan(values, alpha: float, levels=None) -> np.ndarray:
+    """The norms of a (B, n+1) matrix of paths on the grid k/n.
 
-
-def holder_norms(values, alpha: float, threads: int | None = None) -> np.ndarray:
-    """Norms of B paths given as a (B, n+1) matrix on the uniform grid k/n.
-
-    Chunks of SCAN_CHUNK_ROWS rows are mapped over `threads` workers.
+    With `levels`, a row that cannot be an order statistic the quantiles at
+    those levels read may hold a stand-in on the same side of each of them
+    instead (see the module docstring).
     """
-    values, t = _uniform_matrix(values)
-
-    def scan(chunk: int) -> np.ndarray:
-        rows = values[chunk * SCAN_CHUNK_ROWS:(chunk + 1) * SCAN_CHUNK_ROWS]
-        return _pair_scan(t, rows, alpha, uniform=True)
-
-    chunks = max(-(-values.shape[0] // SCAN_CHUNK_ROWS), 1)
-    return np.concatenate(parallel_map(scan, chunks, threads))
-
-
-def holder_norm_quantiles(values, alpha: float, levels) -> np.ndarray:
-    """quantile(holder_norms(values, alpha), levels), bit for bit.
-
-    Only the rows that can be one of the order statistics the quantiles
-    read are scanned to their last useful lag (see the module docstring).
-    Runs in the calling thread: the selection compares rows across the
-    whole matrix.
-    """
-    values, t = _uniform_matrix(values)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError("values must be a (B, n+1) matrix with n >= 0")
     npts = _check_scan(values, alpha)
     count = values.shape[0]
+    head = np.abs(values[:, 0])
+    best = np.zeros(count)
+    if npts == 1 or not count:  # no lag or no row to scan
+        return head + best
     spans = values.max(axis=1) - values.min(axis=1)
-    if npts == 1 or not (count and np.isfinite(spans).all()):
-        # no lag or no row to select from, or a norm that must show NaN
-        return quantile(holder_norms(values, alpha, threads=1), levels)
-    _, _, lo, hi = order_positions(count, levels)
-    ranks = sorted({k % count for k in (*lo.tolist(), *hi.tolist())})
-    lag_gaps, floors = _gap_powers(t, alpha)
+    finite = np.isfinite(spans)
+    ranks = None
+    if levels is not None and finite.all():
+        _, _, lo, hi = order_positions(count, levels)
+        ranks = sorted({k % count for k in (*lo.tolist(), *hi.tolist())})
+    t = np.arange(npts) / (npts - 1)
+    lag_gaps = (t[1:] - t[0]) ** alpha
+    # the smallest gap power at each lag or any later one (pow need not be
+    # monotone)
+    floors = np.minimum.accumulate(lag_gaps[::-1])[::-1]
 
     # ranges[:, b]: the largest window range over 2^(b+1) points, which
     # bounds every |increment| at a lag in band [2^b, 2^(b+1)); the last
@@ -255,27 +199,46 @@ def holder_norm_quantiles(values, alpha: float, levels) -> np.ndarray:
     bound = ranges / floors[(1 << np.arange(bands)) - 1]
     later[:, :bands] = np.maximum.accumulate(bound[:, ::-1], axis=1)[:, ::-1]
 
-    head = np.abs(values[:, 0])
-    best = np.zeros(count)
     upper = np.empty(count)
     live, rows = np.arange(count), values
     for lag in range(1, npts):
         if lag % STOP_CHECK_LAGS == 0:
             band = lag.bit_length() - 1
             rest = np.maximum(ranges[live, band] / floors[lag - 1], later[live, band + 1])
-            lower = head + best
-            upper[live] = head[live] + np.maximum(best[live], rest)
-            low_k, up_k = np.sort(lower)[ranks], np.sort(upper)[ranks]
-            outside = ((upper[live, None] < low_k) | (lower[live, None] > up_k)).all(axis=1)
-            done = outside | (rest <= best[live])
-            if done.any():
+            done = finite[live] & (rest <= best[live])
+            if ranks is not None:
+                lower = head + best
+                upper[live] = head[live] + np.maximum(best[live], rest)
+                low_k, up_k = np.sort(lower)[ranks], np.sort(upper)[ranks]
+                done |= ((upper[live, None] < low_k) | (lower[live, None] > up_k)).all(axis=1)
                 upper[live[done]] = lower[live[done]]
+            if done.any():
                 live = live[~done]
                 if not live.size:
                     break
                 rows = values[live]
         best[live] = np.maximum(best[live], _lag_ratios(rows, lag, lag_gaps))
-    return quantile(head + best, levels)
+    return head + best
+
+
+def holder_norm(path, alpha: float) -> float:
+    """|x(0)| plus the exact increment supremum of a piecewise-linear path."""
+    t, y = _path_arrays(path)
+    return float(_pair_scan(t, y[None, :], alpha)[0])
+
+
+def holder_norms(values, alpha: float) -> np.ndarray:
+    """Norms of B paths given as a (B, n+1) matrix on the uniform grid k/n."""
+    return _uniform_scan(values, alpha)
+
+
+def holder_norm_quantiles(values, alpha: float, levels) -> np.ndarray:
+    """quantile(holder_norms(values, alpha), levels), bit for bit.
+
+    Only the rows that can be one of the order statistics the quantiles
+    read are scanned to their last useful lag (see the module docstring).
+    """
+    return quantile(_uniform_scan(values, alpha, levels), levels)
 
 
 def holder_norm_grid(path, alpha: float, points: int = 20000) -> float:

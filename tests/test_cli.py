@@ -429,12 +429,12 @@ def test_experiment_report_bytes_do_not_follow_the_blas_thread_count(tmp_path):
 
 
 def test_experiment_reports_identical_across_runs_and_threads(tmp_path, capsys):
-    cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
     texts = []
-    for tag, threads in (("a", "1"), ("b", "8"), ("c", "3")):
+    for tag, threads in (("a", 1), ("b", 8), ("c", 3)):
+        cfg = write_config(tmp_path, f"{tag}.json", {**EXP_CONFIG, "threads": threads})
         out_dir = tmp_path / tag
         code, _, _ = run(["experiment", "run", "--config", cfg,
-                          "--out", str(out_dir), "--threads", threads], capsys)
+                          "--out", str(out_dir)], capsys)
         assert code == 0
         texts.append((out_dir / "report.json").read_text()
                      + (out_dir / "rows.csv").read_text())
@@ -739,25 +739,23 @@ def test_mid_run_exception_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert "config error" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-@pytest.mark.parametrize("command", ["experiment"])
-def test_bad_ustat_threads_exits_2(tmp_path, capsys, monkeypatch, value, command):
-    # only experiment run starts threads, so only it reads USTAT_THREADS
-    monkeypatch.setenv("USTAT_THREADS", value)
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_experiment_out_at_or_under_a_file_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch, under):
+    import ustatkit.cli as cli
+
+    def never(config):
+        raise AssertionError("the experiment started")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
     cfg = write_config(tmp_path, "e.json", EXP_CONFIG)
-    args = [command, "run", "--config", cfg, "--out", str(tmp_path / "o")]
-    code, _, err = run(args, capsys)
+    code, out, err = run(["experiment", "run", "--config", cfg,
+                          "--out", os.path.join(blocker, under)], capsys)
     assert code == 2
-    assert "USTAT_THREADS" in err and "internal error" not in err
-
-
-def test_config_threads_override_a_bad_ustat_threads(tmp_path, capsys, monkeypatch):
-    # the environment is only the fallback, so it is not read at all here
-    monkeypatch.setenv("USTAT_THREADS", "abc")
-    cfg = write_config(tmp_path, "e.json", {**EXP_CONFIG, "threads": 1})
-    code, _, _ = run(["experiment", "run", "--config", cfg,
-                      "--out", str(tmp_path / "o")], capsys)
-    assert code == 0
+    assert "config error: --out:" in err and str(blocker) in err
+    assert out == "" and blocker.read_text() == "kept"
 
 
 _SPACE_2D = {"dimension": 2, "norm_exponent": 2.0}

@@ -950,16 +950,11 @@ def test_simulate_block_samples_are_the_per_replication_streams(arity):
     assert samples.tobytes() == want.tobytes()
 
 
-class _NoPool(RuntimeError):
-    pass
-
-
-def test_no_experiment_starts_threads(monkeypatch):
-    # eight usable cores and a pool that cannot start: every experiment
-    # runs in the calling thread, the Holder scan of 300 paths (more than
-    # two of holder_norms' row chunks) included; holder_norms still fans out
-    from ustatkit import _parallel, harness
-    from ustatkit.holder import holder_norms
+def test_no_experiment_starts_threads(monkeypatch, tmp_path):
+    # a threads key changes no report, and a holder run through the CLI
+    # loads neither a thread pool nor the map the benchmark's tracer wraps
+    from ustatkit import harness
+    from test_cli import _fresh_python
 
     cases = [
         dict(experiment="deviation", p=2.0, n_grid=[8, 16], replications=40),
@@ -968,18 +963,19 @@ def test_no_experiment_starts_threads(monkeypatch):
         dict(experiment="holder", alpha=0.3, d=2, n_grid=[16, 32], replications=300),
     ]
     refs = [run_experiment(make(threads=1, **kw)) for kw in cases]
-
-    def no_pool(max_workers):
-        raise _NoPool(f"a pool of {max_workers} workers was asked for")
-
-    monkeypatch.setattr(_parallel, "_usable_cores", lambda: 8)
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 64)  # 4 rows a block at N = 16
     for kw, ref in zip(cases, refs):
         assert _same_report(run_experiment(make(threads=8, **kw)), ref)
-    paths = np.cumsum(np.random.default_rng(3).standard_normal((300, 17)), axis=1)
-    with pytest.raises(_NoPool):
-        holder_norms(paths, 0.3, threads=2)
+
+    cfg = tmp_path / "holder.json"
+    cfg.write_text(json.dumps({"kernel": PRODUCT2, "distribution": RADEMACHER,
+                               "threads": 2, **cases[-1]}))
+    script = ("import sys; from ustatkit.cli import main; code = main(sys.argv[1:]); "
+              "print(code, *(m in sys.modules for m in "
+              "('concurrent.futures', 'ustatkit._parallel')))")
+    proc = _fresh_python(["-c", script, "experiment", "run", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"], proc.stdout + proc.stderr
 
 
 def test_block_rows_depend_on_horizon_and_arity_only():

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 import ustatkit.holder
 from ustatkit.holder import (
     MAX_SCAN_BREAKPOINTS,
-    SCAN_CHUNK_ROWS,
     DyadicExceedanceTable,
     HolderParams,
     calibrate_epsilon,
@@ -191,37 +190,46 @@ def _same_norms(got, want):
             and got[~nan].tobytes() == want[~nan].tobytes())
 
 
+def _scanned(values, alpha, check):
+    """holder_norms with the early stop tested every `check` lags."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ustatkit.holder, "STOP_CHECK_LAGS", check)
+        return holder_norms(values, alpha)
+
+
 _ALPHA = st.floats(0.05, 0.49)
+_CHECK = st.integers(1, 19)
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), log_n=st.integers(0, 7), alpha=_ALPHA)
-def test_one_gap_per_lag_bit_equal_on_power_of_two_grids(data, log_n, alpha):
+@given(data=st.data(), log_n=st.integers(0, 7), alpha=_ALPHA, check=_CHECK)
+def test_one_gap_per_lag_bit_equal_on_power_of_two_grids(data, log_n, alpha, check):
     # k/n is exact in binary, so every pair at a lag has the lag's one gap
     values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), 2**log_n + 1),
                                   elements=st.floats(-1e6, 1e6)))
-    assert _same_norms(holder_norms(values, alpha), _per_pair(values, alpha))
+    assert _same_norms(_scanned(values, alpha, check), _per_pair(values, alpha))
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(3, 48).filter(lambda n: n & (n - 1)), alpha=_ALPHA)
-def test_one_gap_per_lag_close_on_other_grids(data, n, alpha):
+@given(data=st.data(), n=st.integers(3, 48).filter(lambda n: n & (n - 1)), alpha=_ALPHA,
+       check=_CHECK)
+def test_one_gap_per_lag_close_on_other_grids(data, n, alpha, check):
     # the per-pair gap t[i+L] - t[i] carries up to 2n/L roundings of t;
     # at n <= 48 and alpha < 1/2 that moves a norm by under 1e-14
     values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), n + 1),
                                   elements=st.floats(-1e6, 1e6)))
-    got, want = holder_norms(values, alpha), _per_pair(values, alpha)
+    got, want = _scanned(values, alpha, check), _per_pair(values, alpha)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40), alpha=_ALPHA)
-def test_one_gap_per_lag_non_finite_rows(data, n, alpha):
+@given(data=st.data(), n=st.integers(1, 40), alpha=_ALPHA, check=_CHECK)
+def test_one_gap_per_lag_non_finite_rows(data, n, alpha, check):
     element = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([np.nan, np.inf, -np.inf]))
     values = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 4)), n + 1),
                                   elements=element))
     with np.errstate(invalid="ignore"):  # inf - inf
-        got, want = holder_norms(values, alpha), _per_pair(values, alpha)
+        got, want = _scanned(values, alpha, check), _per_pair(values, alpha)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     finite = ~np.isnan(want)
     np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
@@ -237,21 +245,11 @@ def test_scan_drops_finished_rows_without_changing_them():
     late[[3, 43]] = np.inf
     walk = np.concatenate([[0.0], np.random.default_rng(3).normal(size=n).cumsum()])
     values = np.stack([step, late, walk])
-    with np.errstate(invalid="ignore"):
-        got, want = holder_norms(values, 0.3), _per_pair(values, 0.3)
-    assert np.isnan(got[1])
-    assert _same_norms(got, want)
-
-
-def test_scan_chunks_bit_identical_at_any_thread_count():
-    rng = np.random.default_rng(5)
-    rows = 300  # two full chunks and a partial third
-    assert 2 * SCAN_CHUNK_ROWS < rows < 3 * SCAN_CHUNK_ROWS
-    walks = np.concatenate([np.zeros((rows, 1)), rng.normal(size=(rows, 64)).cumsum(axis=1)],
-                           axis=1)
-    want = _per_pair(walks, 0.3)
-    for threads in (1, 2, 8):
-        assert holder_norms(walks, 0.3, threads=threads).tobytes() == want.tobytes()
+    for check in range(1, 20):
+        with np.errstate(invalid="ignore"):
+            got, want = _scanned(values, 0.3, check), _per_pair(values, 0.3)
+        assert np.isnan(got[1])
+        assert _same_norms(got, want)
 
 
 def _quantile_row(kind: str, n: int, rng) -> np.ndarray:
@@ -263,6 +261,10 @@ def _quantile_row(kind: str, n: int, rng) -> np.ndarray:
         return np.full(n + 1, rng.choice([0.0, -0.0, 2.5]))
     if kind == "huge":  # a finite span whose ratios overflow to inf
         return rng.uniform(-8e307, 8e307, size=n + 1)
+    if kind == "late":  # +inf at both ends: inf - inf is a NaN at the last lag only
+        row = rng.normal(size=n + 1)
+        row[[0, -1]] = np.inf
+        return row
     row = rng.normal(size=n + 1)  # one NaN or +-inf
     row[rng.integers(n + 1)] = rng.choice([np.nan, np.inf, -np.inf])
     return row
@@ -278,7 +280,7 @@ _LEVELS = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]), st.floats(0.
        levels=_LEVELS, check=st.integers(1, 19))
 def test_norm_quantiles_bit_equal_to_the_full_scan(data, count, n, alpha, levels, check):
     kinds = data.draw(st.lists(
-        st.sampled_from(["walk", "ties", "copy", "constant", "huge", "special"]),
+        st.sampled_from(["walk", "ties", "copy", "constant", "huge", "special", "late"]),
         min_size=count, max_size=count))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = []

@@ -1,29 +1,25 @@
 """Time `ustat experiment run` on every acceptance recipe and benchmark workload.
 
     python3 tools/bench_recipes.py --src parent=OLD/src --src change=src --out BENCH.json
-        [--threads N ...]
 
 Each `--src [LABEL=]DIR` names a directory that holds the ustatkit
 package (the `src` directory of a checkout); LABEL defaults to DIR.  The
 configs come from this checkout: every recipe in tests/recipes.py and
-every workload in perfbench/workloads.py (read only) at its default seed,
-each at its own thread count (one where it names none).  With one or more
-`--threads N`, every config runs at each N instead, recorded as
-`NAME/tN`.  Every run is a
-fresh process.  It records three times: the process's wall time, which
-includes interpreter start-up and imports; its CPU time (user plus
-system, from the rusage os.wait4 returns, as perfbench/run.py reads it),
-which also counts every thread the process starts; and the wall time of
-the child's own `cli.main` call, timed as perfbench/child.py times it,
+every workload in perfbench/workloads.py (read only) at its default seed.
+Every run is a fresh process.  It records three times: the process's wall
+time, which includes interpreter start-up and imports; its CPU time (user
+plus system, from the rusage os.wait4 returns, as perfbench/run.py reads
+it), which also counts every thread the process starts; and the wall time
+of the child's own `cli.main` call, timed as perfbench/child.py times it,
 which leaves start-up out and so shows gaps of a few ms that start-up
-noise hides.  A config runs REPEATS rounds; each round runs it at every thread
-count on every source in turn, so the times compared come from the same
-stretch of machine load, and the sources take turns at running first,
-since the second of two back-to-back runs of one config can read slower
-on identical trees.  The median of each time counts.  Writes one
-JSON object: the machine, and per source and config the thread count,
-every time of the three kinds, their medians and the sha256 of the
-report.json written, which must be the same in every round.
+noise hides.  A config runs REPEATS rounds; each round runs it on every
+source in turn, so the times compared come from the same stretch of
+machine load, and the sources take turns at running first, since the
+second of two back-to-back runs of one config can read slower on
+identical trees.  The median of each time counts.  Writes one JSON
+object: the machine, and per source and config every time of the three
+kinds, their medians and the sha256 of the report.json written,
+which must be the same in every round.
 """
 
 from __future__ import annotations
@@ -57,21 +53,16 @@ sys.exit(code)
 """
 
 
-def _configs(threads=None):
-    """Per recipe, then per workload, a list of (name, config): the config
-    itself, or with a list of thread counts one NAME/tN entry per count."""
+def _configs():
+    """(name, config) per recipe, then per workload."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     from recipes import _RECIPES
     from workloads import DEFAULT_SEEDS, make_config
 
-    configs = [*_RECIPES.items(),
-               *((key, make_config(key, seed)) for key, seed in DEFAULT_SEEDS.items())]
-    for name, config in configs:
-        if threads:
-            yield [(f"{name}/t{n}", {**config, "threads": n}) for n in threads]
-        else:
-            yield [(name, config)]
+    yield from _RECIPES.items()
+    for key, seed in DEFAULT_SEEDS.items():
+        yield key, make_config(key, seed)
 
 
 def _timed_run(src: str, config: dict) -> tuple[float, float, float, str]:
@@ -85,7 +76,6 @@ def _timed_run(src: str, config: dict) -> tuple[float, float, float, str]:
         out = os.path.join(wdir, "out")
         timing_path = os.path.join(wdir, "timing.json")
         env = {**os.environ, "PYTHONPATH": src}
-        env.pop("USTAT_THREADS", None)
         log_path = os.path.join(wdir, "child.log")
         with open(log_path, "wb") as log:
             start = time.perf_counter()
@@ -120,37 +110,30 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=_source, action="append", required=True,
                         metavar="[LABEL=]DIR")
     parser.add_argument("--out", required=True, metavar="FILE")
-    parser.add_argument("--threads", type=int, action="append", metavar="N",
-                        help="run every config at N threads (repeatable)")
     args = parser.parse_args(argv)
 
     import numpy
 
     results = {label: {} for label, _ in args.src}
-    for group in _configs(args.threads):
-        for name, config in group:
-            for label, _ in args.src:
-                results[label][name] = {
-                    "threads": config.get("threads", 1),
-                    "wall_s": [], "cpu_s": [], "cli_s": []}
+    for name, config in _configs():
+        for label, _ in args.src:
+            results[label][name] = {"wall_s": [], "cpu_s": [], "cli_s": []}
         for round_ in range(REPEATS):
             sources = args.src[round_ % len(args.src):] + args.src[:round_ % len(args.src)]
-            for name, config in group:
-                for label, src in sources:
-                    wall, cpu, cli_s, digest = _timed_run(src, config)
-                    entry = results[label][name]
-                    entry["wall_s"].append(round(wall, 4))
-                    entry["cpu_s"].append(round(cpu, 4))
-                    entry["cli_s"].append(round(cli_s, 5))
-                    if entry.setdefault("report_sha256", digest) != digest:
-                        raise RuntimeError(f"{label} {name}: report changed between runs")
-        for name, _ in group:
-            for label, _ in args.src:
+            for label, src in sources:
+                wall, cpu, cli_s, digest = _timed_run(src, config)
                 entry = results[label][name]
-                for key in ("wall_s", "cpu_s", "cli_s"):
-                    entry[f"median_{key}"] = statistics.median(entry[key])
-                print(label, name, entry["median_wall_s"], entry["median_cpu_s"],
-                      entry["median_cli_s"], flush=True)
+                entry["wall_s"].append(round(wall, 4))
+                entry["cpu_s"].append(round(cpu, 4))
+                entry["cli_s"].append(round(cli_s, 5))
+                if entry.setdefault("report_sha256", digest) != digest:
+                    raise RuntimeError(f"{label} {name}: report changed between runs")
+        for label, _ in args.src:
+            entry = results[label][name]
+            for key in ("wall_s", "cpu_s", "cli_s"):
+                entry[f"median_{key}"] = statistics.median(entry[key])
+            print(label, name, entry["median_wall_s"], entry["median_cpu_s"],
+                  entry["median_cli_s"], flush=True)
 
     ledger = {
         "machine": {

@@ -2,11 +2,12 @@
 
     python3 tools/report_hashes.py [--check]
 
-Runs every acceptance recipe (tests/recipes.py) at threads 1 and 8, every
-benchmark workload (perfbench/workloads.py, read only) at its default
-seed, and the configs on non-integer data below (Gaussian, uniform and
-one finite law), whose reports move in the last bits when a change
-reorders floating-point work.  Each run is one
+Runs every acceptance recipe (tests/recipes.py) with a `threads` key of 1
+and of 8, which must leave the report bytes alone, every benchmark
+workload (perfbench/workloads.py, read only) at its default seed, and the
+configs on non-integer data below (Gaussian, uniform and one finite law),
+whose reports move in the last bits when a change reorders floating-point
+work.  Each run is one
 `ustat experiment run` in a fresh process that imports ustatkit from the
 `src` directory of this checkout.  Three `ustat decompose` configs follow,
 hashed by the report they print on stdout.  Prints one `name sha256` line
@@ -157,7 +158,6 @@ def _ustat(command: list, config: dict, wdir: str) -> bytes:
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    env.pop("USTAT_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "ustatkit.cli", *command, "--config", config_path],
         env=env, cwd=wdir, capture_output=True)
