@@ -38,13 +38,15 @@ only on the horizon N and the arity m, one prefix-engine call per block,
 and the blocks run in order in the calling thread.  A block derives all
 its rows' Philox keys in one stream_keys pass and draws its (rows, N)
 sample in one kernels.sample_rows call: one vectorised Philox pass for
-a Rademacher, uniform or finite law on short rows, and one bit generator
-re-keyed per row otherwise, giving the raw words of such a law's long
-rows or drawing a Gaussian law's rows (its ziggurat takes a variable
-number of words).  Either way every row of a block is bit-identical to
-the trajectory of that replication alone, drawn from stream(seed, *path,
-r), so a report is bit-for-bit reproducible for a fixed config and does
-not depend on the block size.  Every stage runs in the calling thread.
+a Rademacher, uniform or finite law on short rows, and on long rows too
+when the whole run's pass work is small (kernels.pass_fits_run, decided
+once per run from the config), and one bit generator re-keyed per row
+otherwise, giving the raw words of such a law's long rows or drawing a
+Gaussian law's rows (its ziggurat takes a variable number of words).
+Either way every row of a block is bit-identical to the trajectory of
+that replication alone, drawn from stream(seed, *path, r), so a report is
+bit-for-bit reproducible for a fixed config and does not depend on the
+block size.  Every stage runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, bernoulli_moment_cell
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, sample_rows,
-    stream_keys,
+    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, pass_fits_run,
+    sample_rows, stream_keys,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor, json_float, json_int
@@ -386,13 +388,16 @@ def _simulate(h, dist, n, replications, seed, path, reduce):
     block draws its rows in one sample_rows call and runs through the
     prefix engine once, and reduce(trajectories, samples) turns the block
     into a tuple of arrays with one row per replication; the blocks' arrays
-    are stacked in order.  The blocks run in the calling thread.
+    are stacked in order.  The blocks run in the calling thread.  Whether
+    long rows take the Philox pass is decided once, from the law, n, the
+    replications and the block count.
     """
     rows = _block_rows(n, h.arity)
+    long_pass = pass_fits_run(dist, n, replications, -(-replications // rows))
     blocks = []
     for start in range(0, replications, rows):
         reps = np.arange(start, min(start + rows, replications))
-        sample = sample_rows(dist, stream_keys(seed, *path, reps), n)
+        sample = sample_rows(dist, stream_keys(seed, *path, reps), n, long_pass)
         blocks.append(reduce(prefix_values(h, sample, n), sample))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 

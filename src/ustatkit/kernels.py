@@ -13,20 +13,24 @@ of (seed, path) is Philox (Salmon et al., SC 2011) at counter 0 under the
 128-bit key SeedSequence(entropy=seed, spawn_key=path).generate_state(2,
 np.uint64).  That key is a fixed uint32 hash of the entropy words (M. E.
 O'Neill's seed_seq design as numpy implements it), so stream_keys computes
-it directly and, when a path element is an array, for every element at
-once.  Inside a stream, block k >= 1 of four words is Philox4x64-10 of the
-counter (k, 0, 0, 0), so sample_rows computes a block of rows in one pass
-of numpy uint64 arithmetic for a law whose values each take one draw of
-fixed width: Rademacher (numpy's 32-bit Lemire draw on range 2, bit 31 of
-a half word, never rejects), uniform and finite (one word, as a double).
-On rows longer than _PASS_WORDS words, numpy's own Philox is faster, so
-their words come from one bit generator re-keyed per row and go through
-the same map.  A Gaussian ziggurat or a Binomial design count takes a
-variable number of words, so those rows are drawn by numpy from the
-re-keyed generator (streams()): counter 0, a new key and an empty buffer
-make it draw exactly what a fresh stream draws.  Each
-generator it yields is used up before the next is taken and never leaves
-the block, or the thread, that asked for it.
+it directly, for one path or, when a path element is an array, for every
+element at once, and never imports numpy.random.  Inside a stream, block
+k >= 1 of four words is Philox4x64-10 of the counter (k, 0, 0, 0), so
+sample_rows computes a block of rows in one pass of numpy uint64
+arithmetic for a law whose values each take one draw of fixed width:
+Rademacher (numpy's 32-bit Lemire draw on range 2, bit 31 of a half word,
+never rejects), uniform and finite (one word, as a double).  Rows of at
+most _PASS_WORDS words always take the pass.  Longer rows are faster from
+numpy's own Philox, re-keyed per row, but importing numpy.random costs
+more than a small run's whole pass; so a run decides once, from its row
+count, row length and call count alone (pass_fits_run), and either draws
+every row by the pass or takes the words of its long rows from one bit
+generator re-keyed per row, through the same map.  A Gaussian ziggurat or
+a Binomial design count takes a variable number of words, so those rows
+are drawn by numpy from the re-keyed generator (streams()): counter 0, a
+new key and an empty buffer make it draw exactly what a fresh stream
+draws.  Each generator it yields is used up before the next is taken and
+never leaves the block, or the thread, that asked for it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "evaluate_batch",
     "evaluate_nested",
     "kernel_from_expression",
+    "pass_fits_run",
     "sample_rows",
     "stream",
     "stream_keys",
@@ -99,11 +104,11 @@ def _words(n: int) -> list[int]:
 def _key(words: list) -> np.ndarray:
     """SeedSequence's pool of `words`, hashed out to one Philox key per row.
 
-    A word is a Python int or a uint32 array, and at least one is an
-    array.  The first pool-size words are the seed's, always ints, so the
-    pool's set-up and all-pairs mixing run once on Python ints, as does
-    every int word before the first array.  The masks keep Python ints to
-    32 bits; uint32 arrays wrap by themselves.
+    A word is a Python int or a uint32 array; with no array the result is
+    one key, of shape (2,).  The first pool-size words are the seed's,
+    always ints, so the pool's set-up and all-pairs mixing run once on
+    Python ints, as does every int word before the first array.  The
+    masks keep Python ints to 32 bits; uint32 arrays wrap by themselves.
     """
     c = _INIT_A
 
@@ -134,7 +139,7 @@ def _key(words: list) -> np.ndarray:
         value = value ^ c
         c = c * _MULT_B & _MASK32
         value = value * c & _MASK32
-        state.append((value ^ value >> 16).astype(np.uint64))
+        state.append(np.asarray(value ^ value >> 16, dtype=np.uint64))
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
@@ -152,13 +157,14 @@ def stream_keys(seed: int, *path) -> np.ndarray:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     elements = [_path_element(x) for x in path]
-    at = [i for i, e in enumerate(elements) if isinstance(e, np.ndarray)]
-    if not at:
-        return np.random.SeedSequence(seed, spawn_key=elements).generate_state(2, np.uint64)
-
-    # SeedSequence pads a short seed to the pool size when a path follows
+    # SeedSequence pads a short seed to the pool size when a path follows,
+    # and hashes zeros into the pool's empty places when none does
     head = _words(seed)
     head += [0] * (_POOL_SIZE - len(head))
+    at = [i for i, e in enumerate(elements) if isinstance(e, np.ndarray)]
+    if not at:
+        return _key(head + [w for e in elements for w in _words(e)])
+
     columns = np.broadcast_arrays(*(elements[i] for i in at))
     # a value of 2^32 or more spans two words, so rows split by which do
     wide = sum((col > _MASK32).astype(np.int64) << j for j, col in enumerate(columns))
@@ -250,22 +256,49 @@ def _philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     return np.stack(x, axis=-1).reshape(rows, 4 * blocks)[:, :count]
 
 
-# Longest row, in uint64 words, computed by the Philox pass: the pass
-# costs 0.06-0.11 us a word, a re-keyed row's random_raw 2.5-5 us plus a
-# few ns a word, so they break even near 48-56 words (numpy 2.4 on a
-# 2-vCPU x86-64 VM).  Past it, mapping a row's raw words costs 4.7 us for
-# 256 Rademacher values and 14 us for 2,048, against 11 and 23 us through
-# Distribution.sample.
+# Longest row, in uint64 words, that every run computes by the Philox
+# pass: the pass costs 0.06-0.11 us a word, a re-keyed row's random_raw
+# 2.5-5 us plus a few ns a word, so they break even near 48-56 words
+# (numpy 2.4 on a 2-vCPU x86-64 VM).  Past it, mapping a row's raw words
+# costs 4.7 us for 256 Rademacher values and 14 us for 2,048, against 11
+# and 23 us through Distribution.sample.  Longer rows take the pass too in
+# a run that pass_fits_run admits, else they re-key.
 _PASS_WORDS = 48
+# A run's pass work, in words, that costs less than the re-key path's
+# import of numpy.random: the import takes 17-19 ms in a fresh process, a
+# pass call about 0.6 ms plus 0.06-0.09 us a word, so 2^17 words cost about
+# 10 ms and leave room for the pass's slower words (same machine).
+_RUN_PASS_WORDS = 1 << 17
+# The pass's fixed cost per sample_rows call, in words: 0.6 ms at 0.07 us
+# a word.  It keeps a run of many small blocks on the re-key path.
+_PASS_CALL_WORDS = 1 << 13
 
 
-def sample_rows(dist: "Distribution", keys: np.ndarray, n: int) -> np.ndarray:
+def pass_fits_run(dist: "Distribution", n: int, rows: int, calls: int) -> bool:
+    """Whether a run of `rows` rows of n values of dist, drawn in `calls`
+    sample_rows calls, should draw every row by the Philox pass.
+
+    True when dist has fixed-width words and the run's pass work, its
+    words plus _PASS_CALL_WORDS per call, is at most _RUN_PASS_WORDS.  The
+    answer depends on those numbers alone, so a run that asks once before
+    its first call draws all its rows one way, and a small run of long
+    rows never imports numpy.random.
+    """
+    words = _FAMILIES[dist.family].words
+    return words is not None and (
+        rows * -(-n * words[0] // 64) + calls * _PASS_CALL_WORDS <= _RUN_PASS_WORDS)
+
+
+def sample_rows(dist: "Distribution", keys: np.ndarray, n: int,
+                long_pass: bool = False) -> np.ndarray:
     """(R, n) sample whose row r is dist.sample on a fresh stream of keys[r].
 
     keys is an (R, 2) array from stream_keys.  A family with fixed-width
     words (_FAMILIES) maps its rows' Philox words: one pass over all rows
-    when a row needs at most _PASS_WORDS words, else each row's random_raw
-    from a re-keyed generator.  Other families sample a re-keyed generator.
+    when a row needs at most _PASS_WORDS words or long_pass is set (see
+    pass_fits_run), else each row's random_raw from a re-keyed generator.
+    Other families sample a re-keyed generator.  Either way the bytes are
+    the same.
     """
     bits, values = _FAMILIES[dist.family].words or (64, None)
     if values is None:
@@ -274,7 +307,7 @@ def sample_rows(dist: "Distribution", keys: np.ndarray, n: int) -> np.ndarray:
             row[:] = dist.sample(rng, n)
         return out
     count = -(-n * bits // 64)
-    if count <= _PASS_WORDS:
+    if count <= _PASS_WORDS or long_pass:
         words = _philox_words(keys, count)
     else:
         words = np.empty((len(keys), count), dtype=np.uint64)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ustatkit
+from ustatkit import harness
 from ustatkit.cli import _cell, _dump_json, _jsonable, _write_csv, _write_json, main
 from ustatkit.kernels import builtin_kernel
 from ustatkit.ustat import complete_ustat
@@ -378,6 +379,47 @@ def test_experiment_run_does_not_import_numpy_ma(tmp_path, kind):
     proc = _fresh_python(["-c", script, "experiment", "run", "--config", cfg,
                           "--out", str(tmp_path / "o")])
     assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout + proc.stderr
+
+
+# A holder run shaped like the holder-long-t2 benchmark and a small
+# deviation run draw every row by the Philox pass; a run sized like the
+# lln recipe is over the pass's budget and re-keys its long rows.
+_PASS_RUNS = {
+    "holder-long": ({"experiment": "holder", "alpha": 0.3, "d": 2, "n_grid": [1024],
+                     "replications": 30}, False),
+    "deviation-small": (_KIND_CONFIGS["deviation-auto"], False),
+    "lln-recipe-size": ({"experiment": "lln", "p": 1.5, "n_grid": [256, 512, 1024],
+                         "replications": 500}, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PASS_RUNS))
+def test_experiment_run_imports_numpy_random_only_over_the_pass_budget(
+        tmp_path, capsys, monkeypatch, kind):
+    # importing numpy.random takes 17-19 ms, a third of a small run; the
+    # report's bytes are those of the re-key branch either way
+    extra, rekeys = _PASS_RUNS[kind]
+    cfg = write_config(tmp_path, "e.json", {
+        "kernel": {"name": "product", "m": 2}, "distribution": {"family": "rademacher"},
+        "seed": 3, **extra})
+    script = ("import sys; from ustatkit.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'numpy.random' in sys.modules)")
+    proc = _fresh_python(["-c", script, "experiment", "run", "--config", cfg,
+                          "--out", str(tmp_path / "fresh")])
+    assert proc.stdout.split()[-2:] == ["0", str(rekeys)], proc.stdout + proc.stderr
+    monkeypatch.setattr(harness, "pass_fits_run", lambda *args: False)
+    out = tmp_path / "rekeyed"
+    assert run(["experiment", "run", "--config", cfg, "--out", str(out)], capsys)[0] == 0
+    fresh = (tmp_path / "fresh" / "report.json").read_bytes()
+    assert fresh == (out / "report.json").read_bytes()
+
+
+def test_stream_keys_do_not_import_numpy_random():
+    script = ("import sys, numpy as np; from ustatkit.kernels import stream_keys; "
+              "stream_keys(3); stream_keys(3, 'tag', 2**40); stream_keys(3, np.arange(4)); "
+              "print('numpy.random' in sys.modules)")
+    proc = _fresh_python(["-c", script])
+    assert proc.stdout.split() == ["False"], proc.stdout + proc.stderr
 
 
 def test_import_loads_numpy_with_a_one_thread_blas():

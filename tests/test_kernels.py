@@ -675,11 +675,15 @@ _GATE = [n for words in (kernels._PASS_WORDS, 2 * kernels._PASS_WORDS) for n in 
        # the last n of the Philox pass and the first past it, for one and
        # for two draws per word
        n=st.sampled_from([0, 1, 3, 7, 8, 9, 33, *_GATE]) | st.integers(0, 300),
-       reps=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), max_size=6))
-@example(dist=Distribution.rademacher(), seed=0, n=1024, reps=[0, 2**40])
-@example(dist=Distribution.uniform(-1.5, 2.25), seed=5, n=1023, reps=[])
-def test_sample_rows_equal_each_rows_own_stream(dist, seed, n, reps):
-    got = sample_rows(dist, stream_keys(seed, "rows", np.array(reps, dtype=np.uint64)), n)
+       reps=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), max_size=6),
+       # long rows by the Philox pass, or re-keyed
+       long_pass=st.booleans())
+@example(dist=Distribution.rademacher(), seed=0, n=1024, reps=[0, 2**40], long_pass=False)
+@example(dist=Distribution.rademacher(), seed=0, n=1024, reps=[0, 2**40], long_pass=True)
+@example(dist=Distribution.uniform(-1.5, 2.25), seed=5, n=1023, reps=[], long_pass=True)
+def test_sample_rows_equal_each_rows_own_stream(dist, seed, n, reps, long_pass):
+    keys = stream_keys(seed, "rows", np.array(reps, dtype=np.uint64))
+    got = sample_rows(dist, keys, n, long_pass)
     want = [dist.sample(stream(seed, "rows", r), n) for r in reps]
     assert got.dtype == np.float64 and got.shape == (len(reps), n)
     assert got.tobytes() == np.array(want).reshape(len(reps), n).tobytes()
@@ -687,13 +691,34 @@ def test_sample_rows_equal_each_rows_own_stream(dist, seed, n, reps):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=_SEEDS, reps=st.lists(st.integers(0, 2**64 - 1), max_size=4),
-       count=st.integers(0, 41))
+       # past the short-row gate too: whole rows of 512 and 1,024 words, and
+       # counts that end part-way through a four-word block
+       count=st.sampled_from([kernels._PASS_WORDS + 1, 511, 512, 513, 1022, 1024, 1027])
+       | st.integers(0, 41) | st.integers(0, 1100))
 def test_philox_pass_equals_numpy_philox_words(seed, reps, count):
     keys = stream_keys(seed, "words", np.array(reps, dtype=np.uint64))
     want = [np.random.Philox(key=key).random_raw(count) for key in keys]
     got = kernels._philox_words(keys, count)
     assert got.shape == (len(reps), count)
     assert got.tobytes() == np.array(want, dtype=np.uint64).reshape(len(reps), count).tobytes()
+
+
+def test_pass_fits_run_counts_words_and_calls():
+    rademacher = Distribution.rademacher()
+    # holder-long-t2: 30 rows of 512 words in two blocks
+    assert kernels.pass_fits_run(rademacher, 1024, 30, 2)
+    # the lln and holder recipes: 256k and 512k words
+    assert not kernels.pass_fits_run(rademacher, 1024, 500, 32)
+    assert not kernels.pass_fits_run(rademacher, 1024, 1000, 63)
+    # few words but many calls, each with the pass's fixed cost
+    assert not kernels.pass_fits_run(rademacher, 128, 1000, 500)
+    # a double per word doubles a row's words
+    budget = kernels._RUN_PASS_WORDS - kernels._PASS_CALL_WORDS
+    assert kernels.pass_fits_run(Distribution.uniform(0.0, 1.0), 1024, budget // 1024, 1)
+    assert not kernels.pass_fits_run(Distribution.uniform(0.0, 1.0), 1024, budget // 1024 + 1, 1)
+    assert kernels.pass_fits_run(rademacher, 1024, budget // 512, 1)
+    # a Gaussian ziggurat draws a variable number of words: never the pass
+    assert not kernels.pass_fits_run(Distribution.gaussian(), 64, 1, 1)
 
 
 # ---------------------------------------------------------------------------
