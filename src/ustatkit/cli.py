@@ -249,28 +249,6 @@ def _write_csv(path: str, rows: list) -> None:
             writer.writerow([_cell(row.get(key)) for key in header])
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Provenance stamp written to the output directory before any result."""
-
-    config_sha256: str
-    master_seed: int
-    version: str
-    started_at: str
-    written_at: str
-    outputs: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "config_sha256": self.config_sha256,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "started_at": self.started_at,
-            "written_at": self.written_at,
-            "outputs": list(self.outputs),
-        }
-
-
 def _effective_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
@@ -417,15 +395,16 @@ def cmd_experiment(args) -> int:
     report = run_experiment(config)
 
     os.makedirs(args.out, exist_ok=True)
-    manifest = RunManifest(
-        config_sha256=hashlib.sha256(blob).hexdigest(),
-        master_seed=config.seed,
-        version=__version__,
-        started_at=started,
-        written_at=_utcnow(),
-        outputs=("report.json", "rows.csv"),
-    )
-    _write_json(os.path.join(args.out, "manifest.json"), manifest.to_dict())
+    # the provenance stamp, written before any result
+    manifest = {
+        "config_sha256": hashlib.sha256(blob).hexdigest(),
+        "master_seed": config.seed,
+        "version": __version__,
+        "started_at": started,
+        "written_at": _utcnow(),
+        "outputs": ["report.json", "rows.csv"],
+    }
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     _write_json(os.path.join(args.out, "report.json"), report.to_dict())
     _write_csv(os.path.join(args.out, "rows.csv"), report.rows)
 

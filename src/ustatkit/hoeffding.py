@@ -39,8 +39,8 @@ floor, nonzero beyond 5 standard errors, and inconclusive in between.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _RELATIVE_ZERO_FLOOR = 1e-3
 _EVAL_SLAB = 1 << 18
 
 
-@dataclass
-class HoeffdingComponent:
+class HoeffdingComponent(NamedTuple):
     """One projected component: a subset h^I or a symmetric level h^(c).
 
     Subterm (sign, slots, fixed, points, weights) is E[h(V)] with kernel
@@ -77,7 +76,9 @@ class HoeffdingComponent:
     positions integrated by the rule (points, weights): the support grid
     on a finite law; on any other law, the free columns of one table
     dist.nodes(m, inner, seed, "hoeffding-table") that every subterm
-    shares; one point of weight 1 when no position is free.
+    shares; one point of weight 1 when no position is free.  `pinned` is
+    the 1-based index tuple an index-weighted kernel is evaluated at, as
+    float64 values, or None.
     """
 
     subset: tuple[int, ...] | None
@@ -86,16 +87,16 @@ class HoeffdingComponent:
     codomain: BanachSpaceDescriptor
     inner: int
     exact: bool
-    _kernel: Kernel = field(repr=False)
-    _index: list | None = field(repr=False)
-    _subterms: list = field(repr=False)  # (sign, slots, fixed, points, weights)
+    kernel: Kernel
+    pinned: list | None
+    subterms: list  # (sign, slots, fixed, points, weights)
 
     def _terms(self, xs):
         """(sign, h on the subterm's rule, shape (..., I[, D]), weights) per subterm."""
-        for sign, slots, fixed, points, weights in self._subterms:
+        for sign, slots, fixed, points, weights in self.subterms:
             values = np.broadcast_arrays(*(xs[s] for s in slots))
             outer = np.stack(values, axis=-1) if values else np.empty(0)
-            yield sign, evaluate_nested(self._kernel, fixed, outer, points, self._index), weights
+            yield sign, evaluate_nested(self.kernel, fixed, outer, points, self.pinned), weights
 
     def _slabbed(self, columns, reduce) -> np.ndarray:
         """reduce(columns), in flat slabs of at most _EVAL_SLAB kernel values.
@@ -106,7 +107,7 @@ class HoeffdingComponent:
         xs = [np.asarray(c, dtype=np.float64) for c in columns]
         shape = np.broadcast_shapes(*(x.shape for x in xs))
         points = int(np.prod(shape, dtype=np.int64))
-        width = max(len(weights) for *_, weights in self._subterms)
+        width = max(len(weights) for *_, weights in self.subterms)
         if points * width <= _EVAL_SLAB:
             return reduce(xs)
         flat = [np.broadcast_to(x, shape).reshape(-1) for x in xs]
@@ -191,8 +192,8 @@ def _component(h: Kernel, dist: Distribution, inner: int, seed: int,
 
     return HoeffdingComponent(
         **labels, codomain=h.codomain, inner=inner, exact=support is not None,
-        _kernel=h, _index=None if index is None else [np.float64(i) for i in index],
-        _subterms=[(sign, slots, fixed, *rule(fixed)) for sign, slots, fixed in subterms],
+        kernel=h, pinned=None if index is None else [np.float64(i) for i in index],
+        subterms=[(sign, slots, fixed, *rule(fixed)) for sign, slots, fixed in subterms],
     )
 
 
@@ -248,8 +249,7 @@ def project_degenerate_level(
 # degeneracy certification
 
 
-@dataclass(frozen=True)
-class DegeneracyEntry:
+class DegeneracyEntry(NamedTuple):
     """Verdict for one conditional mean."""
 
     label: str
@@ -258,18 +258,8 @@ class DegeneracyEntry:
     squared_se: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "norm_estimate": self.norm_estimate,
-            "squared_statistic": self.squared_statistic,
-            "squared_se": self.squared_se,
-            "verdict": self.verdict,
-        }
 
-
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     arity: int
     exact: bool
     scale: float
@@ -303,13 +293,11 @@ class DegeneracyReport:
 
     def to_dict(self) -> dict:
         return {
-            "arity": self.arity,
-            "exact": self.exact,
-            "scale": self.scale,
+            **self._asdict(),
             "degenerate": self.degenerate,
             "order": self.order,
-            "coordinate_entries": [e.to_dict() for e in self.coordinate_entries],
-            "level_entries": [e.to_dict() for e in self.level_entries],
+            "coordinate_entries": [e._asdict() for e in self.coordinate_entries],
+            "level_entries": [e._asdict() for e in self.level_entries],
         }
 
 
@@ -400,8 +388,7 @@ def check_degeneracy(
 # reconstruction
 
 
-@dataclass(frozen=True)
-class ReconstructionCheck:
+class ReconstructionCheck(NamedTuple):
     max_deviation: float
     tolerance: float
     exact: bool

@@ -58,8 +58,9 @@ the tightness diagnostic for interpolated U-statistic processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import floor, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,15 +81,17 @@ __all__ = [
 MAX_SCAN_BREAKPOINTS = 8192
 
 
-@dataclass(frozen=True)
-class HolderParams:
+class HolderParams(namedtuple("HolderParams", "alpha")):
     """Exponent bundle for the functional-limit regime."""
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha={self.alpha} outside (0, 1/2)")
+    def __new__(cls, alpha: float):
+        if not 0.0 < alpha < 0.5:
+            raise ValueError(f"alpha={alpha} outside (0, 1/2)")
+        return super().__new__(cls, alpha)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @property
     def p_of_alpha(self) -> float:
@@ -285,8 +288,7 @@ def _raw_paths_matrix(paths) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
-@dataclass(frozen=True)
-class DyadicExceedanceTable:
+class DyadicExceedanceTable(NamedTuple):
     """Per-cell exceedance frequencies and their dyadic layer aggregates.
 
     rows:       one dict per cell (j, k) with the sampled increment window
@@ -318,6 +320,33 @@ def _cell_bounds(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+def _dyadic_increments(paths, alpha: float, d: int, j_max: int):
+    """The checks both dyadic statistics share, then their one increment pass.
+
+    Returns the path count, n and an iterator over the levels j = 0..j_max
+    of (j, low, high, |S_high - S_low| per path and cell, n^(d/2) 2^(-alpha j)).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    if d < 1:
+        raise ValueError("degeneracy order d must be >= 1")
+    S = _raw_paths_matrix(paths)
+    n = S.shape[1] - 1
+    levels = floor(log2(n))
+    if j_max > levels:
+        raise ValueError(f"j_max={j_max} exceeds floor(log2({n})) = {levels}")
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    scale = float(n) ** (d / 2.0)
+
+    def increments():
+        for j in range(j_max + 1):
+            low, high = _cell_bounds(n, j)
+            yield j, low, high, np.abs(S[:, high] - S[:, low]), scale * 2.0 ** (-alpha * j)
+
+    return S.shape[0], n, increments()
+
+
 def dyadic_increment_exceedance(
     paths, alpha: float, eps: float, d: int, j_max: int
 ) -> DyadicExceedanceTable:
@@ -329,28 +358,13 @@ def dyadic_increment_exceedance(
     values are used; any path normalization is ignored on purpose, since
     the threshold carries the n^(d/2) scaling itself.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if d < 1:
-        raise ValueError("degeneracy order d must be >= 1")
-    S = _raw_paths_matrix(paths)
-    n = S.shape[1] - 1
-    levels = floor(log2(n))
-    if j_max > levels:
-        raise ValueError(f"j_max={j_max} exceeds floor(log2({n})) = {levels}")
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-
+    path_count, n, levels = _dyadic_increments(paths, alpha, d, j_max)
     rows = []
     layer_sums = []
-    scale = float(n) ** (d / 2.0)
-    for j in range(j_max + 1):
-        low, high = _cell_bounds(n, j)
-        inc = np.abs(S[:, high] - S[:, low])
-        threshold = scale * 2.0 ** (-alpha * j) * eps
-        freq = (inc > threshold).mean(axis=0)
+    for j, low, high, inc, level_scale in levels:
+        freq = (inc > level_scale * eps).mean(axis=0)
         rows.extend(
             {"j": j, "k": k, "frequency": f, "low": a, "high": b}
             for k, (f, a, b) in enumerate(zip(freq.tolist(), low.tolist(), high.tolist()))
@@ -364,16 +378,8 @@ def dyadic_increment_exceedance(
         tails.append((j, running))
     tails.reverse()
 
-    return DyadicExceedanceTable(
-        n=n,
-        d=d,
-        alpha=alpha,
-        eps=eps,
-        path_count=S.shape[0],
-        rows=rows,
-        layer_sums=layer_sums,
-        tail_sums=tails,
-    )
+    return DyadicExceedanceTable(n=n, d=d, alpha=alpha, eps=eps, path_count=path_count,
+                                 rows=rows, layer_sums=layer_sums, tail_sums=tails)
 
 
 def calibrate_epsilon(paths, alpha: float, d: int, j_max: int, level: float = 0.9):
@@ -382,20 +388,11 @@ def calibrate_epsilon(paths, alpha: float, d: int, j_max: int, level: float = 0.
     Collects |S_high - S_low| / (n^(d/2) 2^(-alpha j)) over every cell of
     every level up to j_max and across all paths, then returns the
     requested quantile.  Calibrating eps this way guarantees a nontrivial
-    fraction of exceedances without hand-tuning per kernel.
+    fraction of exceedances without hand-tuning per kernel.  The arguments
+    are checked as dyadic_increment_exceedance checks them.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be inside (0, 1)")
-    S = _raw_paths_matrix(paths)
-    n = S.shape[1] - 1
-    levels = floor(log2(n))
-    if j_max > levels:
-        raise ValueError(f"j_max={j_max} exceeds floor(log2({n})) = {levels}")
-    scale = float(n) ** (d / 2.0)
-    pool = []
-    for j in range(j_max + 1):
-        low, high = _cell_bounds(n, j)
-        inc = np.abs(S[:, high] - S[:, low]) / (scale * 2.0 ** (-alpha * j))
-        pool.append(inc.ravel())
-    pooled = np.concatenate(pool)
+    _, _, levels = _dyadic_increments(paths, alpha, d, j_max)
+    pooled = np.concatenate([(inc / level_scale).ravel() for *_, inc, level_scale in levels])
     return float(quantile(pooled, level))

@@ -34,7 +34,8 @@ once per (n, p_n) grid entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ _BATCH_SAMPLE_VALUES = 16384
 _VARIANTS = ("without_replacement", "with_replacement", "bernoulli")
 
 
-@dataclass(frozen=True)
-class SamplingDesign:
+class SamplingDesign(namedtuple("SamplingDesign", "variant draws rate")):
     """Recipe for selecting index tuples.
 
     variant: one of "without_replacement", "with_replacement", "bernoulli".
@@ -90,23 +90,24 @@ class SamplingDesign:
     rate:    per-tuple selection probability p_n (bernoulli only).
     """
 
-    variant: str
-    draws: int | None = None
-    rate: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown design variant {self.variant!r}")
-        if self.variant == "bernoulli":
-            if self.rate is None or not 0.0 <= self.rate <= 1.0:
+    def __new__(cls, variant: str, draws: int | None = None, rate: float | None = None):
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown design variant {variant!r}")
+        if variant == "bernoulli":
+            if rate is None or not 0.0 <= rate <= 1.0:
                 raise ValueError("bernoulli design needs rate in [0, 1]")
-            if self.draws is not None:
+            if draws is not None:
                 raise ValueError("bernoulli design takes no draw count")
         else:
-            if self.rate is not None:
-                raise ValueError(f"{self.variant} design takes no rate")
-            if self.draws is None or self.draws < 0:
-                raise ValueError(f"{self.variant} design needs draws >= 0")
+            if rate is not None:
+                raise ValueError(f"{variant} design takes no rate")
+            if draws is None or draws < 0:
+                raise ValueError(f"{variant} design needs draws >= 0")
+        return super().__new__(cls, variant, draws, rate)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @classmethod
     def without_replacement(cls, draws: int) -> "SamplingDesign":
@@ -149,33 +150,31 @@ class SamplingDesign:
         raise ValueError(f"unknown design variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(namedtuple("WeightSet", "n m ranks weights")):
     """Sparse nonnegative integer weights on increasing tuples.
 
     Keys are colex ranks, kept sorted ascending so that evaluation visits
     selected tuples in the same order as complete enumeration does.
+    ranks and weights are stored as int64 arrays.
     """
 
-    n: int
-    m: int
-    ranks: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        ranks = np.asarray(self.ranks, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.int64)
+    def __new__(cls, n: int, m: int, ranks, weights):
+        ranks = np.asarray(ranks, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.int64)
         if ranks.shape != weights.shape or ranks.ndim != 1:
             raise ValueError("ranks and weights must be 1-d and aligned")
         if ranks.size:
             if np.any(np.diff(ranks) <= 0):
                 raise ValueError("ranks must be strictly increasing")
-            if ranks[0] < 0 or ranks[-1] >= count_tuples(self.n, self.m):
+            if ranks[0] < 0 or ranks[-1] >= count_tuples(n, m):
                 raise ValueError("rank outside [0, C(n, m))")
             if np.any(weights < 0):
                 raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, n, m, ranks, weights)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @property
     def size(self) -> int:
@@ -401,8 +400,7 @@ def bernoulli_moment_cell(
     return powered
 
 
-@dataclass(frozen=True)
-class BernoulliMomentCheck:
+class BernoulliMomentCheck(NamedTuple):
     a_size: int
     b_size: int
     rate: float

@@ -376,8 +376,7 @@ def _finite_params(family: str, *params) -> tuple[float, ...]:
     return tuple(json_float(x, f"{family} parameter", finite=True) for x in params)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(namedtuple("Distribution", "family params")):
     """A one-dimensional sampling law for the i.i.d. inputs.
 
     Families: "rademacher", "uniform" (a, b), "gaussian" (mean, sd), and
@@ -387,12 +386,14 @@ class Distribution:
     exactly where other laws draw Monte Carlo points.
     """
 
-    family: str
-    params: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown distribution family {self.family!r}")
+    def __new__(cls, family: str, params: tuple = ()):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown distribution family {family!r}")
+        return super().__new__(cls, family, params)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @classmethod
     def rademacher(cls) -> "Distribution":

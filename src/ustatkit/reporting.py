@@ -13,7 +13,7 @@ that drift with the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["InequalityReport", "ratio_report", "ratio_summary"]
 
@@ -46,8 +46,7 @@ def ratio_summary(ratios) -> tuple[float, float, float]:
     return top, stability, spread
 
 
-@dataclass
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of one inequality experiment over a parameter grid.
 
     rows: per-grid-point dictionaries (keys vary by experiment, always
@@ -65,17 +64,10 @@ class InequalityReport:
     fitted_constant: float
     stability: float
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "fitted_constant": self.fitted_constant,
-            "stability": self.stability,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
 def ratio_report(kind: str, rows: list, details: dict, factor: float,

@@ -9,7 +9,7 @@ has no closed form here, and no code path needs its value.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,21 +38,27 @@ def json_float(value, name: str = "", finite: bool = False) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class BanachSpaceDescriptor:
+class BanachSpaceDescriptor(namedtuple("BanachSpaceDescriptor", "dimension norm_exponent")):
     """R^dimension equipped with the l^norm_exponent norm."""
 
-    dimension: int
-    norm_exponent: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+    def __new__(cls, dimension: int, norm_exponent: float = 2.0):
+        if isinstance(dimension, bool) or not isinstance(dimension, numbers.Integral):
+            raise ValueError(f"dimension must be an integer, got {dimension!r}")
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if not 1.0 < self.norm_exponent < np.inf:
+        if isinstance(norm_exponent, bool) or not isinstance(norm_exponent, numbers.Real):
+            raise ValueError(f"norm_exponent must be a real number, got {norm_exponent!r}")
+        if not 1.0 < norm_exponent < np.inf:
             raise ValueError(
                 "norm_exponent must be finite and exceed 1; the l^1 norm is "
                 "not smooth and supplies no usable exponent range"
             )
+        return super().__new__(cls, dimension, norm_exponent)
+
+    # _replace builds through _make, which skips __new__; so validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def smoothness(self) -> float:
@@ -107,7 +113,7 @@ class BanachSpaceDescriptor:
         return np.zeros(self.dimension)
 
     def to_dict(self) -> dict:
-        return {"dimension": self.dimension, "norm_exponent": self.norm_exponent}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "BanachSpaceDescriptor":

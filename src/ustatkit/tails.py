@@ -32,7 +32,7 @@ experiment run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EmpiricalTail:
+class EmpiricalTail(NamedTuple):
     """Sorted nonnegative sample with probability weights."""
 
     values: np.ndarray

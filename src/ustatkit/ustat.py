@@ -59,9 +59,9 @@ designs (see the incomplete module) are the intended tool past that size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ class EvaluationBudgetError(RuntimeError):
     """Raised when a complete evaluation would exceed the summand cap."""
 
 
-@dataclass(frozen=True)
-class UStatResult:
+class UStatResult(NamedTuple):
     value: object  # float for scalar codomains, numpy vector otherwise
     n: int
     m: int
@@ -334,8 +333,7 @@ def projection_ustat(component: HoeffdingComponent, sample, m: int,
     return float(np.dot(vals, weights))
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     lhs: float
     rhs: float
     deviation: float
@@ -386,8 +384,7 @@ def decomposition_identity_check(
 # partial-sum paths
 
 
-@dataclass(frozen=True)
-class PartialSumPath:
+class PartialSumPath(NamedTuple):
     """Piecewise-linear interpolation of k -> U_k / n^gamma on [0, 1].
 
     Breakpoint k/n carries the normalized prefix value; raw values stay

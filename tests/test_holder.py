@@ -424,3 +424,11 @@ def test_calibrate_epsilon_validation():
         calibrate_epsilon(paths, 0.3, 1, j_max=2, level=1.0)
     with pytest.raises(ValueError):
         calibrate_epsilon(paths, 0.3, 1, j_max=9)
+    # the exceedance table's own checks and messages
+    for alpha in (1.5, -0.2):
+        with pytest.raises(ValueError, match="outside"):
+            calibrate_epsilon(paths, alpha, 1, j_max=2)
+    with pytest.raises(ValueError, match="degeneracy order"):
+        calibrate_epsilon(paths, 0.3, 0, j_max=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        calibrate_epsilon(paths, 0.3, 1, j_max=-1)

@@ -1,0 +1,104 @@
+"""The value and result records: read-only, equal by value, and named in repr."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import ustatkit
+from ustatkit import (
+    BanachSpaceDescriptor,
+    Distribution,
+    HolderParams,
+    SamplingDesign,
+    builtin_kernel,
+)
+from ustatkit.hoeffding import check_degeneracy, project_component, reconstruct_identity_check
+from ustatkit.holder import dyadic_increment_exceedance
+from ustatkit.incomplete import WeightSet, bernoulli_sum_moment_check, draw_design
+from ustatkit.reporting import ratio_report
+from ustatkit.tails import EmpiricalTail
+from ustatkit.ustat import complete_ustat, decomposition_identity_check, partial_sum_path
+
+_H = builtin_kernel("product", 2)
+_LAW = Distribution.rademacher()
+_SAMPLE = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+_PATHS = [np.arange(9, dtype=np.float64)] * 2
+
+# one instance per record, built on demand
+RECORDS = {
+    "BanachSpaceDescriptor": lambda: BanachSpaceDescriptor(2, 1.5),
+    "Distribution": lambda: Distribution.uniform(0.0, 1.0),
+    "HoeffdingComponent": lambda: project_component(_H, (0,), _LAW),
+    "DegeneracyEntry": lambda: check_degeneracy(_H, _LAW).coordinate_entries[0],
+    "DegeneracyReport": lambda: check_degeneracy(_H, _LAW),
+    "ReconstructionCheck": lambda: reconstruct_identity_check(_H, _LAW, samples=4),
+    "EmpiricalTail": lambda: EmpiricalTail.from_samples([2.0, 1.0]),
+    "HolderParams": lambda: HolderParams(0.25),
+    "DyadicExceedanceTable": lambda: dyadic_increment_exceedance(_PATHS, 0.3, 1.0, 1, 2),
+    "UStatResult": lambda: complete_ustat(_H, _SAMPLE),
+    "DecompositionCheck": lambda: decomposition_identity_check(_H, _LAW, _SAMPLE),
+    "PartialSumPath": lambda: partial_sum_path(_H, _SAMPLE),
+    "SamplingDesign": lambda: SamplingDesign.bernoulli(0.5),
+    "WeightSet": lambda: draw_design(SamplingDesign.without_replacement(3), 6, 2, seed=0),
+    "BernoulliMomentCheck": lambda: bernoulli_sum_moment_check(2, 2, 0.5, 1.5, 2.0, 100),
+    "InequalityReport": lambda: ratio_report("demo", [{"ratio": 1.0}], {"a": 1}, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_a_read_only_named_tuple(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    assert isinstance(record, tuple) and record._fields
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = None
+    assert repr(record).startswith(f"{name}({record._fields[0]}=")
+
+
+@pytest.mark.parametrize("name", [
+    "BanachSpaceDescriptor", "Distribution", "SamplingDesign", "HolderParams"])
+def test_equal_values_compare_and_hash_equal(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_replace_validates_like_the_constructor():
+    with pytest.raises(ValueError, match="dimension"):
+        BanachSpaceDescriptor(2)._replace(dimension=0)
+    with pytest.raises(ValueError, match="family"):
+        Distribution.rademacher()._replace(family="cauchy")
+    with pytest.raises(ValueError, match="rate"):
+        SamplingDesign.bernoulli(0.5)._replace(rate=2.0)
+    with pytest.raises(ValueError, match="alpha"):
+        HolderParams(0.25)._replace(alpha=0.5)
+    ws = RECORDS["WeightSet"]()
+    assert ws._replace(ranks=[0, 1, 2]).ranks.dtype == np.int64
+    with pytest.raises(ValueError, match="increasing"):
+        ws._replace(ranks=[2, 1, 0])
+
+
+def test_to_dict_keys():
+    report = RECORDS["InequalityReport"]()
+    assert report.to_dict() == {
+        "kind": "demo", "rows": [{"ratio": 1.0}], "fitted_constant": 1.0,
+        "stability": 1.0, "passed": True, "details": {"a": 1, "ratio_spread": 1.0}}
+    d = RECORDS["DegeneracyReport"]().to_dict()
+    assert set(d) == {"arity", "exact", "scale", "degenerate", "order",
+                      "coordinate_entries", "level_entries"}
+    for entry in d["coordinate_entries"] + d["level_entries"]:
+        assert type(entry) is dict
+        assert set(entry) == {"label", "norm_estimate", "squared_statistic",
+                              "squared_se", "verdict"}
+
+
+def test_only_kernel_and_config_are_dataclasses():
+    # a dataclass costs about a millisecond of import time to build
+    exported = [getattr(ustatkit, name) for name in ustatkit.__all__]
+    assert sorted(obj.__name__ for obj in exported
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)) == [
+        "ExperimentConfig", "Kernel"]

@@ -69,6 +69,17 @@ def test_constructor_validation():
         BanachSpaceDescriptor(2, norm_exponent=1.0)
 
 
+def test_constructor_checks_types():
+    for dimension in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="dimension"):
+            BanachSpaceDescriptor(dimension)
+    for exponent in ("2", 2j, None):
+        with pytest.raises(ValueError, match="norm_exponent"):
+            BanachSpaceDescriptor(2, norm_exponent=exponent)
+    # numpy integers and floats are integers and reals
+    assert BanachSpaceDescriptor(np.int64(2), np.float64(1.5)).dimension == 2
+
+
 def test_round_trip_dict():
     sp = BanachSpaceDescriptor(3, norm_exponent=1.7)
     again = BanachSpaceDescriptor.from_dict(sp.to_dict())

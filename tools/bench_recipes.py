@@ -1,10 +1,17 @@
 """Time `ustat experiment run` on every acceptance recipe and benchmark workload.
 
     python3 tools/bench_recipes.py --src parent=OLD/src --src change=src --out BENCH.json
+    (each DIR is copied to s0/, s1/, ... under one temporary directory first)
 
 Each `--src [LABEL=]DIR` names a directory that holds the ustatkit
 package (the `src` directory of a checkout); LABEL defaults to DIR.  The
-configs come from this checkout: every recipe in tests/recipes.py and
+runs import each package from a copy of its DIR, not from DIR itself: the
+copies sit side by side in one temporary directory, under names of equal
+length (s0, s1, ...), because the times depend on the length of the path
+a source sits at, not only on its code (an identical `src` at a longer
+path read 6% slower on the holder recipe in 10 of 10 alternating pairs on
+a 2-vCPU VM).
+The configs come from this checkout: every recipe in tests/recipes.py and
 every workload in perfbench/workloads.py (read only) at its default seed.
 Every run is a fresh process.  It records three times: the process's wall
 time, which includes interpreter start-up and imports; its CPU time (user
@@ -29,6 +36,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -115,25 +123,32 @@ def main(argv=None) -> int:
     import numpy
 
     results = {label: {} for label, _ in args.src}
-    for name, config in _configs():
-        for label, _ in args.src:
-            results[label][name] = {"wall_s": [], "cpu_s": [], "cli_s": []}
-        for round_ in range(REPEATS):
-            sources = args.src[round_ % len(args.src):] + args.src[:round_ % len(args.src)]
-            for label, src in sources:
-                wall, cpu, cli_s, digest = _timed_run(src, config)
+    with tempfile.TemporaryDirectory() as copies:
+        width = len(str(len(args.src) - 1))
+        srcs = []
+        for i, (label, path) in enumerate(args.src):
+            copy = os.path.join(copies, f"s{i:0{width}d}")
+            shutil.copytree(path, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            srcs.append((label, copy))
+        for name, config in _configs():
+            for label, _ in srcs:
+                results[label][name] = {"wall_s": [], "cpu_s": [], "cli_s": []}
+            for round_ in range(REPEATS):
+                sources = srcs[round_ % len(srcs):] + srcs[:round_ % len(srcs)]
+                for label, src in sources:
+                    wall, cpu, cli_s, digest = _timed_run(src, config)
+                    entry = results[label][name]
+                    entry["wall_s"].append(round(wall, 4))
+                    entry["cpu_s"].append(round(cpu, 4))
+                    entry["cli_s"].append(round(cli_s, 5))
+                    if entry.setdefault("report_sha256", digest) != digest:
+                        raise RuntimeError(f"{label} {name}: report changed between runs")
+            for label, _ in srcs:
                 entry = results[label][name]
-                entry["wall_s"].append(round(wall, 4))
-                entry["cpu_s"].append(round(cpu, 4))
-                entry["cli_s"].append(round(cli_s, 5))
-                if entry.setdefault("report_sha256", digest) != digest:
-                    raise RuntimeError(f"{label} {name}: report changed between runs")
-        for label, _ in args.src:
-            entry = results[label][name]
-            for key in ("wall_s", "cpu_s", "cli_s"):
-                entry[f"median_{key}"] = statistics.median(entry[key])
-            print(label, name, entry["median_wall_s"], entry["median_cpu_s"],
-                  entry["median_cli_s"], flush=True)
+                for key in ("wall_s", "cpu_s", "cli_s"):
+                    entry[f"median_{key}"] = statistics.median(entry[key])
+                print(label, name, entry["median_wall_s"], entry["median_cpu_s"],
+                      entry["median_cli_s"], flush=True)
 
     ledger = {
         "machine": {
