@@ -121,6 +121,10 @@ def _binomial_column(n: int, j: int) -> np.ndarray:
 def unrank_many(ranks: np.ndarray, n: int, m: int) -> list[np.ndarray]:
     """Vectorized unrank: m int64 columns, one row per rank.
 
+    Coordinate j - 1 is the largest c with C(c, j) at most what is left of
+    the rank: a binary search of the column C(., j) for j >= 3, and for
+    j = 2 the float root of c (c - 1) / 2 = rest, corrected by one step
+    either way in exact integer arithmetic, so no column is built.
     Requires C(n, m) to fit in int64, which holds everywhere this package
     evaluates tuples (evaluation is capped long before that).
     """
@@ -134,11 +138,21 @@ def unrank_many(ranks: np.ndarray, n: int, m: int) -> list[np.ndarray]:
         return []
     cols: list[np.ndarray] = [ranks] * m
     rem = ranks
-    for j in range(m, 1, -1):
+    for j in range(m, 2, -1):
         table = _binomial_column(n, j)
         idx = np.searchsorted(table, rem, side="right") - 1
         cols[j - 1] = idx
         rem = rem - table[idx]
+    if m >= 2:
+        # C(c, 2) <= rest exactly when c <= (1 + sqrt(1 + 8 rest)) / 2, whose
+        # float value is off by under one; the products c (c - 1) and
+        # (c + 1) c fit uint64 because c <= 2^32 when C(n, 2) fits int64
+        rest = rem.view(np.uint64)
+        idx = ((np.sqrt(8.0 * rem + 1.0) + 1.0) * 0.5).astype(np.uint64)
+        idx -= idx * (idx - 1) >> 1 > rest
+        idx += (idx + 1) * idx >> 1 <= rest
+        cols[1] = idx.view(np.int64)
+        rem = (rest - (idx * (idx - 1) >> 1)).view(np.int64)
     # C(c, 1) = c, so what is left of each rank is its first coordinate
     cols[0] = rem.copy() if m == 1 else rem
     return cols

@@ -10,14 +10,18 @@ distinct colex ranks are sampled uniformly.  The joint distribution is
 identical to flipping one coin per tuple, at a cost proportional to the
 selected set instead of C(n, m).  The distinct ranks come from Floyd's
 algorithm (Bentley & Floyd, "A sample of brilliance", CACM 30(9), 1987),
-whose uniform draws do not depend on the ranks already chosen: all of
-them are taken in one numpy call over the array of per-step bounds, which
-consumes the same stream as one call per step.  When no two draws are
-equal they are the chosen ranks themselves; otherwise the steps whose
-draw was already kept are found from the draw array, where only draws
-that point back at an earlier step need a loop (see _distinct_ranks).  A
-design that would select more than MAX_EVALUATION_TERMS tuples is refused
-before its ranks are drawn.
+whose uniform draws do not depend on the ranks already chosen, so they
+can all be drawn first and the collisions resolved afterwards, for many
+designs in one sorted pass (_floyd_ranks).  draw_design takes the draws
+from the caller's generator by Generator.integers, which leaves the
+generator where one scalar draw per step would, for the caller to go on
+drawing from.  The incomplete-moment cells own their streams, so each
+replication takes raw Philox words instead and a batch maps them all at
+once, as integers would (_lemire_draws).  A rank space above 2^32, where
+integers draws 64-bit values, a selection of more than one evaluation
+chunk, and a replication whose rejected draws use up its words keep
+integers.  A design that would select more than MAX_EVALUATION_TERMS
+tuples is refused before its ranks are drawn.
 
 The module also carries the Bernoulli-sum moment check used to validate
 the moment bound for subsampled sums: for Y = sum_{a in A} (sum_{b in B}
@@ -40,7 +44,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import count_tuples, unrank_many
-from .kernels import Distribution, Kernel, evaluate_batch, sample_rows, stream, stream_keys, streams
+from .kernels import (
+    Distribution, Kernel, _rekeyed, evaluate_batch, sample_rows, stream, stream_keys,
+)
 from .spaces import json_float, json_int
 from .ustat import (
     MAX_EVALUATION_TERMS,
@@ -79,6 +85,12 @@ _RANK_SPACE_LIMIT = 2**62
 _BATCH_TUPLES = 4096
 _BATCH_SAMPLE_VALUES = 16384
 
+# Raw words a batched replication draws beyond the ceil(count / 2) its
+# count Floyd draws take without a rejection: each covers two rejected
+# half words.  A rejection has probability below C(n, m) / 2^32 per draw,
+# and a replication that needs more re-draws its ranks from its stream.
+_SLACK_WORDS = 2
+
 _VARIANTS = ("without_replacement", "with_replacement", "bernoulli")
 
 
@@ -96,30 +108,32 @@ class SamplingDesign(namedtuple("SamplingDesign", "variant draws rate")):
         if variant not in _VARIANTS:
             raise ValueError(f"unknown design variant {variant!r}")
         if variant == "bernoulli":
-            if rate is None or not 0.0 <= rate <= 1.0:
-                raise ValueError("bernoulli design needs rate in [0, 1]")
             if draws is not None:
                 raise ValueError("bernoulli design takes no draw count")
+            rate = json_float(rate, "rate")
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"bernoulli design needs rate in [0, 1], got {rate!r}")
         else:
             if rate is not None:
                 raise ValueError(f"{variant} design takes no rate")
-            if draws is None or draws < 0:
-                raise ValueError(f"{variant} design needs draws >= 0")
+            draws = json_int(draws, "draws")
+            if draws < 0:
+                raise ValueError(f"{variant} design needs draws >= 0, got {draws!r}")
         return super().__new__(cls, variant, draws, rate)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @classmethod
     def without_replacement(cls, draws: int) -> "SamplingDesign":
-        return cls("without_replacement", draws=int(draws))
+        return cls("without_replacement", draws=draws)
 
     @classmethod
     def with_replacement(cls, draws: int) -> "SamplingDesign":
-        return cls("with_replacement", draws=int(draws))
+        return cls("with_replacement", draws=draws)
 
     @classmethod
     def bernoulli(cls, rate: float) -> "SamplingDesign":
-        return cls("bernoulli", rate=float(rate))
+        return cls("bernoulli", rate=rate)
 
     def validate_for(self, n: int, m: int) -> None:
         total = count_tuples(n, m)
@@ -146,7 +160,7 @@ class SamplingDesign(namedtuple("SamplingDesign", "variant draws rate")):
         if variant in ("without_replacement", "with_replacement"):
             if "draws" not in d:
                 raise ValueError(f"{variant} design dict needs key 'draws'")
-            return cls(variant, draws=json_int(d["draws"], "draws"))
+            return cls(variant, draws=d["draws"])
         raise ValueError(f"unknown design variant {variant!r}")
 
 
@@ -193,41 +207,129 @@ class WeightSet(namedtuple("WeightSet", "n m ranks weights")):
         return np.stack(cols, axis=1)
 
 
+def _floyd_draws(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
+    """Floyd's draws t_j, uniform on {0, ..., j}, for j = total - count, ..., total - 1.
+
+    One rng.integers call over the array of upper bounds: numpy fills such
+    an array one element at a time, consuming the stream exactly as one
+    scalar call per step does.
+    """
+    return rng.integers(0, np.arange(total - count + 1, total + 1, dtype=np.int64))
+
+
 def _distinct_ranks(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
     """Uniform random count-subset of [0, total), sorted, by Floyd's algorithm.
 
-    Floyd's step j (j = lo, ..., total - 1, lo = total - count) draws t_j
-    uniform on {0, ..., j} and keeps t_j, or j when t_j is already kept:
-    step j collides.  The draw does not depend on the kept set, so all of
-    them are taken in one rng.integers call over the array of upper
-    bounds; numpy fills such an array one element at a time, consuming the
-    stream exactly as one scalar call per step does.
-
-    Before step j the kept set holds t_i for every earlier step i that did
-    not collide and i for every one that did, so t_j collides exactly when
-    it repeats an earlier draw (that value was kept at the earlier step,
-    whether it collided or not) or when lo <= t_j < j and step t_j
-    collided (t_j = j is never kept yet).  The first case marks every draw
-    but the first of its value.  The second looks back at a strictly
-    earlier step, so resolving its candidates in step order is exact.
-    Without a repeated draw nothing collides and the draws are the result.
+    The generator is the caller's, so its draws are Generator.integers'
+    own and it is left where one scalar draw per step leaves it; a
+    selection of everything draws nothing.
     """
     if count > total:
         raise ValueError(f"cannot pick {count} distinct ranks out of {total}")
     if count == total:
         return np.arange(total, dtype=np.int64)
-    lo = total - count
-    draws = rng.integers(0, np.arange(lo + 1, total + 1, dtype=np.int64))
-    ranks = np.sort(draws)
-    if not (ranks[1:] == ranks[:-1]).any():
-        return ranks
-    _, first = np.unique(draws, return_index=True)
-    collided = np.ones(count, dtype=bool)
-    collided[first] = False
-    back = np.sort(first[(draws[first] >= lo) & (draws[first] < first + lo)])
-    for j, t in zip(back.tolist(), (draws[back] - lo).tolist()):
-        collided[j] = collided[t]
-    return np.sort(np.where(collided, np.arange(lo, total, dtype=np.int64), draws))
+    return _floyd_ranks(_floyd_draws(rng, total, count), np.array([count]), total)
+
+
+def _floyd_ranks(draws: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Every row's Floyd ranks over [0, total), sorted, row after row.
+
+    Row r takes counts[r] steps j = lo, ..., total - 1 (lo = total -
+    counts[r]), and draws holds each row's draws t_j in step order, row
+    after row.  Step j keeps t_j, or j when t_j is already kept: step j
+    collides.  Before step j the kept set holds t_i for every earlier
+    step i that did not collide and i for every one that did, so t_j
+    collides exactly when it repeats an earlier draw (that value was kept
+    at the earlier step, whether it collided or not) or when lo <= t_j < j
+    and step t_j collided (t_j = j is never kept yet).  The first case
+    marks every draw but the first of its value; the second looks back at
+    a strictly earlier step, so following each collided step j to the
+    first later step that drew j, until none is left, is exact.
+
+    The rows are sorted together as keys row * total + draw, equal keys
+    in step order; without a repeated key nothing collides and the sorted
+    keys are the result.  A row of count = total keeps everything,
+    whatever it drew.
+    """
+    rows = np.repeat(np.arange(counts.size), counts)
+    base = rows * total
+    keys = base + draws
+    shift = keys.size.bit_length()
+    if counts.size * total < 1 << (63 - shift):
+        # each key carries its step in the low bits, so one plain sort
+        # keeps equal keys in step order
+        packed = np.sort(keys << shift | np.arange(keys.size))
+        order, ranked = packed & ((1 << shift) - 1), packed >> shift
+    else:
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+    repeat = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    if not repeat.size:
+        return ranked - base
+    # key of step s's own rank j: row's base + total - (row's end) + s
+    own = base + (total - np.cumsum(counts))[rows] + np.arange(keys.size)
+    collided = order[repeat]
+    kept = keys.copy()
+    while collided.size:
+        kept[collided] = own[collided]
+        # the first step that drew a collided step's rank, when it is later
+        at = np.minimum(np.searchsorted(ranked, own[collided]), keys.size - 1)
+        later = order[at]
+        collided = later[(ranked[at] == own[collided]) & (later > collided)]
+    return np.sort(kept) - base
+
+
+def _lemire_draws(words: list[np.ndarray], counts: np.ndarray, total: int):
+    """Floyd's draws of a batch of rows, mapped from raw words as numpy maps them.
+
+    Row r takes counts[r] steps j = total - counts[r], ..., total - 1 from
+    its raw Philox words words[r], which the row's stream gives right
+    where Generator.integers would start on them.  integers takes each
+    word as two half words, low half first, and for j + 1 <= 2^32 draws
+    t_j by Lemire's method (ACM TOMACS 29(1), 2019): the next half word u
+    gives p = u * (j + 1) and t_j = p >> 32, unless the low half of p is
+    below 2^32 mod (j + 1); then the draw is rejected and retried on the
+    following half word, which moves the row's later draws one half word
+    on.  The modulus is taken only where the low half is below j + 1, its
+    upper bound.  Returns the draws, row after row, and a mask of the rows
+    whose words ran out; their draws are not set.
+    """
+    halves = np.concatenate(words).astype("<u8", copy=False).view("<u4")
+    halves_per_row = 2 * np.array([w.size for w in words])
+    ends = np.cumsum(halves_per_row)
+    last = np.cumsum(counts)  # one past each row's last draw
+    step = np.arange(last[-1])
+    bound = (np.repeat(total + 1 - last, counts) + step).astype(np.uint64)  # j + 1
+    # the half word each draw reads when its row rejects nothing
+    pos = np.repeat(ends - halves_per_row - last + counts, counts) + step
+    draws = np.empty(pos.size, dtype=np.uint64)
+
+    def rejected(at):
+        """Map the draws at `at`; the positions in `at` of the rejected ones."""
+        product = halves[pos[at]] * bound[at]
+        draws[at] = product >> 32
+        low = product & 0xFFFFFFFF
+        near = np.flatnonzero(low < bound[at])
+        return near[low[near] < 2**32 % bound[at][near]]
+
+    reject = rejected(slice(None))
+    rows = np.repeat(np.arange(counts.size), counts)
+    short = np.zeros(counts.size, dtype=bool)
+    while reject.size:
+        # the first rejection of each row moves it and the row's later draws
+        first = reject[np.r_[True, rows[reject[1:]] != rows[reject[:-1]]]]
+        at = np.concatenate([np.arange(a, b)
+                             for a, b in zip(first.tolist(), last[rows[first]].tolist())])
+        pos[at] += 1
+        short[rows[at[pos[at] >= ends[rows[at]]]]] = True
+        at = at[~short[rows[at]]]
+        reject = at[rejected(at)]
+    return draws.view(np.int64), short
+
+
+def _row_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The raw words a batched row maps its count Floyd draws from."""
+    return rng.bit_generator.random_raw(-(-count // 2) + _SLACK_WORDS)
 
 
 def _design_rng(seed) -> np.random.Generator:
@@ -341,56 +443,71 @@ def bernoulli_moment_cell(
     draw_design does, and its value equals norm(incomplete_ustat(...).value)
     ** q on them bit for bit.  The samples are drawn by sample_rows in
     chunks of at most _BATCH_SAMPLE_VALUES values (one row when n is
-    larger); only the design draws are made per replication (the Binomial
-    count is checked against the cap before any rank is drawn),
-    and an empty selection keeps norm(0) ** q.  A selection of at most _CHUNK
-    tuples joins a batch (up to _BATCH_TUPLES tuples or _BATCH_SAMPLE_VALUES
-    stacked sample values), which takes one unrank, one gather and one
-    kernel call and then sums each replication's contiguous slice: the same
-    pairwise sum as ranked_term_sum takes over a single chunk.  A larger
-    selection goes through incomplete_ustat alone, for its chunked,
-    compensated sum.
+    larger).  Per replication only the design stream is re-keyed: it
+    draws the Binomial count, which is checked against the cap before
+    anything else is drawn, and then, for a selection of at most _CHUNK
+    tuples out of at most 2^32, the raw words its Floyd draws take with
+    _SLACK_WORDS to spare; an empty selection keeps norm(0) ** q.  Such a
+    selection joins a batch (up to _BATCH_TUPLES tuples or
+    _BATCH_SAMPLE_VALUES stacked sample values), which maps the words of
+    all its replications to Floyd draws and resolves them to ranks in one
+    pass, then takes one unrank, one gather and one kernel call and sums
+    each replication's contiguous slice: the same pairwise sum as
+    ranked_term_sum takes over a single chunk.  A replication whose
+    rejected draws use up its spare words draws again from its stream's
+    key by integers.  With more than 2^32 ranks every replication draws
+    its ranks by integers.  A selection of more than _CHUNK tuples draws
+    its ranks by integers and goes through incomplete_ustat alone, for
+    its chunked, compensated sum.
     """
     m = h.arity
     total = _rank_space(n, m)
+    raw = total <= 2**32  # else integers takes 64-bit draws
     reps = np.arange(replications)
     keys = stream_keys(seed, "inc-moment", cell_idx, reps, 0)
+    design_keys = stream_keys(seed, "inc-moment", cell_idx, reps, 1)
     chunk = max(1, _BATCH_SAMPLE_VALUES // n)
-    designs = streams(seed, "inc-moment", cell_idx, reps, 1)
     powered = np.full(replications, norm(h.codomain.zero()) ** q)
-    batch: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rep, sample, ranks)
+    # (rep, sample, count, raw words or, above 2^32 ranks, the ranks)
+    batch: list[tuple[int, np.ndarray, int, np.ndarray]] = []
     tuples = 0
 
     def flush():
-        counts = np.array([ranks.size for _, _, ranks in batch])
-        ranks = np.concatenate([ranks for _, _, ranks in batch])
+        counts = np.array([count for _, _, count, _ in batch])
         ends = np.cumsum(counts)
-        increasing = np.diff(ranks) > 0
-        increasing[ends[:-1] - 1] = True  # where one replication's ranks end
-        if not increasing.all():
-            raise ValueError("ranks must be strictly increasing")
+        if raw:
+            draws, short = _lemire_draws([x for *_, x in batch], counts, total)
+            for r in np.flatnonzero(short).tolist():
+                # the replication's stream again from its key, for integers
+                rng = np.random.Generator(np.random.Philox(key=design_keys[batch[r][0]]))
+                _bernoulli_count(rng, total, rate)
+                draws[ends[r] - counts[r]:ends[r]] = _floyd_draws(rng, total, counts[r])
+            ranks = _floyd_ranks(draws, counts, total)
+        else:
+            ranks = np.concatenate([x for *_, x in batch])
         # unrank_many refuses ranks outside [0, C(n, m))
         cols = unrank_many(ranks, n, m)
-        flat = np.concatenate([sample for _, sample, _ in batch])
+        flat = np.concatenate([sample for _, sample, _, _ in batch])
         offsets = np.repeat(np.arange(0, len(batch) * n, n), counts)
         vals = evaluate_batch(h, [flat[offsets + c] for c in cols])
-        for (rep, _, _), a, b in zip(batch, (ends - counts).tolist(), ends.tolist()):
+        for (rep, *_), a, b in zip(batch, (ends - counts).tolist(), ends.tolist()):
             powered[rep] = norm(vals[a:b].sum(axis=0)) ** q
         batch.clear()
 
-    for rep, rng_w in enumerate(designs):
+    for rep, rng_w in enumerate(_rekeyed(design_keys)):
         if rep % chunk == 0:
             samples = sample_rows(dist, keys[rep:rep + chunk], n)
         sample = samples[rep % chunk]
         count = _bernoulli_count(rng_w, total, rate)
         if count == 0:
             continue
-        ranks = _distinct_ranks(rng_w, total, count)
         if count > _CHUNK:
+            ranks = _distinct_ranks(rng_w, total, count)
             ws = WeightSet(n=n, m=m, ranks=ranks, weights=np.ones(count, dtype=np.int64))
             powered[rep] = norm(incomplete_ustat(h, sample, ws).value) ** q
             continue
-        batch.append((rep, sample, ranks))
+        drawn = _row_words(rng_w, count) if raw else _distinct_ranks(rng_w, total, count)
+        batch.append((rep, sample, count, drawn))
         tuples += count
         if tuples >= _BATCH_TUPLES or len(batch) * n >= _BATCH_SAMPLE_VALUES:
             flush()

@@ -326,13 +326,37 @@ def sample_rows(dist: "Distribution", keys: np.ndarray, n: int,
 
 _REQUIRED = object()
 # One record per family: its config keys paired with their defaults
-# (_REQUIRED where the key must be given), which the classmethod named
-# after the family validates into params; sample(rng, size, *params);
-# mean(*params); for a finite support only, support(*params) giving the
-# atoms and their probabilities; and, when each value takes one 32- or
-# 64-bit draw, words = (bits, values(draws, *params)) giving sample's
-# values from those draws in stream order (see sample_rows).
-_Family = namedtuple("_Family", "keys sample mean support words", defaults=(None, None))
+# (_REQUIRED where the key must be given); check(*params) validating one
+# value per key into params; sample(rng, size, *params); mean(*params);
+# for a finite support only, support(*params) giving the atoms and their
+# probabilities; and, when each value takes one 32- or 64-bit draw,
+# words = (bits, values(draws, *params)) giving sample's values from those
+# draws in stream order (see sample_rows).
+_Family = namedtuple("_Family", "keys check sample mean support words", defaults=(None, None))
+
+
+def _uniform_params(a, b) -> tuple[float, float]:
+    a, b = _finite_params("uniform", a, b)
+    if not a < b:
+        raise ValueError("uniform interval requires a < b")
+    return a, b
+
+
+def _gaussian_params(mean, sd) -> tuple[float, float]:
+    mean, sd = _finite_params("gaussian", mean, sd)
+    if sd <= 0:
+        raise ValueError("gaussian sd must be positive")
+    return mean, sd
+
+
+def _finite_law_params(values, probabilities) -> tuple[tuple, tuple]:
+    v = _finite_params("finite", *values)
+    p = _finite_params("finite", *probabilities)
+    if len(v) != len(p) or not v:
+        raise ValueError("values and probabilities must be nonempty, same length")
+    if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    return v, p
 
 
 def _finite_atoms(u, values, probs):
@@ -353,18 +377,19 @@ def _atoms(values, probs):
 
 _FAMILIES = {
     "rademacher": _Family(
-        (), lambda rng, size: rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0,
+        (), lambda: (),
+        lambda rng, size: rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0,
         lambda: 0.0, lambda: _atoms((-1.0, 1.0), (0.5, 0.5)),
         (32, lambda x: (x >> 31).astype(np.float64) * 2.0 - 1.0)),
     "uniform": _Family(
-        (("a", _REQUIRED), ("b", _REQUIRED)),
+        (("a", _REQUIRED), ("b", _REQUIRED)), _uniform_params,
         lambda rng, size, a, b: rng.uniform(a, b, size=size), lambda a, b: 0.5 * (a + b),
         words=(64, lambda x, a, b: a + (b - a) * _unit(x))),
     "gaussian": _Family(
-        (("mean", 0.0), ("sd", 1.0)),
+        (("mean", 0.0), ("sd", 1.0)), _gaussian_params,
         lambda rng, size, mean, sd: rng.normal(mean, sd, size=size), lambda mean, sd: mean),
     "finite": _Family(
-        (("values", _REQUIRED), ("probabilities", _REQUIRED)),
+        (("values", _REQUIRED), ("probabilities", _REQUIRED)), _finite_law_params,
         lambda rng, size, values, probs: _finite_atoms(rng.random(size), values, probs),
         lambda values, probs: float(np.dot(values, probs)), _atoms,
         (64, lambda x, values, probs: _finite_atoms(_unit(x), values, probs))),
@@ -391,7 +416,11 @@ class Distribution(namedtuple("Distribution", "family params")):
     def __new__(cls, family: str, params: tuple = ()):
         if family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {family!r}")
-        return super().__new__(cls, family, params)
+        keys = [key for key, _ in _FAMILIES[family].keys]
+        if len(params) != len(keys):
+            raise ValueError(
+                f"{family} law takes parameters ({', '.join(keys)}), got {len(params)}")
+        return super().__new__(cls, family, _FAMILIES[family].check(*params))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
@@ -401,27 +430,15 @@ class Distribution(namedtuple("Distribution", "family params")):
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "Distribution":
-        a, b = _finite_params("uniform", a, b)
-        if not a < b:
-            raise ValueError("uniform interval requires a < b")
         return cls("uniform", (a, b))
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, sd: float = 1.0) -> "Distribution":
-        mean, sd = _finite_params("gaussian", mean, sd)
-        if sd <= 0:
-            raise ValueError("gaussian sd must be positive")
         return cls("gaussian", (mean, sd))
 
     @classmethod
     def finite(cls, values: Sequence[float], probabilities: Sequence[float]) -> "Distribution":
-        v = _finite_params("finite", *values)
-        p = _finite_params("finite", *probabilities)
-        if len(v) != len(p) or not v:
-            raise ValueError("values and probabilities must be nonempty, same length")
-        if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        return cls("finite", (v, p))
+        return cls("finite", (values, probabilities))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return _FAMILIES[self.family].sample(rng, size, *self.params)

@@ -22,10 +22,11 @@ __all__ = [
 
 
 def json_int(value, name: str = "") -> int:
-    """`value` if it is an int and not a bool: a JSON 2.7 or true is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """`value` as an int if it is an integer and not a bool: a JSON 2.7 or
+    true is a ValueError, and a numpy integer is an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}".lstrip())
-    return value
+    return int(value)
 
 
 def json_float(value, name: str = "", finite: bool = False) -> float:

@@ -94,6 +94,38 @@ def test_unrank_many_matches_unrank_tuple_on_unsorted_ranks(case):
     assert given_ranks.tolist() == ranks  # the input is left as it was
 
 
+def _spread(draw, lo: int, hi: int) -> int:
+    """An integer in [lo, hi] whose bit length is uniform, so large ones come up."""
+    bits = draw(st.integers(lo.bit_length(), hi.bit_length()))
+    return draw(st.integers(max(lo, 1 << (bits - 1)), min(hi, (1 << bits) - 1)))
+
+
+@st.composite
+def _pair_step_boundaries(draw):
+    # ranks whose pair step lands on C(c, 2) - 1, C(c, 2) or C(c, 2) + 1,
+    # where the float root of the closed form is nearest an integer; m = 2
+    # builds no column, so n reaches 2^32, where C(n, 2) nears 2^63
+    m = draw(st.integers(2, 4))
+    n = _spread(draw, m + 1, 2**32 if m == 2 else 10**5)
+    c = _spread(draw, 2, n - m + 1)
+    if draw(st.booleans()):
+        c = n - m + 3 - c  # as often near the top as near the bottom
+    delta = draw(st.sampled_from([-1, 0, 1]))
+    # the pair (c - 2, c - 1), (0, c) or (1, c), under coordinates above c
+    upper = sorted(draw(st.lists(st.integers(c + 1, n - 1), min_size=m - 2, max_size=m - 2,
+                                 unique=True))) if m > 2 else []
+    rank = math.comb(c, 2) + delta + sum(math.comb(t, j) for j, t in enumerate(upper, start=3))
+    return n, m, rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_step_boundaries())
+def test_unrank_many_pair_step_matches_unrank_tuple_at_binomial_boundaries(case):
+    n, m, rank = case
+    cols = unrank_many(np.array([rank]), n, m)
+    assert tuple(int(c[0]) for c in cols) == unrank_tuple(rank, n, m)
+
+
 def test_unrank_many_binomial_column_is_cached_and_read_only():
     n, m = 40, 3
     ranks = np.arange(count_tuples(n, m))

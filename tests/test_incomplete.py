@@ -155,6 +155,60 @@ def test_distinct_ranks_match_scalar_floyd(case, seed):
     assert rng.integers(0, 2**63) == oracle_rng.integers(0, 2**63)
 
 
+def _halves_taken(rng):
+    """Half words a fresh Philox generator has handed out (buffer of 4 words)."""
+    state = rng.bit_generator.state
+    words = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+    return 2 * words - state["has_uint32"]
+
+
+@st.composite
+def _lemire_batches(draw):
+    # totals past 2^31 reject up to half their draws; 2^32 is the widest
+    # bound that integers draws from half words
+    total = draw(
+        st.integers(1, 12)
+        | st.integers(13, 2**31)
+        | st.integers(2**31 + 1, 2**32)
+        | st.just(2**32)
+    )
+    top = min(total, 4096)
+    counts = draw(st.lists(
+        st.sampled_from(sorted({1, top})) | st.integers(1, top), min_size=1, max_size=4))
+    slack = draw(st.lists(st.integers(0, 3), min_size=len(counts), max_size=len(counts)))
+    return total, counts, slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lemire_batches(), st.integers(0, 2**32))
+@example((2**31 + 1, [4096, 7], [0, 0]), 0)
+@example((5, [5, 4, 1], [0, 1, 2]), 81)
+def test_lemire_map_and_resolver_match_distinct_ranks(batch, seed):
+    total, counts, slack = batch
+    words = [stream(seed, "lemire", r).bit_generator.random_raw(-(-c // 2) + s)
+             for r, (c, s) in enumerate(zip(counts, slack))]
+    counts = np.array(counts)
+    draws, short = incomplete._lemire_draws(words, counts, total)
+    assert draws.dtype == np.int64 and draws.shape == (counts.sum(),)
+    last = np.cumsum(counts)
+    want = []
+    for r, count in enumerate(counts.tolist()):
+        rows = slice(last[r] - count, last[r])
+        rng = stream(seed, "lemire", r)
+        floyd = incomplete._floyd_draws(rng, total, count)
+        if count < total:
+            # a row runs short exactly when integers takes more half words
+            assert short[r] == (_halves_taken(rng) > 2 * words[r].size)
+        if not short[r] and count < total:
+            assert np.array_equal(draws[rows], floyd)
+        if short[r]:
+            draws[rows] = floyd  # as the cell redraws such a row
+        want.append(incomplete._distinct_ranks(stream(seed, "lemire", r), total, count))
+    got = incomplete._floyd_ranks(draws, counts, total)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.concatenate(want))
+
+
 @pytest.mark.parametrize("design", [
     SamplingDesign.bernoulli(0.5),
     SamplingDesign.without_replacement(20),
@@ -176,6 +230,7 @@ def test_over_cap_cell_refused_before_ranks_are_drawn(monkeypatch):
 
     monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
     monkeypatch.setattr(incomplete, "_distinct_ranks", never)
+    monkeypatch.setattr(incomplete, "_row_words", never)
     h = builtin_kernel("product", 2)
     with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
         incomplete.bernoulli_moment_cell(
@@ -435,6 +490,31 @@ def test_batched_cell_sums_large_selections_alone(monkeypatch):
     args = (h, _GAUSSIAN, h.codomain.norm, 2.0, 32, 0.13, 23, 0, 200)
     got = incomplete.bernoulli_moment_cell(*args)
     assert 0 < len(alone) < 200
+    want = _cell_oracle(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("slack", [0, 2])
+def test_batched_cell_redraws_replications_whose_words_run_out(monkeypatch, slack):
+    # C(2346, 3) is just above 2^31, so about half of all draws are
+    # rejected and many replications need more than their words
+    monkeypatch.setattr(incomplete, "_SLACK_WORDS", slack)
+    redrawn = _counting(monkeypatch, "_floyd_draws")
+    h = builtin_kernel("product", 3)
+    args = (h, _GAUSSIAN, h.codomain.norm, 2.0, 2346, 4e-9, 31, 0, 40)
+    got = incomplete.bernoulli_moment_cell(*args)
+    assert 0 < len(redrawn) < 40
+    want = _cell_oracle(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_batched_cell_draws_wide_rank_spaces_by_integers(monkeypatch):
+    # C(3000, 3) > 2^32: integers takes 64-bit draws, so no raw words
+    words = _counting(monkeypatch, "_row_words")
+    h = builtin_kernel("product", 3)
+    args = (h, _GAUSSIAN, h.codomain.norm, 2.0, 3000, 2e-9, 37, 1, 30)
+    got = incomplete.bernoulli_moment_cell(*args)
+    assert not words
     want = _cell_oracle(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -102,3 +102,36 @@ def test_only_kernel_and_config_are_dataclasses():
     assert sorted(obj.__name__ for obj in exported
                   if isinstance(obj, type) and dataclasses.is_dataclass(obj)) == [
         "ExperimentConfig", "Kernel"]
+
+
+# The constructor runs the checks the classmethods run: a record that
+# builds is one that samples and draws.
+
+
+def test_distribution_refuses_a_missing_parameter_at_construction():
+    with pytest.raises(ValueError, match=r"uniform law takes parameters \(a, b\), got 0"):
+        Distribution("uniform")
+
+
+def test_distribution_refuses_a_nonpositive_sd_at_construction():
+    with pytest.raises(ValueError, match="sd must be positive"):
+        Distribution("gaussian", (0.0, -1.0))
+    with pytest.raises(ValueError, match="finite number"):
+        Distribution("gaussian", (0.0, float("nan")))
+
+
+def test_sampling_design_refuses_fractional_draws():
+    with pytest.raises(ValueError, match="draws must be an integer, got 2.5"):
+        SamplingDesign("without_replacement", draws=2.5)
+
+
+def test_sampling_design_classmethod_refuses_fractional_draws():
+    # the classmethod used to truncate 2.7 to 2 draws
+    with pytest.raises(ValueError, match="draws must be an integer, got 2.7"):
+        SamplingDesign.without_replacement(2.7)
+    assert SamplingDesign.with_replacement(np.int64(3)).draws == 3
+
+
+def test_sampling_design_refuses_a_bool_rate():
+    with pytest.raises(ValueError, match="rate must be a number, got True"):
+        SamplingDesign("bernoulli", rate=True)
