@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -389,7 +388,7 @@ def cmd_experiment(args) -> int:
         overrides["replications"] = args.replications
         overrides["moment_replications"] = args.replications
     if overrides:
-        config = dataclasses.replace(config, **overrides)
+        config = config._replace(**overrides)
 
     started = _utcnow()
     report = run_experiment(config)

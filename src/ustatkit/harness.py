@@ -52,7 +52,7 @@ block size.  Every stage runs in the calling thread.
 from __future__ import annotations
 
 import itertools
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
 from math import comb, floor, inf, isfinite, log2, sqrt
 
 import numpy as np
@@ -130,11 +130,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad field."""
 
 
+# config_field's default when a key has none
+_MISSING = object()
 # config parts built from a JSON object by their from_dict-style builders
 _OBJECT_KEYS = frozenset({"kernel", "distribution", "space", "design"})
 
 
-def config_field(raw: dict, key: str, build, default=MISSING):
+def config_field(raw: dict, key: str, build, default=_MISSING):
     """build(raw[key]); whatever goes wrong is a ConfigError naming key.
 
     An absent or null key gives default, or "<key>: missing" when there is
@@ -142,7 +144,7 @@ def config_field(raw: dict, key: str, build, default=MISSING):
     """
     value = raw.get(key)
     if value is None:
-        if default is MISSING:
+        if default is _MISSING:
             raise ConfigError(f"{key}: missing")
         return default
     if key in _OBJECT_KEYS and not isinstance(value, dict):
@@ -179,9 +181,18 @@ def nested_draws(draws) -> int:
     return draws
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything an experiment needs, validated on construction.
+# ExperimentConfig's fields after kernel and dist, with their defaults
+_CONFIG_DEFAULTS = dict(
+    space=None, design=None, experiment=None, p=1.5, q=None, d=None, alpha=None,
+    gamma=0.0, eps=None, t_grid=None, n_grid=(), grid=None, t_points=8,
+    replications=10_000, moment_replications=1_000, inner=1024, outer=256, seed=0,
+    stability_factor=10.0,
+)
+
+
+class ExperimentConfig(namedtuple("ExperimentConfig", ["kernel", "dist", *_CONFIG_DEFAULTS],
+                                  defaults=_CONFIG_DEFAULTS.values())):
+    """Everything an experiment needs, validated on construction and _replace.
 
     Grids are tuples; `grid` holds (n, p_n) pairs and only feeds the
     incomplete-moment experiment.  `q` defaults to p where a bound leaves it
@@ -189,29 +200,10 @@ class ExperimentConfig:
     `moment_replications` drives moment estimates.
     """
 
-    kernel: Kernel
-    dist: Distribution
-    space: BanachSpaceDescriptor | None = None
-    design: SamplingDesign | None = None
-    experiment: str | None = None
-    p: float = 1.5
-    q: float | None = None
-    d: int | None = None
-    alpha: float | None = None
-    gamma: float = 0.0
-    eps: float | None = None
-    t_grid: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] = ()
-    grid: tuple[tuple[int, float], ...] | None = None
-    t_points: int = 8
-    replications: int = 10_000
-    moment_replications: int = 1_000
-    inner: int = 1024
-    outer: int = 256
-    seed: int = 0
-    stability_factor: float = 10.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.kernel, Kernel):
             raise ConfigError("kernel: expected a Kernel instance")
         if not isinstance(self.dist, Distribution):
@@ -223,7 +215,7 @@ class ExperimentConfig:
         # a config built in Python is held to the types from_dict builds
         for key, build in self._BUILDERS.items():
             if key not in _OBJECT_KEYS:
-                config_field(vars(self), key, build, None)
+                config_field(self._asdict(), key, build, None)
         space = self.space if self.space is not None else self.kernel.codomain
         lo, hi = space.admissible_p_range()
         if not space.contains_p(self.p):
@@ -274,6 +266,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must fit an unsigned 64-bit integer, got {self.seed}")
         if not self.stability_factor > 0:
             raise ConfigError(f"stability_factor: must be positive, got {self.stability_factor}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     # config key -> the builder of its field's value; a key that is absent
     # or null takes the field's default
@@ -302,11 +297,10 @@ class ExperimentConfig:
         threads = config_field(raw, "threads", json_int, 1)
         if threads < 1:
             raise ConfigError(f"threads: must be at least 1, got {threads}")
-        defaults = {f.name: f.default for f in fields(cls)}
         kwargs = {}
         for key, build in cls._BUILDERS.items():
             name = "dist" if key == "distribution" else key
-            kwargs[name] = config_field(raw, key, build, defaults[name])
+            kwargs[name] = config_field(raw, key, build, cls._field_defaults.get(name, _MISSING))
         return cls(**kwargs)
 
 

@@ -35,12 +35,11 @@ never leaves the block, or the thread, that asked for it.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -524,8 +523,8 @@ def support_grid(atoms, probs, k: int) -> tuple[np.ndarray, np.ndarray]:
 # kernels
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(namedtuple("Kernel", "arity body weighted symmetric codomain name factors split",
+                        defaults=(False, False, real_line(), "", None, None))):
     """A broadcast-friendly kernel body with its shape metadata.
 
     body(xs, idx) receives a tuple of m numpy-broadcastable arguments and,
@@ -559,18 +558,15 @@ class Kernel:
     split for a single * / chain whose factors each read only x-variables
     and constants, or only i-variables; a sum is never split, so no split
     can hide a cancellation.
+
+    Fields: arity, body, weighted=False, symmetric=False,
+    codomain=real_line(), name="", factors=None, split=None.
     """
 
-    arity: int
-    body: Callable
-    weighted: bool = False
-    symmetric: bool = False
-    codomain: BanachSpaceDescriptor = field(default_factory=real_line)
-    name: str = ""
-    factors: tuple | None = None
-    split: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.arity < 1:
             raise ValueError("kernel arity must be at least 1")
         if self.factors is not None:
@@ -586,6 +582,9 @@ class Kernel:
                 raise ValueError(
                     "a split pairs an index-weighted kernel with an index-free "
                     "kernel of its arity and codomain and a weight function")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
 
 def evaluate(kernel: Kernel, values: Sequence[float], index: Sequence[int] | None = None):
@@ -714,254 +713,162 @@ def builtin_kernel(name: str, m: int = 2, **params) -> Kernel:
 # ---------------------------------------------------------------------------
 # expression kernels
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-_UNARY_FUNCS = {"abs": np.abs, "sign": np.sign, "exp": np.exp}
-_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+# one token of the grammar after optional blanks: a number, a name or an operator
+_LEXEME = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+                     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))")
+# name -> numpy function and its argument count
+_FUNCS = {"abs": (np.abs, 1), "sign": (np.sign, 1), "exp": (np.exp, 1),
+          "min": (np.minimum, 2), "max": (np.maximum, 2)}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
+def _python_source(text: str) -> tuple[str, dict]:
+    """text's tokens as Python source, and its numbers by their column there.
+
+    Tokens are joined by one blank, ^ is written ** and each number _, so
+    Python reads no number, blank or line break of text: not 01, not an
+    integer of 4,301 digits, not a leading blank.  A "," before ")" is
+    refused here, since Python would take it for a trailing comma.
+    """
+    parts, numbers, pos, col = [], {}, 0, 0
     while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
+        match = _LEXEME.match(text, pos)
         if match is None:
             raise ValueError(f"unexpected character at position {pos}: {text[pos]!r}")
+        token = match.group(match.lastgroup)
         if match.lastgroup == "num":
-            tokens.append(("num", match.group("num")))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
+            numbers[col], token = token, "_"
+        elif token == ")" and parts[-1:] == [","]:
+            raise ValueError("expected an argument after ','")
+        parts.append("**" if token == "^" else token)
+        col += len(parts[-1]) + 1
         pos = match.end()
-    tokens.append(("end", ""))
-    return tokens
+    return " ".join(parts), numbers
 
 
-def _chain_node(chain):
-    """The closure of a * / chain of (op, node, variables) links, left to right.
-
-    A leading "/" divides 1 by its factor.
-    """
-    node = None
-    for op, factor, _ in chain:
-        if node is None:
-            node = factor if op == "*" else (lambda env, b=factor: 1.0 / b(env))
-        elif op == "*":
-            node = (lambda env, a=node, b=factor: a(env) * b(env))
-        else:
-            node = (lambda env, a=node, b=factor: a(env) / b(env))
-    return node
-
-
-class _Parser:
-    """Recursive-descent parser producing closure trees over an env dict.
-
-    After parse(), chain holds the top-level * / chain as (op, node,
-    variables read) links, or None when the expression adds or subtracts at
-    the top level.
-    """
-
-    def __init__(self, text: str, variables: set[str]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.variables = variables
-        self.used: set[str] = set()
-        self.chain: list | None = None
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text = self.advance()
-        if kind != "op" or text != op:
-            raise ValueError(f"expected {op!r}, got {text!r}")
-
-    def parse(self):
-        node = self.additive()
-        kind, text = self.peek()
-        if kind != "end":
-            raise ValueError(f"trailing input at {text!r}")
-        return node
-
-    def additive(self):
-        node = self.multiplicative()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.advance()[1]
-            rhs = self.multiplicative()
-            if op == "+":
-                node = (lambda env, a=node, b=rhs: a(env) + b(env))
-            else:
-                node = (lambda env, a=node, b=rhs: a(env) - b(env))
-            self.chain = None
-        return node
-
-    def multiplicative(self):
-        # every chain nested in a factor is parsed before this one ends, so
-        # self.chain is left holding the outermost chain
-        chain = [("*", *self.factor())]
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.advance()[1]
-            chain.append((op, *self.factor()))
-        self.chain = chain
-        return _chain_node(chain)
-
-    def factor(self):
-        """One factor of a * / chain and the set of variables it reads."""
-        outer, self.used = self.used, set()
-        node = self.unary()
-        read = self.used
-        self.used = outer | read
-        return node, read
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
-            inner = self.unary()
-            return lambda env, a=inner: -a(env)
-        if self.peek() == ("op", "+"):
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.primary()
-        if self.peek() == ("op", "^"):
-            self.advance()
-            exponent = self.unary()
-            return lambda env, a=base, b=exponent: np.power(a(env), b(env))
-        return base
-
-    def primary(self):
-        kind, text = self.advance()
-        if kind == "num":
-            value = np.float64(text)
-            return lambda env, v=value: v
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                return self.call(text)
-            if text not in self.variables:
-                allowed = ", ".join(sorted(self.variables))
-                raise ValueError(f"unknown variable {text!r}; allowed: {allowed}")
-            self.used.add(text)
-            return lambda env, name=text: env[name]
-        if (kind, text) == ("op", "("):
-            node = self.additive()
-            self.expect_op(")")
-            return node
-        raise ValueError(f"unexpected token {text!r}")
-
-    def call(self, fname: str):
-        self.expect_op("(")
-        args = [self.additive()]
-        while self.peek() == ("op", ","):
-            self.advance()
-            args.append(self.additive())
-        self.expect_op(")")
-        if fname in _UNARY_FUNCS:
-            if len(args) != 1:
-                raise ValueError(f"{fname} takes one argument")
-            fn = _UNARY_FUNCS[fname]
-            return lambda env, a=args[0], f=fn: f(a(env))
-        if fname in _BINARY_FUNCS:
-            if len(args) != 2:
-                raise ValueError(f"{fname} takes two arguments")
-            fn = _BINARY_FUNCS[fname]
-            return lambda env, a=args[0], b=args[1], f=fn: f(a(env), b(env))
-        raise ValueError(f"unknown function {fname!r}")
-
-
-def _one_term(chain, m: int):
-    """Kernel.factors of a * / chain whose links each read one x-variable or
-    none, else None: the constant links' chain is the coefficient, and the
-    chain of the links that read x_j is f_j, None where there are none."""
-    names = [f"x{j + 1}" for j in range(m)]
-    if chain is None or any(len(read) > 1 or not read <= set(names) for _, _, read in chain):
-        return None
-    constants = [link for link in chain if not link[2]]
-    with np.errstate(all="ignore"):
-        coef = float(_chain_node(constants)({})) if constants else 1.0
-    fs = []
-    for name in names:
-        links = [link for link in chain if name in link[2]]
-        fs.append((lambda x, _node=_chain_node(links), _name=name: _node({_name: x}))
-                  if links else None)
-    return ((coef, tuple(fs)),)
-
-
-def kernel_from_expression(
-    text: str,
-    m: int,
-    symmetric: bool = False,
-    codomain: BanachSpaceDescriptor | None = None,
-) -> Kernel:
+def kernel_from_expression(text: str, m: int, symmetric: bool = False,
+                           codomain: BanachSpaceDescriptor | None = None) -> Kernel:
     """Compile an arithmetic expression over x1..xm (and i1..im) to a kernel.
 
     Index variables i1..im take the 1-based index values of the summand;
-    using any of them makes the kernel index-weighted.  Operators are
-    + - * / ^ with the functions abs, sign, exp, min, max.  Arithmetic is
-    IEEE: division by zero and invalid powers propagate inf/nan rather
-    than raising.
+    using any of them makes the kernel index-weighted.  Tokens: numbers
+    (2, 01, 2., 2.5, 1e-3: digits, optionally a point and digits, then
+    optionally an exponent), the variables, + - * / ^, parentheses, and
+    abs, sign, exp of one argument and min, max of two; blanks and line
+    breaks may stand between them.  Anything else is a ValueError: .5,
+    1_0, 0x1, 1j, **, a trailing comma, a keyword, an attribute, a
+    trailing blank.  ^ is np.power (right associative; -x1^2 is
+    -(x1^2)), each number the np.float64 of its text, never folded, and
+    arithmetic IEEE: division by zero and invalid powers give inf/nan.
+    Python's ast parses the text; each body compiles to one function.
 
-    A scalar expression that is one * / chain at the top level, each factor
-    reading one x-variable or none, carries it as one factor term (see
-    Kernel and _one_term), as 3 * x1 * x2 and x1 / 2 * x2 * x1 do.
-
-    An expression that is one * / chain at the top level, with every
-    factor reading either no i-variable or no x-variable, at least one
-    factor reading an x-variable and one an i-variable, carries a split
-    (see Kernel): f is the chain of the factors without i-variables
-    (constants go there too) and the weight is the chain of the rest, each
-    with a leading "/" dividing 1.
+    A scalar expression that is one * / chain at the top level, each
+    factor reading one x-variable or none, carries it as one factor term
+    (see Kernel), as 3 * x1 * x2 and x1 / 2 * x2 * x1 do, but not
+    (x1 * x2) * x2, whose parenthesised chain is one factor.  A chain
+    whose factors each read no i-variable or no x-variable, at least one
+    of each kind, carries a split (see Kernel): f is the chain of the
+    factors without i-variables, constants included, and the weight the
+    chain of the rest, each with a leading "/" dividing 1.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    xvars = {f"x{j + 1}" for j in range(m)}
-    ivars = {f"i{j + 1}" for j in range(m)}
-    parser = _Parser(text, xvars | ivars)
-    node = parser.parse()
-    used_ivars = sorted(parser.used & ivars)
-    weighted = bool(used_ivars)
+    xvars = [f"x{j + 1}" for j in range(m)]
+    ivars = [f"i{j + 1}" for j in range(m)]
+    source, numbers = _python_source(text)
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
+    # the compiled functions' globals; numbers are names, so none is folded
+    namespace = {"__builtins__": {}, "_pow": np.power}
+    xset, iset = set(xvars), set(ivars)
+    variables = xset | iset
+    at = {"lineno": 1, "col_offset": 0}  # where the nodes made here stand
+    power = ast.Name("_pow", ast.Load(), **at)
+
+    def checked(node):
+        """node if it is in the grammar, with ^ a call of _pow and each
+        number and function a name bound in namespace; else a ValueError."""
+        if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+            node.left, node.right = checked(node.left), checked(node.right)
+            if isinstance(node.op, ast.Pow):  # on np.float64, ** is C pow: (-0.0) ** 0.5 is 0.0
+                return ast.Call(power, [node.left, node.right], [], **at)
+            return node
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node.operand = checked(node.operand)
+            return node
+        if isinstance(node, ast.Call):
+            # a parenthesised callee starts right of the call
+            name = getattr(node.func, "id", None)
+            if name not in _FUNCS or node.func.col_offset != node.col_offset:
+                raise ValueError(f"unknown function {numbers.get(node.func.col_offset, name)!r}")
+            namespace[name], count = _FUNCS[name]
+            if len(node.args) != count or node.keywords:  # "f(x1, ^x2)" reads as f(x1, **x2)
+                raise ValueError(f"{name} takes {('one argument', 'two arguments')[count - 1]}")
+            node.args = [checked(arg) for arg in node.args]
+            return node
+        if isinstance(node, ast.Name):
+            if node.col_offset in numbers:
+                node.id = f"_{node.col_offset}"
+                namespace[node.id] = np.float64(numbers[node.col_offset])
+            elif node.id not in variables:
+                allowed = ", ".join(sorted(variables))
+                raise ValueError(f"unknown variable {node.id!r}; allowed: {allowed}")
+            return node
+        raise ValueError(f"unexpected {ast.unparse(node)!r}")
+
+    def reads(node) -> set:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & variables
+
+    def chain(links, params):
+        """The function of params computing the * / chain of (op, factor,
+        variables read) links, a leading / dividing 1; None for no links."""
+        if not links:
+            return None
+        (op, node, _), *rest = links
+        if isinstance(op, ast.Div):
+            node = ast.BinOp(ast.Constant(1.0, **at), op, node, **at)
+        for op, factor, _ in rest:
+            node = ast.BinOp(node, op, factor, **at)
+        args = ast.arguments(posonlyargs=[], args=[ast.arg(p, **at) for p in params],
+                             kwonlyargs=[], kw_defaults=[], defaults=[])
+        code = ast.Expression(ast.Lambda(args, node, **at))
+        return eval(compile(code, "<expression>", "eval"), namespace)
+
+    tree = checked(tree)
+    # The top-level * / chain, or none under a sum.  ast drops parentheses,
+    # but a node that had them starts right of column 0, where every other
+    # link of the chain starts.
+    links, node = [], tree
+    while (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div))
+           and node.col_offset == 0):
+        links.insert(0, (node.op, node.right, reads(node.right)))
+        node = node.left
+    links.insert(0, (ast.Mult(), node, reads(node)))
+    if isinstance(node, ast.BinOp) and node.col_offset == 0:
+        links = []  # a sum at the top level
+    weighted = bool(reads(tree) & iset)
     codomain = codomain if codomain is not None else real_line()
+    fn = chain([(ast.Mult(), tree, None)], xvars + ivars if weighted else xvars)
+    body = (lambda xs, idx: fn(*xs, *idx)) if weighted else (lambda xs, idx: fn(*xs))
 
-    def body(xs, idx, _node=node, _m=m):
-        env = {f"x{j + 1}": xs[j] for j in range(_m)}
-        if idx is not None:
-            env.update({f"i{j + 1}": idx[j] for j in range(_m)})
-        return _node(env)
-
-    split = None
-    chain = parser.chain or []
-    weight_links = [link for link in chain if link[2] & ivars]
-    free_links = [link for link in chain if not link[2] & ivars]
-    if (weight_links and not any(link[2] & xvars for link in weight_links)
-            and any(link[2] & xvars for link in free_links)):
-        free = Kernel(arity=m, body=partial(body, _node=_chain_node(free_links)),
-                      codomain=codomain, name=f"expr:{text}:index-free")
-
-        def weight(idx, _node=_chain_node(weight_links), _m=m):
-            return _node({f"i{j + 1}": idx[j] for j in range(_m)})
-
-        split = (free, weight)
-    return Kernel(
-        arity=m,
-        body=body,
-        weighted=weighted,
-        symmetric=symmetric,
-        codomain=codomain,
-        name=f"expr:{text}",
-        factors=_one_term(parser.chain, m) if codomain.dimension == 1 else None,
-        split=split,
-    )
+    factors = split = None
+    if codomain.dimension == 1 and links and all(
+            len(read) <= 1 and read <= xset for *_, read in links):
+        coef = chain([link for link in links if not link[2]], [])
+        with np.errstate(all="ignore"):
+            coef = float(coef()) if coef else 1.0
+        factors = ((coef, tuple(chain([link for link in links if x in link[2]], [x])
+                                for x in xvars)),)
+    weight = [link for link in links if link[2] & iset]
+    free = [link for link in links if not link[2] & iset]
+    if (weight and not any(link[2] & xset for link in weight)
+            and any(link[2] & xset for link in free)):
+        f, c = chain(free, xvars), chain(weight, ivars)
+        split = (Kernel(m, lambda xs, idx: f(*xs), codomain=codomain,
+                        name=f"expr:{text}:index-free"), lambda idx: c(*idx))
+    return Kernel(m, body, weighted, symmetric, codomain, f"expr:{text}", factors, split)
 
 
 def kernel_from_config(d: dict) -> Kernel:

@@ -1,6 +1,5 @@
 """Experiment drivers: config validation, gating, bound shapes, invariances."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -262,7 +261,7 @@ def test_weighted_kernel_per_tuple_gate():
     with pytest.raises(ConfigError, match="kernel: the index-free factor"):
         deviation_experiment(cfg)
     # without the split every summand is certified on its own
-    generic = dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, split=None))
+    generic = cfg._replace(kernel=cfg.kernel._replace(split=None))
     with pytest.raises(ConfigError, match=r"kernel: summand at index \(1, 2\)"):
         deviation_experiment(generic)
 
@@ -514,7 +513,7 @@ FINITE = {"family": "finite", "values": [-2.0, 1.0, 3.0], "probabilities": [0.4,
 
 def _without_split(cfg):
     """The same config with a kernel that takes the tiled path."""
-    return dataclasses.replace(cfg, kernel=dataclasses.replace(cfg.kernel, split=None))
+    return cfg._replace(kernel=cfg.kernel._replace(split=None))
 
 
 def _factored_and_tiled(monkeypatch, cfg):

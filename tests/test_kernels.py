@@ -25,6 +25,8 @@ from ustatkit.kernels import (
 )
 from ustatkit.spaces import BanachSpaceDescriptor
 
+from expression_oracle import old_kernel_from_expression
+
 
 # ---------------------------------------------------------------------------
 # builtin zoo
@@ -205,15 +207,59 @@ def test_expression_ieee_division():
         assert np.isnan(evaluate(h, [0.0, 0.0]))
 
 
+# texts the grammar refuses, among them what Python reads but the grammar
+# does not: a bare fraction, digit grouping, hex and imaginary literals,
+# **, a trailing comma in a call, keywords, attribute access, a
+# parenthesised callee, a ^ that Python would read as a ** keyword unpack
+# and a trailing blank
+_REFUSED = [
+    ("x1 + x3", 2), ("x1 +", 2), ("foo(x1)", 1), ("min(x1)", 1),
+    (".5", 1), ("1_0", 1), ("0x1", 1), ("1j", 1), ("x1 ** 2", 1),
+    ("min(x1, x2,)", 2), ("x1 if x2 else x1", 2), ("not x1", 1), ("x1.real", 1),
+    ("abs(x1, ^x2)", 2), ("min(x1, x2, ^x1)", 2), ("abs(x1, ^foo)", 1), ("abs(^x1)", 1),
+    ("(abs)(x1)", 1), ("2(x1)", 1), ("True", 1), ("1 + _0", 1), ("x1 ", 1), ("", 1),
+]
+
+
 def test_expression_rejects_unknown_names_and_syntax():
-    with pytest.raises(ValueError):
+    for text, m in _REFUSED:
+        with pytest.raises(ValueError):
+            kernel_from_expression(text, m)
+        with pytest.raises(ValueError):
+            old_kernel_from_expression(text, m)
+    with pytest.raises(ValueError, match=r"unknown variable 'x3'; allowed: i1, i2, x1, x2"):
         kernel_from_expression("x1 + x3", 2)
-    with pytest.raises(ValueError):
-        kernel_from_expression("x1 +", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown function 'foo'"):
         kernel_from_expression("foo(x1)", 1)
-    with pytest.raises(ValueError):
-        kernel_from_expression("min(x1)", 1)
+
+
+@pytest.mark.parametrize("text, m, value", [
+    # numbers Python refuses but the grammar reads, and blanks or line
+    # breaks Python would not read between or before tokens
+    ("01 * x1", 1, 3.0),
+    ("007 ^ x1", 1, 343.0),
+    (" x1", 1, 3.0),
+    ("x1\n* x2", 2, 6.0),
+    ("1" * 400 + " * x1", 1, float("1" * 400) * 3.0),
+])
+def test_expression_accepts_what_python_would_refuse(text, m, value):
+    assert evaluate(kernel_from_expression(text, m), [3.0, 2.0][:m]) == value
+
+
+@pytest.mark.parametrize("x, want", [(-0.0, -0.0), (-np.inf, np.nan), (np.inf, np.inf)])
+def test_expression_power_is_numpy_power_on_scalars(x, want):
+    # Python's ** on np.float64 follows C pow: (-0.0) ** 0.5 is 0.0 and
+    # (-inf) ** 0.5 is inf; np.power gives -0.0 and nan
+    h = kernel_from_expression("x1 ^ 0.5", 1)
+    with np.errstate(invalid="ignore"):
+        assert repr(evaluate(h, [x])) == repr(want)
+
+
+def test_expression_constants_are_not_folded():
+    # 1 / 0 stays IEEE inf, and 2 ^ 0.5 is np.power of two np.float64
+    with np.errstate(divide="ignore"):
+        assert evaluate(kernel_from_expression("1 / 0 + x1", 1), [0.0]) == np.inf
+    assert evaluate(kernel_from_expression("2 ^ 0.5 * x1", 1), [1.0]) == np.power(2.0, 0.5)
 
 
 def test_expression_precedence():
@@ -223,6 +269,141 @@ def test_expression_precedence():
     g = kernel_from_expression("2 ^ x1 ^ 2", 1)
     # right-associative power: 2^(3^2)
     assert evaluate(g, [3.0]) == 512.0
+
+
+# Random expression texts for the oracle property: grammatical token lists,
+# some with one token the grammar or Python refuses, and token soup, joined
+# by blanks, tabs, line breaks or nothing.
+_NUMBER_TEXTS = ["0", "1", "2", "3", "0.5", "2.", "1e-3", "2.5E+1", "01", "007",
+                 "1e400", "9" * 400]
+_TRAPS = ["**", ".5", "1_0", "0x1", "1j", ",", "(", ")", "if", "else", "not", ".real",
+          "_", "_0", "True", "lambda", ":", "=", "[", "]", "//", "%", "and", "is",
+          "~", "abs", "min", "x4", "i0", "\\", "'"]
+
+
+def _extend(inner):
+    def call(name, count):
+        args = st.lists(inner, min_size=count, max_size=count)
+        return args.map(lambda a: [name, "(", *sum(([",", *t] for t in a), [])[1:], ")"])
+
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: t[0] + [t[1]] + t[2]),
+        st.tuples(st.sampled_from("-+"), inner).map(lambda t: [t[0]] + t[1]),
+        inner.map(lambda t: ["(", *t, ")"]),
+        *(call(name, count) for name, count in [
+            ("abs", 1), ("sign", 1), ("exp", 1), ("min", 2), ("max", 2), ("min", 1),
+            ("foo", 1)]),
+    )
+
+
+def _grammatical(names):
+    return st.recursive(st.sampled_from(names + _NUMBER_TEXTS).map(lambda token: [token]),
+                        _extend, max_leaves=8)
+
+
+def _chain(m):
+    """A * / chain of factors that each read x-variables or i-variables only."""
+    factor = st.one_of(*(_grammatical([f"{v}{j + 1}" for j in range(m)]) for v in "xi")).map(
+        lambda t: t if len(t) == 1 else ["(", *t, ")"])
+    links = st.lists(st.tuples(st.sampled_from("**/"), factor), min_size=1, max_size=4)
+    return st.tuples(factor, links).map(lambda t: t[0] + sum(([op, *f] for op, f in t[1]), []))
+
+
+def _token_lists(m):
+    grammatical = _grammatical([f"{v}{j + 1}" for v in "xi" for j in range(m)])
+    return st.one_of(
+        grammatical, grammatical, _chain(m),
+        st.tuples(grammatical, st.integers(0, 30), st.sampled_from(_TRAPS)).map(
+            lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1]:]),
+        st.tuples(grammatical, st.integers(0, 30), grammatical).map(
+            lambda t: _power_argument(*t)),
+        st.lists(st.sampled_from(_TRAPS + ["x1", "1", "+", "*", "^", "(", ")"]), max_size=8),
+    )
+
+
+def _power_argument(tokens, k, operand):
+    """tokens with "^ operand" after one of its "(" or ",", or with ", ^
+    operand" before one of its ")": Python reads each ^ there as the ** of
+    a keyword unpack, which the grammar has not."""
+    spots = [(n + 1, ["^"]) for n, token in enumerate(tokens) if token in ("(", ",")]
+    spots += [(n, [",", "^"]) for n, token in enumerate(tokens) if token == ")"]
+    if not spots:
+        return tokens
+    n, head = spots[k % len(spots)]
+    return tokens[:n] + head + operand + tokens[n:]
+
+
+_TOKEN_LISTS = {m: _token_lists(m) for m in (1, 2, 3)}
+
+
+@st.composite
+def _expression_texts(draw):
+    """An arity m of 1 to 3 and an expression text over its variables."""
+    m = draw(st.integers(1, 3))
+    tokens = draw(_TOKEN_LISTS[m])
+    gaps = [draw(st.sampled_from(["", " ", " ", " ", " ", " ", "\n", "\t"]))
+            for _ in tokens[1:]]
+    head = draw(st.sampled_from(["", "", "", " ", "\n "]))
+    tail = draw(st.sampled_from(["", "", "", "", "", "", " "]))
+    return head + "".join(g + t for g, t in zip(["", *gaps], tokens)) + tail, m
+
+
+_VALUES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 0.25, 3.0, 710.0])
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def _compiled_or_refused(compile_text, text, m):
+    try:
+        return compile_text(text, m)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_m=_expression_texts(),
+       rows=st.lists(st.lists(_VALUES, min_size=3, max_size=3), min_size=1, max_size=6),
+       index=st.lists(st.integers(0, 40), min_size=3, max_size=3))
+@example(text_m=("(x1 * i1) * x2", 2), rows=[[1.5, -2.0, 0.0]], index=[0, 1, 2])
+@example(text_m=("(x1 * x2) * x2 / 3", 2), rows=[[-0.0, np.inf, 0.0]], index=[0, 1, 2])
+@example(text_m=("x1 ^ 0.5 * 2 ^ 0.5 / 0 * i1 / (i2 + 1)", 2), rows=[[-0.0, -np.inf, 0.0]],
+         index=[0, 1, 2])
+@example(text_m=("01 * x1 / 1 / i1", 1), rows=[[-np.inf, 0.0, 0.0]], index=[3, 0, 0])
+def test_expression_compiler_matches_the_old_parser(text_m, rows, index):
+    # the hand-written parser this compiler replaced is the oracle: the
+    # same texts refused, and bit-equal values, factors and splits
+    text, m = text_m
+    old = _compiled_or_refused(old_kernel_from_expression, text, m)
+    new = _compiled_or_refused(kernel_from_expression, text, m)
+    assert (old is None) == (new is None)
+    if old is None:
+        return
+    assert (new.weighted, new.name) == (old.weighted, old.name)
+    assert (new.factors is None) == (old.factors is None)
+    assert (new.split is None) == (old.split is None)
+    cols = [np.array([row[j] for row in rows]) for j in range(m)]
+    idx = [index[j] + 3 * np.arange(len(rows)) for j in range(m)]
+    ones = tuple(c + 1.0 for c in idx)
+    with np.errstate(all="ignore"):
+        assert _bits(evaluate_batch(new, cols, idx)) == _bits(evaluate_batch(old, cols, idx))
+        for row in rows:
+            assert (_bits(evaluate(new, row[:m], index[:m]))
+                    == _bits(evaluate(old, row[:m], index[:m])))
+        if old.factors is not None:
+            ((old_coef, old_fs),), ((new_coef, new_fs),) = old.factors, new.factors
+            assert _bits(new_coef) == _bits(old_coef)
+            assert [f is None for f in new_fs] == [f is None for f in old_fs]
+            for f, g, col in zip(new_fs, old_fs, cols):
+                if f is not None:
+                    assert _bits(f(col)) == _bits(g(col))
+                    assert _bits(f(col[0])) == _bits(g(col[0]))
+        if old.split is not None:
+            (new_f, new_weight), (old_f, old_weight) = new.split, old.split
+            assert _bits(evaluate_batch(new_f, cols)) == _bits(evaluate_batch(old_f, cols))
+            assert _bits(new_weight(ones)) == _bits(old_weight(ones))
 
 
 def _split_error(h, xs, idx):
@@ -264,6 +445,8 @@ def test_index_factored_expressions_split(text, m):
     ("-(x1 * i1)", 1),
     ("x1 * x2", 2),
     ("2 * i1", 1),
+    # parenthesised, x1 * i1 is one factor reading both kinds
+    ("(x1 * i1) * x2", 2),
 ])
 def test_other_expressions_do_not_split(text, m):
     assert kernel_from_expression(text, m).split is None
@@ -319,6 +502,9 @@ _FACTOR_RULE = {
     "(x1 - x2) ^ 2": None,
     "x1 * x2 * i1": None,
     "vector": None,
+    # parenthesised, x1 * x2 is one factor reading two variables
+    "(x1 * x2) * x2": None,
+    "x1 * x2 * x2": (1.0, (True, True)),
 }
 
 

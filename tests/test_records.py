@@ -1,6 +1,9 @@
 """The value and result records: read-only, equal by value, and named in repr."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import ustatkit
 from ustatkit import (
     BanachSpaceDescriptor,
     Distribution,
+    ExperimentConfig,
     HolderParams,
     SamplingDesign,
     builtin_kernel,
@@ -43,6 +47,8 @@ RECORDS = {
     "WeightSet": lambda: draw_design(SamplingDesign.without_replacement(3), 6, 2, seed=0),
     "BernoulliMomentCheck": lambda: bernoulli_sum_moment_check(2, 2, 0.5, 1.5, 2.0, 100),
     "InequalityReport": lambda: ratio_report("demo", [{"ratio": 1.0}], {"a": 1}, 2.0),
+    "Kernel": lambda: _H,
+    "ExperimentConfig": lambda: ExperimentConfig(_H, _LAW, experiment="deviation"),
 }
 
 
@@ -80,6 +86,14 @@ def test_replace_validates_like_the_constructor():
     assert ws._replace(ranks=[0, 1, 2]).ranks.dtype == np.int64
     with pytest.raises(ValueError, match="increasing"):
         ws._replace(ranks=[2, 1, 0])
+    with pytest.raises(ValueError, match="arity"):
+        _H._replace(arity=0)
+    with pytest.raises(ValueError, match="scalar kernel"):
+        _H._replace(weighted=True)
+    config = RECORDS["ExperimentConfig"]()
+    assert config._replace(seed=3).seed == 3
+    with pytest.raises(ValueError, match="replications"):
+        config._replace(replications=0)
 
 
 def test_to_dict_keys():
@@ -96,12 +110,20 @@ def test_to_dict_keys():
                               "squared_se", "verdict"}
 
 
-def test_only_kernel_and_config_are_dataclasses():
-    # a dataclass costs about a millisecond of import time to build
+def test_no_exported_type_is_a_dataclass():
+    # a dataclass costs about a millisecond of import time to build, and
+    # the dataclasses module another one or two to import
     exported = [getattr(ustatkit, name) for name in ustatkit.__all__]
-    assert sorted(obj.__name__ for obj in exported
-                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)) == [
-        "ExperimentConfig", "Kernel"]
+    assert [obj.__name__ for obj in exported
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)] == []
+
+
+def test_importing_the_cli_does_not_load_dataclasses():
+    src = os.path.dirname(os.path.dirname(ustatkit.__file__))
+    code = "import sys, ustatkit.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n"
 
 
 # The constructor runs the checks the classmethods run: a record that

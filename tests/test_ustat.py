@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,7 +307,7 @@ def _block_kernel(kind, m):
         return builtin_kernel("product", m)
     if kind == "product-generic":
         # the engine's strided slices, which the separable path skips
-        return replace(builtin_kernel("product", m), factors=None)
+        return builtin_kernel("product", m)._replace(factors=None)
     if kind == "nonseparable":
         # x1 * x2 + abs(x1 - x2) at m = 2, the same shape at other arities
         def mixed(xs, idx):
@@ -403,8 +402,8 @@ def _fast_path_kernel(name, m):
         return builtin_kernel(name, m)
     h = kernel_from_expression(name, 2)
     if name in _DECLARED:
-        return replace(h, factors=_DECLARED[name])
-    # else replace(h, factors=None) below would be h, and the engine would
+        return h._replace(factors=_DECLARED[name])
+    # else h._replace(factors=None) below would be h, and the engine would
     # be compared with itself
     assert h.factors is not None
     return h
@@ -457,7 +456,7 @@ def test_separable_path_matches_generic_engine(law, m, kernel, rows, extra,
     block = _draw_block(law, rows, n, np.random.default_rng(seed))
     if fortran:
         block = np.asfortranarray(block)
-    generic = replace(h, factors=None)
+    generic = h._replace(factors=None)
     with np.errstate(over="ignore", invalid="ignore"):
         fast = prefix_values(h, block)
         slow = prefix_values(generic, block)
@@ -485,7 +484,7 @@ def test_separable_path_at_the_largest_horizon(law):
     else:
         block = _draw_block(law, 1, N, np.random.default_rng(11))
     fast = prefix_values(h, block)
-    slow = prefix_values(replace(h, factors=None), block)
+    slow = prefix_values(h._replace(factors=None), block)
     scale = prefix_values(h, np.abs(block))  # |x_i x_j|, all terms >= 0
     bound = (2 * 2 * (math.sqrt(N) + 2) + math.log2(N) + 4) * 2.0**-53
     assert bound < 1e-13
@@ -497,7 +496,7 @@ def test_arity_one_stays_on_the_engine():
     block = np.random.default_rng(12).normal(size=(3, 50))
     h = builtin_kernel("product", 1)
     assert prefix_values(h, block).tobytes() == \
-        prefix_values(replace(h, factors=None), block).tobytes()
+        prefix_values(h._replace(factors=None), block).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -508,7 +507,7 @@ def test_non_finite_block_gives_the_engine_bytes(name, m, bad):
     block = np.random.default_rng(5).normal(size=(3, 40))
     block[1, 4] = bad
     h = _fast_path_kernel(name, m)
-    generic = replace(h, factors=None)
+    generic = h._replace(factors=None)
     with np.errstate(invalid="ignore"):
         assert prefix_values(h, block).tobytes() == prefix_values(generic, block).tobytes()
         # columns past N are not read, so the finite prefix takes the fast path
@@ -523,6 +522,6 @@ def test_non_finite_result_gives_the_engine_bytes():
     block[0, 3] = 800.0
     with np.errstate(over="ignore", invalid="ignore"):
         fast = prefix_values(h, block)
-        slow = prefix_values(replace(h, factors=None), block)
+        slow = prefix_values(h._replace(factors=None), block)
     assert fast.tobytes() == slow.tobytes()
     assert not np.isfinite(fast[0, -1])

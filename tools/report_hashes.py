@@ -9,7 +9,7 @@ configs on non-integer data below (Gaussian, uniform and one finite law),
 whose reports move in the last bits when a change reorders floating-point
 work.  Each run is one
 `ustat experiment run` in a fresh process that imports ustatkit from the
-`src` directory of this checkout.  Three `ustat decompose` configs follow,
+`src` directory of this checkout.  Four `ustat decompose` configs follow,
 hashed by the report they print on stdout.  Prints one `name sha256` line
 per report, so two checkouts give the same lines exactly when their
 reports are byte-identical.  With --check, it also compares the lines with
@@ -119,7 +119,9 @@ FINITE_LAW = {
 }
 
 # `ustat decompose` reports: two exact laws, whose bytes a refactor must
-# keep, and one sampled law on the nested Monte Carlo path.
+# keep, and two sampled laws on the nested Monte Carlo path.  The last
+# kernel reads ^, exp, abs, min, max and unary minus on Gaussian data, which
+# no other line evaluates off the integers.
 DECOMPOSE = {
     "decompose-rademacher-product": {
         "kernel": _PRODUCT, "distribution": {"family": "rademacher"},
@@ -131,6 +133,10 @@ DECOMPOSE = {
     },
     "decompose-gauss-expr": {
         "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
+        "distribution": _GAUSSIAN, "inner": 256, "outer": 64,
+    },
+    "decompose-gauss-functions": {
+        "kernel": {"expr": "exp(-abs(x1 - x2) ^ 1.5) + max(x1, x2) * min(x2, 0.5)", "m": 2},
         "distribution": _GAUSSIAN, "inner": 256, "outer": 64,
     },
 }
