@@ -68,8 +68,8 @@ from .holder import (
 )
 from .incomplete import SamplingDesign, bernoulli_moment_cell
 from .kernels import (
-    Distribution, Kernel, evaluate_batch, evaluate_nested, kernel_from_config, pass_fits_run,
-    sample_rows, stream_keys,
+    Distribution, Kernel, _slab_rows, evaluate_batch, evaluate_nested, kernel_from_config,
+    pass_fits_run, sample_rows, stream_keys,
 )
 from .reporting import InequalityReport, ratio_report
 from .spaces import BanachSpaceDescriptor, json_float, json_int
@@ -110,16 +110,6 @@ __all__ = [
 _WEIGHTED_TUPLE_CAP = 4096
 # Flat norm-tail draw count on the Monte Carlo branch of the weighted path.
 _WEIGHTED_MC_DRAWS = 16384
-# Entries per tile of the weighted path's tuple grid: 2 MiB of float64, so
-# a tile's kernel values, norms and powers stay in a core's L2 cache
-# through every pass instead of streaming through memory once per pass.
-# Tiles hold a multiple of 4 tuples: OpenBLAS's gemv sums its rows in
-# groups of four and a leftover row by another kernel, so with whole groups
-# a tuple's sum does not move with the tile boundaries (a tile this small
-# runs gemv on one thread, which would otherwise split the rows).  `import
-# ustatkit` loads a one-thread BLAS, but a library caller who imported numpy
-# first may run a threaded one, and the tile size still covers that case.
-_WEIGHTED_TILE_ENTRIES = 1 << 18
 # Replications simulated together: a block's widest arrays, the (B, k)
 # columns of one colex step and the (B, N) sample, hold at most this many
 # entries each.  Larger blocks buy little speed and cost peak memory.
@@ -396,18 +386,13 @@ def _simulate(h, dist, n, replications, seed, path, reduce):
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _row_norms(space: BanachSpaceDescriptor, traj: np.ndarray) -> np.ndarray:
-    """Norms of a (B, L) or (B, L, dim) block of points, shape (B, L)."""
-    return space.norms(traj.reshape((-1,) + traj.shape[2:])).reshape(traj.shape[:2])
-
-
 def _max_norm_matrix(h, dist, n_grid, replications, seed, space, tag):
     """One row per replication of max_{m<=k<=N} ||U_k|| at each horizon."""
     m = h.arity
     cols = np.asarray(n_grid, dtype=np.int64) - m
 
     def reduce(traj, sample):
-        running = np.maximum.accumulate(_row_norms(space, traj[:, m:]), axis=1)
+        running = np.maximum.accumulate(space.norms(traj[:, m:]), axis=1)
         return (running[:, cols],)
 
     (maxima,) = _simulate(h, dist, max(n_grid), replications, seed, (tag,), reduce)
@@ -487,20 +472,16 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
         h, dist, tuple(range(m)), p,
         outer=config.outer, inner=config.inner, seed=config.seed, space=space)
     subset_tails = []
-    if h.symmetric:
-        # conditional law depends only on |J|; weight by the subset count
-        for j in range(1, m):
+    for j in range(1, m):
+        # a symmetric kernel's conditional law depends only on |J|, so one
+        # subset stands for all C(m, j)
+        subsets = [tuple(range(j))] if h.symmetric else itertools.combinations(range(m), j)
+        mult = float(comb(m, j)) if h.symmetric else 1.0
+        for subset in subsets:
             tail = conditional_moment_tail(
-                h, dist, tuple(range(j)), p,
+                h, dist, subset, p,
                 outer=config.outer, inner=config.inner, seed=config.seed, space=space)
-            subset_tails.append((float(comb(m, j)), j, tail))
-    else:
-        for j in range(1, m):
-            for subset in itertools.combinations(range(m), j):
-                tail = conditional_moment_tail(
-                    h, dist, subset, p,
-                    outer=config.outer, inner=config.inner, seed=config.seed, space=space)
-                subset_tails.append((1.0, j, tail))
+            subset_tails.append((mult, j, tail))
     moment_p = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     def rhs(t: float, n: int) -> float:
@@ -533,12 +514,6 @@ def _frozen_index_kernel(h: Kernel, index: tuple[int, ...]) -> Kernel:
                   codomain=h.codomain, name=f"{h.name}@{index}")
 
 
-def _tile_rows(row_entries: int) -> int:
-    """Tuples per tile of _WEIGHTED_TILE_ENTRIES entries, rounded up to a multiple of 4."""
-    rows = max(1, _WEIGHTED_TILE_ENTRIES // max(1, row_entries))
-    return -(-rows // 4) * 4
-
-
 def _norms_in_place(space: BanachSpaceDescriptor, vals: np.ndarray) -> np.ndarray:
     """space.norms(vals), written over vals when it is a scalar block it owns.
 
@@ -548,8 +523,7 @@ def _norms_in_place(space: BanachSpaceDescriptor, vals: np.ndarray) -> np.ndarra
     if not (space.dimension == 1 and vals.dtype == np.float64
             and flags.owndata and flags.writeable):
         return space.norms(vals)
-    np.abs(vals, out=vals)
-    return vals[:, 0] if vals.ndim == 2 and vals.shape[1] == 1 else vals
+    return np.abs(vals, out=vals)
 
 
 def _tail_block(y, w, t_arr, p, q):
@@ -628,7 +602,7 @@ def _tuple_tails_tiled(h, space, idx_cols, value_table, w, t_arr, p, q):
     total = len(idx_cols[0])
     contrib = np.zeros((total, t_arr.size))
     moments = np.zeros(total)
-    tile = _tile_rows(value_table.shape[0])
+    tile = _slab_rows(value_table.shape[0])
     for a in range(0, total, tile):
         b = min(a + tile, total)
         vals = evaluate_batch(
@@ -652,7 +626,7 @@ def _tuple_moments_tiled(h, space, idx_cols, positions, outer_cols, inner_cols,
     total = len(idx_cols[0])
     o_n, i_n = outer_cols.shape[0], inner_cols.shape[0]
     cond = np.zeros((total, o_n))
-    tile = _tile_rows(o_n * i_n)
+    tile = _slab_rows(o_n * i_n)
     for a in range(0, total, tile):
         b = min(a + tile, total)
         vals = evaluate_nested(h, positions, outer_cols[None], inner_cols[None, None],
@@ -1008,7 +982,7 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
         rate_weight = ns ** alpha / binom
 
     def reduce(traj, sample):
-        norms = _row_norms(space, traj[:, m:])
+        norms = space.norms(traj[:, m:])
         weighted = norms * ns ** (-m / p)
         stats = (np.maximum.accumulate(weighted, axis=1)[:, cols], weighted[:, cols])
         if alpha is None:

@@ -44,7 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Distribution, Kernel, evaluate_batch, evaluate_nested, stream, support_grid
+from .kernels import (
+    Distribution, Kernel, _slab_rows, evaluate_batch, evaluate_nested, stream, support_grid,
+)
 from .spaces import BanachSpaceDescriptor
 
 __all__ = [
@@ -60,12 +62,6 @@ __all__ = [
 
 _EXACT_ZERO_RTOL = 1e-10
 _RELATIVE_ZERO_FLOOR = 1e-3
-# Kernel values per slab of a component evaluation (2 MiB): OpenBLAS runs a
-# gemv this small on one thread, so no value depends on its thread count (a
-# larger gemv splits its rows between BLAS workers, moving some rows' last bits).
-# `import ustatkit` loads a one-thread BLAS, but a library caller who
-# imported numpy first may run a threaded one; the slab still covers that.
-_EVAL_SLAB = 1 << 18
 
 
 class HoeffdingComponent(NamedTuple):
@@ -99,19 +95,14 @@ class HoeffdingComponent(NamedTuple):
             yield sign, evaluate_nested(self.kernel, fixed, outer, points, self.pinned), weights
 
     def _slabbed(self, columns, reduce) -> np.ndarray:
-        """reduce(columns), in flat slabs of at most _EVAL_SLAB kernel values.
-
-        A slab holds a multiple of 4 points: gemv sums rows in groups of
-        four, so a point's value does not move with the slab boundaries.
-        """
+        """reduce(columns), in flat slabs of points (see kernels._slab_rows)."""
         xs = [np.asarray(c, dtype=np.float64) for c in columns]
         shape = np.broadcast_shapes(*(x.shape for x in xs))
         points = int(np.prod(shape, dtype=np.int64))
-        width = max(len(weights) for *_, weights in self.subterms)
-        if points * width <= _EVAL_SLAB:
+        step = _slab_rows(max(len(weights) for *_, weights in self.subterms))
+        if points <= step:
             return reduce(xs)
         flat = [np.broadcast_to(x, shape).reshape(-1) for x in xs]
-        step = max(1, _EVAL_SLAB // (4 * width)) * 4
         out = np.concatenate([reduce([c[s : s + step] for c in flat])
                               for s in range(0, points, step)])
         return out.reshape(shape + out.shape[1:])

@@ -121,10 +121,14 @@ def _path_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
-def _check_scan(values: np.ndarray, alpha: float) -> int:
-    """The breakpoint count of a value matrix the pair scan can take."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1)")
+
+
+def _check_scan(values: np.ndarray, alpha: float) -> int:
+    """The breakpoint count of a value matrix the pair scan can take."""
+    _check_alpha(alpha)
     npts = values.shape[1]
     if npts > MAX_SCAN_BREAKPOINTS + 1:
         raise ValueError(
@@ -251,8 +255,7 @@ def holder_norm_grid(path, alpha: float, points: int = 20000) -> float:
     simply maximizes over all grid pairs, so it can only undershoot the
     true supremum by the grid resolution.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    _check_alpha(alpha)
     if points < 2:
         raise ValueError("need at least two grid points")
     t, y = _path_arrays(path)
@@ -326,8 +329,7 @@ def _dyadic_increments(paths, alpha: float, d: int, j_max: int):
     Returns the path count, n and an iterator over the levels j = 0..j_max
     of (j, low, high, |S_high - S_low| per path and cell, n^(d/2) 2^(-alpha j)).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    _check_alpha(alpha)
     if d < 1:
         raise ValueError("degeneracy order d must be >= 1")
     S = _raw_paths_matrix(paths)

@@ -153,15 +153,12 @@ class SamplingDesign(namedtuple("SamplingDesign", "variant draws rate")):
     @classmethod
     def from_dict(cls, d: dict) -> "SamplingDesign":
         variant = d.get("variant")
-        if variant == "bernoulli":
-            if "p_n" not in d:
-                raise ValueError("bernoulli design dict needs key 'p_n'")
-            return cls.bernoulli(json_float(d["p_n"], "p_n"))
-        if variant in ("without_replacement", "with_replacement"):
-            if "draws" not in d:
-                raise ValueError(f"{variant} design dict needs key 'draws'")
-            return cls(variant, draws=d["draws"])
-        raise ValueError(f"unknown design variant {variant!r}")
+        key = "p_n" if variant == "bernoulli" else "draws"
+        if variant in _VARIANTS and key not in d:
+            raise ValueError(f"{variant} design dict needs key {key!r}")
+        if key == "p_n":
+            return cls(variant, rate=json_float(d[key], key))
+        return cls(variant, draws=d.get(key))
 
 
 class WeightSet(namedtuple("WeightSet", "n m ranks weights")):
@@ -366,8 +363,7 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
     """Realize a design as a sparse weight set.
 
     seed may be an integer (a dedicated stream is derived from it) or an
-    already-positioned numpy Generator, which experiments use to hand each
-    replication its own stream.
+    already-positioned numpy Generator, which then draws the design.
     """
     total = _rank_space(n, m)
     design.validate_for(n, m)
@@ -384,16 +380,6 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
         count = _bernoulli_count(rng, total, design.rate)
     ranks = _distinct_ranks(rng, total, count)
     return WeightSet(n=n, m=m, ranks=ranks, weights=np.ones(count, dtype=np.int64))
-
-
-def _rank_chunks(ranks: np.ndarray):
-    for a in range(0, ranks.size, _CHUNK):
-        yield ranks[a : a + _CHUNK]
-
-
-def _weight_chunks(weights: np.ndarray):
-    for a in range(0, weights.size, _CHUNK):
-        yield weights[a : a + _CHUNK].astype(np.float64)
 
 
 def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
@@ -413,13 +399,7 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
     _capped(weights.size)
     if weights.size == 0:
         return UStatResult(_as_value(h, h.codomain.zero()), weights.n, weights.m, 0, 0.0)
-    total, weight_total = ranked_term_sum(
-        h,
-        sample,
-        weights.n,
-        _rank_chunks(weights.ranks),
-        _weight_chunks(weights.weights),
-    )
+    total, weight_total = ranked_term_sum(h, sample, weights.n, weights.ranks, weights.weights)
     return UStatResult(
         _as_value(h, total), weights.n, weights.m, weights.size, weight_total
     )

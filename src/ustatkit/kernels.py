@@ -27,10 +27,10 @@ count, row length and call count alone (pass_fits_run), and either draws
 every row by the pass or takes the words of its long rows from one bit
 generator re-keyed per row, through the same map.  A Gaussian ziggurat or
 a Binomial design count takes a variable number of words, so those rows
-are drawn by numpy from the re-keyed generator (streams()): counter 0, a
-new key and an empty buffer make it draw exactly what a fresh stream
-draws.  Each generator it yields is used up before the next is taken and
-never leaves the block, or the thread, that asked for it.
+are drawn by numpy from one generator re-keyed per row (_rekeyed):
+counter 0, a new key and an empty buffer make it draw exactly what a fresh
+stream draws.  Each generator it yields is used up before the next is
+taken and never leaves the block, or the thread, that asked for it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "sample_rows",
     "stream",
     "stream_keys",
-    "streams",
     "support_grid",
 ]
 
@@ -193,18 +192,13 @@ def stream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_keys(seed, *path)))
 
 
-def streams(seed: int, *path):
-    """Yield the stream of every row of stream_keys(seed, *path), in order.
-
-    One bit generator is re-keyed for each row, so every yielded generator
-    is the same object: draw from it before taking the next, and do not
-    keep it.  Its draws equal those of stream() on the row's path.
-    """
-    yield from _rekeyed(stream_keys(seed, *path).reshape(-1, 2))
-
-
 def _rekeyed(keys: np.ndarray):
-    """Yield one bit generator re-keyed to each row of an (R, 2) key array."""
+    """Yield one bit generator re-keyed to each row of an (R, 2) key array.
+
+    Every yielded generator is the same object: draw from it before taking
+    the next, and do not keep it.  Its draws equal those of stream() on the
+    row's path.
+    """
     if not len(keys):
         return
     rng = np.random.Generator(np.random.Philox(key=keys[0]))
@@ -665,6 +659,22 @@ def evaluate_nested(
     return evaluate_batch(kernel, cols, index_columns)
 
 
+# Kernel values per slab of a batch that ends in a gemv: 2 MiB of float64
+# stay in a core's L2 cache through every pass.  OpenBLAS runs a gemv this
+# small on one thread (a larger one splits its rows between workers, which
+# moves last bits, so this covers a caller who loaded a threaded BLAS before
+# ustatkit) and sums its rows in groups of four, a leftover row by another
+# kernel; in slabs of whole groups no row moves with the slab boundaries.
+_SLAB_VALUES = 1 << 18
+
+
+def _slab_rows(row_values: int) -> int:
+    """Rows of row_values values per slab of _SLAB_VALUES values, rounded up
+    to a multiple of 4."""
+    rows = max(1, _SLAB_VALUES // max(1, row_values))
+    return -(-rows // 4) * 4
+
+
 # ---------------------------------------------------------------------------
 # builtin kernel zoo
 
@@ -769,9 +779,21 @@ def kernel_from_expression(text: str, m: int, symmetric: bool = False,
     of each kind, carries a split (see Kernel): f is the chain of the
     factors without i-variables, constants included, and the weight the
     chain of the rest, each with a leading "/" dividing 1.
+
+    Parsing, checking and compiling recurse on the expression tree, so
+    text that nests too deeply for Python's recursion limit (a sum of
+    1,000 terms, 3,000 unary minus signs) is a ValueError too.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    try:
+        return _compiled_kernel(text, m, symmetric, codomain)
+    except RecursionError:
+        raise ValueError("expression nests too deeply to compile") from None
+
+
+def _compiled_kernel(text: str, m: int, symmetric: bool, codomain) -> Kernel:
+    """kernel_from_expression's work, which may raise RecursionError."""
     xvars = [f"x{j + 1}" for j in range(m)]
     ivars = [f"i{j + 1}" for j in range(m)]
     source, numbers = _python_source(text)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .tails import median
+
 __all__ = ["InequalityReport", "ratio_report", "ratio_summary"]
 
 
@@ -33,16 +35,12 @@ def ratio_summary(ratios) -> tuple[float, float, float]:
     if any(math.isnan(v) for v in vals):
         return math.nan, math.nan, math.nan
     top = max(vals)
-    positive = sorted(v for v in vals if v > 0.0)
+    positive = [v for v in vals if v > 0.0]
     if not positive:
         return top, 0.0, 0.0
-    k = len(positive)
-    if k % 2:
-        median = positive[k // 2]
-    else:
-        median = 0.5 * (positive[k // 2 - 1] + positive[k // 2])
-    stability = top / median if median > 0 else math.inf
-    spread = top / positive[0]
+    mid = median(positive)
+    stability = top / mid if mid > 0 else math.inf
+    spread = top / min(positive)
     return top, stability, spread
 
 

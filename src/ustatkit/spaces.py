@@ -91,14 +91,13 @@ class BanachSpaceDescriptor(namedtuple("BanachSpaceDescriptor", "dimension norm_
     def norms(self, batch) -> np.ndarray:
         """Norms of a batch of points.
 
-        Vectors lie along the last axis, so a (B, dimension) batch gives
-        shape (B,) and any batch gives its leading shape batch.shape[:-1].
-        Scalars keep the batch's shape, except that a (B, 1) batch gives (B,).
+        In dimension 1 every entry is a point, so the norms keep the batch's
+        shape, (B, 1) included.  Otherwise vectors lie along the last axis,
+        so a (B, dimension) batch gives shape (B,) and any batch gives its
+        leading shape batch.shape[:-1].
         """
         arr = np.asarray(batch, dtype=np.float64)
         if self.dimension == 1:
-            if arr.ndim == 2 and arr.shape[-1] == 1:
-                arr = arr[..., 0]
             return np.abs(arr)
         if arr.ndim < 1 or arr.shape[-1] != self.dimension:
             raise ValueError(

@@ -22,8 +22,8 @@ required_integrability computes the moment exponent that makes the
 almost-sure rate series for a degenerate order-d kernel summable.
 
 quantile and median read empirical order statistics for the experiments
-(the automatic t-grid, the lln medians, the Holder quantile rows and
-holder.calibrate_epsilon).  They give np.quantile's default "linear"
+(the automatic t-grid, the lln medians, the Holder quantile rows,
+holder.calibrate_epsilon and the reports' stability score).  They give np.quantile's default "linear"
 method (Hyndman & Fan's type 7) and np.median bit for bit by doing what
 numpy does, without its masked-array checks: np.quantile and np.median
 import numpy.ma on first use, which takes 8-17 ms, a quarter of a short
@@ -212,10 +212,7 @@ def conditional_moment_tail(
 
 def _nested_powered_norms(h, space, conditioned, outer_pts, inner_pts, p) -> np.ndarray:
     """||h||^p on a nested rule, shape (O, I)."""
-    vals = evaluate_nested(h, conditioned, outer_pts, inner_pts)
-    # norms() drops a trailing singleton axis for scalar codomains, so pin
-    # the (outer point, completion) shape
-    return (space.norms(vals) ** p).reshape(vals.shape[:2])
+    return space.norms(evaluate_nested(h, conditioned, outer_pts, inner_pts)) ** p
 
 
 def norm_moment(

@@ -59,7 +59,6 @@ designs (see the incomplete module) are the intended tool past that size.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -113,47 +112,34 @@ def _as_value(h: Kernel, total):
     return np.asarray(total, dtype=np.float64)
 
 
-def ranked_term_sum(
-    h: Kernel,
-    sample: np.ndarray,
-    n: int,
-    rank_chunks,
-    weight_chunks=None,
-):
-    """Sum h over tuples given by colex rank chunks, with optional weights.
+def ranked_term_sum(h: Kernel, sample: np.ndarray, n: int, ranks=None, weights=None):
+    """(sum of h over the tuples of ascending colex ranks, total weight).
 
-    Shared by complete evaluation (all ranks ascending) and incomplete
-    designs (selected ranks ascending); identical rank sequences produce
-    bit-identical results because chunking, per-chunk pairwise summation,
-    and the compensated cross-chunk accumulation all match.
+    ranks=None means every rank below C(n, m).  The ranks, and the weights
+    (one per rank, or None for weight 1), are cut into _CHUNK pieces here;
+    each piece is summed pairwise and the pieces' sums are accumulated with
+    compensation.  So complete evaluation (every rank) and an incomplete
+    design (its selected ranks) give bit-identical results on the same
+    rank sequence: multiplying by a weight of 1.0 is exact.
     """
+    count = count_tuples(n, h.arity) if ranks is None else len(ranks)
     total = h.codomain.zero()
     comp = h.codomain.zero()
     weight_total = 0.0
-    if weight_chunks is None:
-        weight_chunks = repeat(None)
-    for ranks, weights in zip(rank_chunks, weight_chunks):
-        cols = unrank_many(ranks, n, h.arity)
-        vals = evaluate_batch(
-            h, [sample[c] for c in cols], cols if h.weighted else None
-        )
+    for a in range(0, count, _CHUNK):
+        b = min(a + _CHUNK, count)
+        chunk = np.arange(a, b, dtype=np.int64) if ranks is None else ranks[a:b]
+        cols = unrank_many(chunk, n, h.arity)
+        vals = evaluate_batch(h, [sample[c] for c in cols], cols if h.weighted else None)
         if weights is not None:
-            w = np.asarray(weights, dtype=np.float64)
-            if h.codomain.dimension > 1:
-                vals = vals * w[:, None]
-            else:
-                vals = vals * w
+            w = weights[a:b].astype(np.float64)
+            vals = vals * (w[:, None] if h.codomain.dimension > 1 else w)
             weight_total += float(w.sum())
         else:
-            weight_total += float(len(ranks))
+            weight_total += float(b - a)
         inc = vals.sum(axis=0)
         total, comp = _kahan_add(total, comp, inc)
     return total, weight_total
-
-
-def _arange_chunks(total: int):
-    for a in range(0, total, _CHUNK):
-        yield np.arange(a, min(a + _CHUNK, total), dtype=np.int64)
 
 
 def complete_ustat(h: Kernel, sample, n: int | None = None) -> UStatResult:
@@ -171,9 +157,7 @@ def complete_ustat(h: Kernel, sample, n: int | None = None) -> UStatResult:
         )
     if total_terms == 0:
         return UStatResult(_as_value(h, h.codomain.zero()), n, m, 0, 0.0)
-    total, weight_total = ranked_term_sum(
-        h, sample, n, _arange_chunks(total_terms)
-    )
+    total, weight_total = ranked_term_sum(h, sample, n)
     return UStatResult(_as_value(h, total), n, m, total_terms, weight_total)
 
 

@@ -318,6 +318,36 @@ def test_experiment_non_finite_kernel_is_named_as_such(tmp_path, capsys, family,
     assert "degenera" not in err and "inconclusive" not in err
 
 
+def test_weighted_deviation_on_a_one_atom_law_passes(tmp_path, capsys):
+    # one draw per summand: the tiled path's (tuples, 1) block of norms once
+    # lost its draw axis, and the bound failed as an internal error (exit 3)
+    cfg = write_config(tmp_path, "e.json", {
+        **EXP_CONFIG,
+        "kernel": {"expr": "x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)", "m": 2},
+        "distribution": {"family": "finite", "values": [0.0], "probabilities": [1.0]},
+        "n_grid": [4, 8], "t_grid": [1.0]})
+    code, out, err = run(["experiment", "run", "--config", cfg,
+                          "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, err
+    assert "deviation: PASS" in out
+
+
+@pytest.mark.parametrize("command, expr", [
+    ("decompose", " + ".join(["x1"] * 1000)),
+    ("compute", "-" * 3000 + "x1"),
+], ids=["sum-of-1000-terms", "3000-unary-minus"])
+def test_too_deeply_nested_expression_exits_2(tmp_path, capsys, command, expr):
+    # both once exited 3 with a RecursionError
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"expr": expr, "m": 2},
+        "distribution": {"family": "rademacher"},
+        "data": [1, -1, 2],
+    })
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: kernel: expression nests too deeply to compile\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("family", ["rademacher", "gaussian"])
 @pytest.mark.parametrize("expr", ["x1 * x2 / (x1 - x1)", "x1 * x2 * 1e308 * 1e308"])

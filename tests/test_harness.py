@@ -482,7 +482,7 @@ _SUM = "x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)"
 ])
 def test_deviation_weighted_independent_of_tile_size(monkeypatch, distribution,
                                                       t_grid, draws, expr):
-    from ustatkit import harness
+    from ustatkit import kernels
 
     cfg = ExperimentConfig.from_dict({
         "kernel": {"expr": expr, "m": 2},
@@ -494,7 +494,7 @@ def test_deviation_weighted_independent_of_tile_size(monkeypatch, distribution,
     # groups' outer x inner grid (2 x 2 atoms on Rademacher data)
     default = run_experiment(cfg)
     for tuples in (1, 3, 5):
-        monkeypatch.setattr(harness, "_WEIGHTED_TILE_ENTRIES", tuples * draws)
+        monkeypatch.setattr(kernels, "_SLAB_VALUES", tuples * draws)
         tiled = run_experiment(cfg)
         assert tiled.passed == default.passed
         for row, ref in zip(tiled.rows, default.rows, strict=True):

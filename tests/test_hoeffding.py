@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ustatkit.hoeffding as hoeffding
+import ustatkit.kernels as kernels
 
 from ustatkit.hoeffding import (
     check_degeneracy,
@@ -194,7 +194,7 @@ def test_component_values_do_not_move_with_the_slabs(monkeypatch, dist, kind):
     whole = comp.evaluate_batch(cols)
     whole_se = comp.standard_error_batch(cols)
     # 37 points of 27 completions each are cut into slabs of 4 points
-    monkeypatch.setattr(hoeffding, "_EVAL_SLAB", 150)
+    monkeypatch.setattr(kernels, "_SLAB_VALUES", 100)
     slabbed = comp.evaluate_batch(cols)
     assert slabbed.shape == whole.shape and slabbed.tobytes() == whole.tobytes()
     assert comp.standard_error_batch(cols).tobytes() == whole_se.tobytes()

@@ -20,7 +20,6 @@ from ustatkit.kernels import (
     sample_rows,
     stream,
     stream_keys,
-    streams,
     support_grid,
 )
 from ustatkit.spaces import BanachSpaceDescriptor
@@ -253,6 +252,12 @@ def test_expression_power_is_numpy_power_on_scalars(x, want):
     h = kernel_from_expression("x1 ^ 0.5", 1)
     with np.errstate(invalid="ignore"):
         assert repr(evaluate(h, [x])) == repr(want)
+
+
+def test_expression_long_sum_still_compiles():
+    # well inside Python's recursion limit; 1,000 terms are refused (test_cli)
+    h = kernel_from_expression(" + ".join(["x1"] * 350 + ["x2"] * 350), 2)
+    assert evaluate(h, [1.0, 2.0]) == 1050.0
 
 
 def test_expression_constants_are_not_folded():
@@ -822,7 +827,7 @@ def test_stream_keys_reject_bad_path_elements(bad, error):
 ])
 def test_rekeyed_generator_draws_like_a_fresh_stream(dist):
     reps = np.array([0, 1, 5, 2**33])
-    for r, rng in zip(reps, streams(11, "rekey", reps, 3)):
+    for r, rng in zip(reps, kernels._rekeyed(stream_keys(11, "rekey", reps, 3))):
         fresh = dist.sample(stream(11, "rekey", int(r), 3), 40)
         assert dist.sample(rng, 40).tobytes() == fresh.tobytes()
         # leave the bit generator with an advanced counter and a cached half
@@ -831,7 +836,8 @@ def test_rekeyed_generator_draws_like_a_fresh_stream(dist):
         rng.standard_normal()
         state = rng.bit_generator.state
         assert state["has_uint32"] == 1 and state["state"]["counter"].any()
-    assert list(streams(11, "rekey", np.array([], dtype=np.int64))) == []
+    empty = stream_keys(11, "rekey", np.array([], dtype=np.int64))
+    assert list(kernels._rekeyed(empty)) == []
 
 
 _REALS = st.floats(-1e6, 1e6, allow_subnormal=False)

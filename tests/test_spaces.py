@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ustatkit.spaces import BanachSpaceDescriptor, real_line
 
@@ -18,9 +21,30 @@ def test_scalar_norms_batch_shapes():
     sp = real_line()
     out = sp.norms(np.array([-1.0, 2.0, -3.0]))
     np.testing.assert_allclose(out, [1.0, 2.0, 3.0])
-    # a trailing singleton coordinate axis is squeezed away
+    # in dimension 1 every entry is a point, so a (B, 1) batch keeps its shape
     out2 = sp.norms(np.array([[-1.0], [2.0]]))
-    assert out2.shape == (2,)
+    assert out2.shape == (2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 4), st.floats(1.1, 6.0))
+def test_norms_keep_or_drop_the_coordinate_axis(data, dimension, s):
+    space = BanachSpaceDescriptor(dimension, norm_exponent=s)
+    lead = data.draw(hnp.array_shapes(min_dims=0 if dimension == 1 else 1, max_dims=3,
+                                      min_side=1, max_side=4))
+    shape = lead if dimension == 1 else lead[:-1] + (dimension,)
+    batch = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    out = space.norms(batch)
+    if dimension == 1:
+        # every entry is a point, a trailing axis of length 1 included
+        assert out.shape == batch.shape
+        assert np.array_equal(out, np.abs(batch))
+    else:
+        assert out.shape == batch.shape[:-1]
+        want = np.sum(np.abs(batch) ** s, axis=-1) ** (1.0 / s)
+        assert np.array_equal(out, want)
+        for row in np.ndindex(out.shape):
+            assert out[row] == pytest.approx(space.norm(batch[row]), rel=1e-12)
 
 
 def test_vector_norm_values():

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ustatkit import ustat
 from ustatkit.hoeffding import project_component
+from ustatkit.incomplete import WeightSet, incomplete_ustat
 from ustatkit.kernels import (
     Distribution,
+    Kernel,
     builtin_kernel,
     evaluate,
     kernel_from_expression,
@@ -64,6 +67,29 @@ def test_matches_brute_force_random_kernels():
         got = complete_ustat(h, sample).value
         want = brute_force_ustat(h, sample)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [
+    builtin_kernel("product", 3),
+    kernel_from_expression("x1 * x2 / (i1 + i2)", 2),
+    Kernel(2, lambda xs, idx: (xs[0] * xs[1])[..., None] * np.array([1.0, -2.0, 0.5]),
+           symmetric=True, codomain=BanachSpaceDescriptor(3, norm_exponent=1.5)),
+], ids=["scalar", "weighted", "vector"])
+def test_complete_and_incomplete_sums_chunk_alike(monkeypatch, h):
+    # C(11, 3) = 165 and C(11, 2) = 55 tuples: many 7-rank chunks and a short one
+    monkeypatch.setattr(ustat, "_CHUNK", 7)
+    sample = np.random.default_rng(3).standard_normal(11)
+    complete = complete_ustat(h, sample)
+    total = math.comb(11, h.arity)
+    ws = WeightSet(n=11, m=h.arity, ranks=np.arange(total, dtype=np.int64),
+                   weights=np.ones(total, dtype=np.int64))
+    incomplete = incomplete_ustat(h, sample, ws)
+    assert np.asarray(incomplete.value).tobytes() == np.asarray(complete.value).tobytes()
+    assert incomplete.total_weight == complete.total_weight == total
+    # the chunks' compensated sum is still the plain sum, to rounding
+    unchunked = np.sum([evaluate(h, sample[list(t)], index=t)
+                        for t in itertools.combinations(range(11), h.arity)], axis=0)
+    np.testing.assert_allclose(complete.value, unchunked, rtol=1e-12, atol=1e-12)
 
 
 def test_weighted_kernel_sees_one_based_indices():

@@ -93,7 +93,8 @@ OFF_RADEMACHER = {
 # |h| = 1, so its exact tails and moments are bit-exact in any summation
 # order and cannot show whether an exact branch kept its arithmetic.  The
 # holder line is the only one that evaluates a Hoeffding projection on the
-# law's support grid.
+# law's support grid, and the weighted line the only one that takes the
+# tiled per-tuple path of the index-weighted bound on an exact law.
 _FINITE = {"family": "finite", "values": [-2.0, 1.0, 3.0],
            "probabilities": [0.4, 0.5, 0.1]}
 FINITE_LAW = {
@@ -115,6 +116,11 @@ FINITE_LAW = {
         "kernel": {"expr": "x1 + x2 + x1 * x2", "m": 2, "symmetric": True},
         "distribution": _FINITE, "experiment": "holder", "alpha": 0.3, "d": 1,
         "n_grid": [64, 128], "replications": 40, "seed": 5,
+    },
+    "finite-weighted-generic": {
+        "kernel": {"expr": "x1 * x2 / (i1 + i2) + x1 * x2 / (i1 * i2)", "m": 2},
+        "distribution": _FINITE, "experiment": "deviation", "n_grid": [8, 16],
+        "replications": 500, "seed": 5,
     },
 }
 
