@@ -28,8 +28,11 @@ Six experiment families live here:
   incomplete-moment  E||U_inc||^q of Bernoulli-subsampled statistics of an
                      order-d degenerate kernel across an (n, p_n) grid.
 
-Every experiment takes an ExperimentConfig, and every degeneracy claim it
-rests on goes through one gate (_certify) at the config's budgets.
+Every experiment takes an ExperimentConfig, names what it needs of it
+from one table (_setup), and puts every degeneracy claim it rests on
+through one gate (_certify) at the config's budgets.  One function,
+_maximal_tail_report, builds the three maximal-tail reports (both
+deviation bounds and order-d) from a threshold exponent and the bound.
 
 Experiments draw through per-replication streams derived from the master
 seed: replication r reads its sample from the stream of (seed, *path, r).
@@ -303,10 +306,31 @@ def _check_holder_horizons(n_grid) -> None:
         )
 
 
-def _horizons(config: ExperimentConfig) -> tuple[int, ...]:
-    if not config.n_grid:
-        raise ConfigError("n_grid: at least one horizon N is required")
-    return config.n_grid
+# what an experiment may need of its config: the field a refusal names, a
+# test of (config, space, q), and what the experiment needs of the field
+_NEEDS = {
+    "horizons": ("n_grid", lambda c, s, q: c.n_grid, "at least one horizon N"),
+    "index-free": ("kernel", lambda c, s, q: not c.kernel.weighted, "an index-independent kernel"),
+    "symmetric": ("kernel", lambda c, s, q: c.kernel.symmetric, "a symmetric kernel"),
+    "scalar": ("space", lambda c, s, q: s.dimension == 1, "a scalar codomain"),
+    "q>=p": ("q", lambda c, s, q: q >= c.p, "q >= p, got q={q} < p={p}"),
+    "p<r": ("p", lambda c, s, q: 1 < c.p < s.smoothness, "1 < p < r, got p={p} with r={r}"),
+    "alpha": ("alpha", lambda c, s, q: c.alpha is not None, "alpha"),
+}
+
+
+def _setup(config: ExperimentConfig, kind: str, *needs: str):
+    """(kernel, law, space, p, q) of a config that meets every need (_NEEDS),
+    q defaulting to p; else a ConfigError for the first need it misses."""
+    space = kernel_space(config.kernel, config.space)
+    p = config.p
+    q = config.q if config.q is not None else p
+    for need in needs:
+        field, meets, what = _NEEDS[need]
+        if not meets(config, space, q):
+            what = what.format(p=p, q=q, r=space.smoothness)
+            raise ConfigError(f"{field}: the {kind} experiment needs {what}")
+    return config.kernel, config.dist, space, p, q
 
 
 def require_finite(report, shown: str = "the kernel") -> None:
@@ -418,18 +442,31 @@ def _ratio(lhs: float, rhs: float) -> float:
     return 0.0 if lhs == 0.0 else inf
 
 
-def _frequency_rows(maxima, t_grid, n_grid, threshold_fn, rhs_fn):
-    reps = maxima.shape[0]
+def _maximal_tail_report(config, kind, tag, space, exponent, bound, details):
+    """P(max_{m<=k<=N} ||U_k|| > t N^exponent) against bound(t_grid)(t, N).
+
+    The maxima come from the stream tag; the t-grid is config.t_grid, or
+    quantiles of the largest horizon's maxima over N^exponent.  Each
+    (N, t) row carries the frequency with its binomial standard error,
+    and details gains the replications and the t-grid.
+    """
+    n_grid, reps = config.n_grid, config.replications
+    maxima = _max_norm_matrix(config.kernel, config.dist, n_grid, reps, config.seed, space, tag)
+    t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
+        maxima[:, -1] / float(max(n_grid)) ** exponent, config.t_points)
+    rhs_of = bound(t_grid)
     rows = []
     for col, n in enumerate(n_grid):
         vals = maxima[:, col]
         for t in t_grid:
-            lhs = float(np.mean(vals > threshold_fn(t, n)))
-            se = sqrt(lhs * (1.0 - lhs) / reps)
-            rhs = float(rhs_fn(t, n))
-            rows.append({"t": float(t), "N": int(n), "lhs": lhs, "lhs_se": se,
+            lhs = float(np.mean(vals > t * float(n) ** exponent))
+            rhs = float(rhs_of(t, n))
+            rows.append({"t": float(t), "N": int(n), "lhs": lhs,
+                         "lhs_se": sqrt(lhs * (1.0 - lhs) / reps),
                          "rhs": rhs, "ratio": _ratio(lhs, rhs)})
-    return rows
+    return ratio_report(kind, rows, {
+        **details, "replications": reps, "t_grid": [float(t) for t in t_grid],
+    }, config.stability_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +488,15 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     N-power prefactors disappear and each group aggregates over the index
     tuples themselves.
     """
-    h = config.kernel
-    dist = config.dist
-    space = kernel_space(config.kernel, config.space)
-    n_grid = _horizons(config)
-    m = h.arity
-    p = config.p
-    q = config.q if config.q is not None else p
-
+    h, dist, space, p, q = _setup(config, "deviation", "horizons")
     if h.weighted:
-        return _deviation_weighted(config, h, dist, space, n_grid, p, q)
+        return _deviation_weighted(config, h, dist, space, p, q)
 
+    m = h.arity
     deg = _certify(config, space)
-    maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              config.seed, space, "deviation")
-    t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
-        maxima[:, -1], config.t_points)
-
-    norm_tail = conditional_moment_tail(
-        h, dist, tuple(range(m)), p,
-        outer=config.outer, inner=config.inner, seed=config.seed, space=space)
+    # the first group is the term of J = all m positions (Y_J = ||h||), summed first
     subset_tails = []
-    for j in range(1, m):
+    for j in (m, *range(1, m)):
         # a symmetric kernel's conditional law depends only on |J|, so one
         # subset stands for all C(m, j)
         subsets = [tuple(range(j))] if h.symmetric else itertools.combinations(range(m), j)
@@ -485,22 +509,19 @@ def deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     moment_p = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     def rhs(t: float, n: int) -> float:
-        total = float(n) ** m * tail_integral(norm_tail, t, q)
+        total = 0.0
         for mult, j, tail in subset_tails:
             total += mult * float(n) ** j * tail_integral(
                 tail, t / float(n) ** ((m - j) / p), q)
         total += t ** (-q) * float(n) ** (m * q / p) * moment_p ** (q / p)
         return total
 
-    rows = _frequency_rows(maxima, t_grid, n_grid, lambda t, n: t, rhs)
-    return ratio_report("deviation", rows, {
+    return _maximal_tail_report(config, "deviation", "deviation", space, 0, lambda _: rhs, {
         "mode": "same-kernel",
         "p": p,
         "q": q,
-        "replications": config.replications,
-        "t_grid": [float(t) for t in t_grid],
         "degeneracy_exact": deg.exact,
-    }, config.stability_factor)
+    })
 
 
 def _frozen_index_kernel(h: Kernel, index: tuple[int, ...]) -> Kernel:
@@ -638,9 +659,8 @@ def _tuple_moments_tiled(h, space, idx_cols, positions, outer_cols, inner_cols,
     return cond
 
 
-def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityReport:
-    m = h.arity
-    seed = config.seed
+def _deviation_weighted(config, h, dist, space, p, q) -> InequalityReport:
+    m, n_grid, seed = h.arity, config.n_grid, config.seed
     n_max = max(n_grid)
     total = comb(n_max, m)
     if total > _WEIGHTED_TUPLE_CAP:
@@ -673,85 +693,80 @@ def _deviation_weighted(config, h, dist, space, n_grid, p, q) -> InequalityRepor
     for kernel, shown in gates:
         _certify(config, space, kernel=kernel, shown=shown)
 
-    maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              seed, space, "deviation")
-    t_grid = config.t_grid if config.t_grid is not None else _auto_t_grid(
-        maxima[:, -1], config.t_points)
-    t_arr = np.asarray(t_grid, dtype=np.float64)
-    n_t = t_arr.size
+    def bound(t_grid):
+        t_arr = np.asarray(t_grid, dtype=np.float64)
+        n_t = t_arr.size
 
-    # first and third bound groups: per-tuple norm tails and p-th moments,
-    # prefix-summable over colex rank because Inc^m_N is a colex prefix.
-    # min(1, y/t)^q = (y/t)^q for y < t and 1 for y >= t.  On the tiled
-    # path a norm below min(t) gives y^q / t^q at every threshold, so each
-    # norm is raised to a power once and one gemv sums those; only the few
-    # norms at or above min(t) switch case between thresholds and are
-    # revisited per t (_tail_block).  On the factored branch y = |c(i)| g
-    # with g = ||f||, and y < t is g < t / |c(i)|, so one sort of g serves
-    # every tuple and threshold (_tuple_tails_factored).
-    if split is not None:
-        f, c, g = split
-        tuple_pm, contrib_one = _tuple_tails_factored(c, g, draw_w, t_arr, p, q)
-        c_p = c ** p
-    else:
-        tuple_pm, contrib_one = _tuple_tails_tiled(
-            h, space, idx_cols, value_table, draw_w, t_arr, p, q)
-    cum_one = np.cumsum(contrib_one, axis=0)
-    cum_pm = np.cumsum(tuple_pm)
+        # first and third bound groups: per-tuple norm tails and p-th moments,
+        # prefix-summable over colex rank because Inc^m_N is a colex prefix.
+        # min(1, y/t)^q = (y/t)^q for y < t and 1 for y >= t.  On the tiled
+        # path a norm below min(t) gives y^q / t^q at every threshold, so each
+        # norm is raised to a power once and one gemv sums those; only the few
+        # norms at or above min(t) switch case between thresholds and are
+        # revisited per t (_tail_block).  On the factored branch y = |c(i)| g
+        # with g = ||f||, and y < t is g < t / |c(i)|, so one sort of g serves
+        # every tuple and threshold (_tuple_tails_factored).
+        if split is not None:
+            f, c, g = split
+            tuple_pm, contrib_one = _tuple_tails_factored(c, g, draw_w, t_arr, p, q)
+            c_p = c ** p
+        else:
+            tuple_pm, contrib_one = _tuple_tails_tiled(
+                h, space, idx_cols, value_table, draw_w, t_arr, p, q)
+        cum_one = np.cumsum(contrib_one, axis=0)
+        cum_pm = np.cumsum(tuple_pm)
 
-    # middle groups: for each proper nonempty position subset J, the summed
-    # conditional moment over completions of each index restriction i_J.
-    # On the factored branch the conditional moment of tuple i at outer
-    # point o_a is |c(i)|^p F_J[a] with F_J[a] = sum_b w_b ||f(o_a, in_b)||^p,
-    # so a restriction's sum over its tuples i in Inc^m_N is C_r F_J[a]
-    # with C_r the sum of their |c(i)|^p: F_J is computed once per J, and
-    # no tuple meets a draw.
-    middle = np.zeros((len(n_grid), n_t))
-    for j_size in range(1, m):
-        for positions in itertools.combinations(range(m), j_size):
-            tag = sum(1 << k for k in positions)
-            outer_cols, outer_w = dist.nodes(
-                j_size, config.outer, seed, "deviation-weighted", 1, tag)
-            inner_cols, inner_w = dist.nodes(
-                m - j_size, config.inner, seed, "deviation-weighted", 2, tag)
-            if split is not None:
-                f_j = _nested_powered_norms(f, space, positions, outer_cols,
-                                            inner_cols[None], p) @ inner_w
-            else:
-                cond = _tuple_moments_tiled(h, space, idx_cols, positions,
-                                            outer_cols, inner_cols, inner_w, p)
-
-            key_mat = np.stack([idx_cols[k] for k in positions], axis=1)
-            for col_idx, n in enumerate(n_grid):
-                t_n = comb(n, m)
-                _, inv = np.unique(key_mat[:t_n], axis=0, return_inverse=True)
-                inv = np.asarray(inv).reshape(-1)
+        # middle groups: for each proper nonempty position subset J, the summed
+        # conditional moment over completions of each index restriction i_J.
+        # On the factored branch the conditional moment of tuple i at outer
+        # point o_a is |c(i)|^p F_J[a] with F_J[a] = sum_b w_b ||f(o_a, in_b)||^p,
+        # so a restriction's sum over its tuples i in Inc^m_N is C_r F_J[a]
+        # with C_r the sum of their |c(i)|^p: F_J is computed once per J, and
+        # no tuple meets a draw.
+        middle = np.zeros((len(n_grid), n_t))
+        for j_size in range(1, m):
+            for positions in itertools.combinations(range(m), j_size):
+                tag = sum(1 << k for k in positions)
+                outer_cols, outer_w = dist.nodes(
+                    j_size, config.outer, seed, "deviation-weighted", 1, tag)
+                inner_cols, inner_w = dist.nodes(
+                    m - j_size, config.inner, seed, "deviation-weighted", 2, tag)
                 if split is not None:
-                    grouped = np.bincount(inv, weights=c_p[:t_n])[:, None] * f_j
+                    f_j = _nested_powered_norms(f, space, positions, outer_cols,
+                                                inner_cols[None], p) @ inner_w
                 else:
-                    grouped = np.zeros((int(inv.max()) + 1, outer_cols.shape[0]))
-                    np.add.at(grouped, inv, cond[:t_n])
-                y_vals = grouped ** (1.0 / p)
-                for ti in range(n_t):
-                    u = np.minimum(1.0, y_vals / t_arr[ti])
-                    # one tail integral per restriction, summed over all of them
-                    middle[col_idx, ti] += float(((u ** q) @ outer_w).sum() / q)
+                    cond = _tuple_moments_tiled(h, space, idx_cols, positions,
+                                                outer_cols, inner_cols, inner_w, p)
 
-    def rhs(t: float, n: int) -> float:
-        t_n, ti = comb(n, m), t_grid.index(t)
-        return (cum_one[t_n - 1, ti] + middle[n_grid.index(n), ti]
-                + t ** (-q) * cum_pm[t_n - 1] ** (q / p))
+                key_mat = np.stack([idx_cols[k] for k in positions], axis=1)
+                for col_idx, n in enumerate(n_grid):
+                    t_n = comb(n, m)
+                    _, inv = np.unique(key_mat[:t_n], axis=0, return_inverse=True)
+                    inv = np.asarray(inv).reshape(-1)
+                    if split is not None:
+                        grouped = np.bincount(inv, weights=c_p[:t_n])[:, None] * f_j
+                    else:
+                        grouped = np.zeros((int(inv.max()) + 1, outer_cols.shape[0]))
+                        np.add.at(grouped, inv, cond[:t_n])
+                    y_vals = grouped ** (1.0 / p)
+                    for ti in range(n_t):
+                        u = np.minimum(1.0, y_vals / t_arr[ti])
+                        # one tail integral per restriction, summed over all of them
+                        middle[col_idx, ti] += float(((u ** q) @ outer_w).sum() / q)
 
-    rows = _frequency_rows(maxima, t_grid, n_grid, lambda t, n: t, rhs)
-    return ratio_report("deviation", rows, {
+        def rhs(t: float, n: int) -> float:
+            t_n, ti = comb(n, m), t_grid.index(t)
+            return (cum_one[t_n - 1, ti] + middle[n_grid.index(n), ti]
+                    + t ** (-q) * cum_pm[t_n - 1] ** (q / p))
+        return rhs
+
+    return _maximal_tail_report(config, "deviation", "deviation", space, 0, bound, {
         "mode": "index-weighted",
         "p": p,
         "q": q,
-        "replications": config.replications,
-        "t_grid": [float(t) for t in t_grid],
         "tuples": total,
         "exact_tails": support is not None,
-    }, config.stability_factor)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -793,28 +808,10 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
     The j = 0 group is N-free, which is what makes the bound a law of large
     numbers statement after dividing by the threshold scale.
     """
-    h = config.kernel
-    dist = config.dist
-    if h.weighted:
-        raise ConfigError("kernel: order-d deviation needs an index-independent kernel")
-    if not h.symmetric:
-        raise ConfigError("kernel: order-d deviation needs a symmetric kernel")
-    space = kernel_space(config.kernel, config.space)
-    n_grid = _horizons(config)
-    m = h.arity
-    p = config.p
-    q = config.q if config.q is not None else p
+    h, dist, space, p, q = _setup(
+        config, "order-d-deviation", "index-free", "symmetric", "horizons")
     deg = _certify(config, space, order=True)
-    d = config.d
-
-    lhs_expo = m - d + d / p
-    maxima = _max_norm_matrix(h, dist, n_grid, config.replications,
-                              config.seed, space, "order-d")
-    if config.t_grid is not None:
-        t_grid = config.t_grid
-    else:
-        t_grid = _auto_t_grid(maxima[:, -1] / float(max(n_grid)) ** lhs_expo,
-                              config.t_points)
+    m, d = h.arity, config.d
     hp = _hp_tail(h, dist, p, config.outer, config.inner, config.seed, space)
 
     def rhs(t: float, n: int) -> float:
@@ -824,18 +821,15 @@ def order_d_deviation_experiment(config: ExperimentConfig) -> InequalityReport:
             total += float(n) ** j * tail_integral(hp, t * float(n) ** shift, q)
         return total
 
-    rows = _frequency_rows(
-        maxima, t_grid, n_grid,
-        lambda t, n: t * float(n) ** lhs_expo, rhs)
-    return ratio_report("order-d-deviation", rows, {
-        "p": p,
-        "q": q,
-        "d": d,
-        "threshold_exponent": lhs_expo,
-        "replications": config.replications,
-        "t_grid": [float(t) for t in t_grid],
-        "degeneracy_exact": deg.exact,
-    }, config.stability_factor)
+    lhs_expo = m - d + d / p
+    return _maximal_tail_report(
+        config, "order-d-deviation", "order-d", space, lhs_expo, lambda _: rhs, {
+            "p": p,
+            "q": q,
+            "d": d,
+            "threshold_exponent": lhs_expo,
+            "degeneracy_exact": deg.exact,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -864,20 +858,8 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
     moments sum_J sum_{i_J} w(i_J)^(q/p) E[(E[||h||^p|xi_J])^(q/p)], and
     (C(N,m) E||h||^p)^(q/p).
     """
-    h = config.kernel
-    dist = config.dist
-    if h.weighted:
-        raise ConfigError(
-            "kernel: the moment experiment covers one shared kernel; "
-            "index-weighted summands are out of scope"
-        )
-    space = kernel_space(config.kernel, config.space)
-    n_grid = _horizons(config)
-    m = h.arity
-    p = config.p
-    q = config.q if config.q is not None else p
-    if q < p:
-        raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={p}")
+    h, dist, space, p, q = _setup(config, "moment", "index-free", "horizons", "q>=p")
+    n_grid, m = config.n_grid, h.arity
     deg = _certify(config, space)
 
     reps = config.moment_replications
@@ -885,10 +867,7 @@ def moment_experiment(config: ExperimentConfig) -> InequalityReport:
     moment_p = norm_moment(h, dist, p, seed=config.seed, space=space)
 
     if q == p:
-        mode = "q=p"
-
-        def rhs_for(n: int) -> float:
-            return float(n) ** m * moment_p
+        mode, rhs_for = "q=p", lambda n: float(n) ** m * moment_p
     else:
         mode = "q>p"
         moment_q = norm_moment(h, dist, q, seed=config.seed, space=space)
@@ -955,20 +934,8 @@ def lln_experiment(config: ExperimentConfig) -> InequalityReport:
     N^gamma P(sup_{n>=N} n^alpha ||U_n|| / C(n,m) > eps) is reported too;
     its flattening is a heuristic diagnostic, never pass/fail.
     """
-    h = config.kernel
-    dist = config.dist
-    if h.weighted:
-        raise ConfigError("kernel: the maximal-function bound needs an index-independent kernel")
-    space = kernel_space(config.kernel, config.space)
-    r = space.smoothness
-    p = config.p
-    if not 1.0 < p < r:
-        raise ConfigError(
-            f"p: the maximal-function bound needs 1 < p < r strictly; "
-            f"got p={p} with r={r}"
-        )
-    n_grid = _horizons(config)
-    m = h.arity
+    h, dist, space, p, _ = _setup(config, "lln", "index-free", "p<r", "horizons")
+    n_grid, m, r = config.n_grid, h.arity, space.smoothness
     deg = _certify(config, space)
 
     n_max = max(n_grid)
@@ -1061,19 +1028,10 @@ def holder_tightness_experiment(config: ExperimentConfig) -> InequalityReport:
     hits zero) and the 90% quantile stays within the stability factor across
     horizons.  fitted_constant is the full double sum (the J = 0 value).
     """
-    h = config.kernel
-    dist = config.dist
-    if h.weighted or not h.symmetric:
-        raise ConfigError(
-            "kernel: the tightness experiment needs a symmetric, index-independent kernel"
-        )
-    space = kernel_space(config.kernel, config.space)
-    if space.dimension != 1:
-        raise ConfigError("space: path statistics are built from scalar kernels")
-    if config.alpha is None:
-        raise ConfigError("alpha: required for Holder-norm experiments")
+    h, dist, space, _, _ = _setup(
+        config, "holder", "index-free", "symmetric", "scalar", "alpha", "horizons")
     params = HolderParams(config.alpha)
-    n_grid = _horizons(config)
+    n_grid = config.n_grid
     _check_holder_horizons(n_grid)
     _certify(config, space, order=True)
     d = config.d
@@ -1178,25 +1136,15 @@ def incomplete_moment_experiment(config: ExperimentConfig) -> InequalityReport:
     """
     if not config.grid:
         raise ConfigError("grid: (n, p_n) pairs are required for the incomplete-moment experiment")
-    h = config.kernel
-    if h.weighted or not h.symmetric:
-        raise ConfigError(
-            "kernel: the incomplete-moment experiment needs a symmetric, "
-            "index-independent kernel"
-        )
-    p = config.p
-    q = config.q if config.q is not None else p
-    if q < p:
-        raise ConfigError(f"q: the moment bound needs q >= p, got q={q} < p={p}")
-    space = kernel_space(h, config.space)
+    h, dist, space, p, q = _setup(
+        config, "incomplete-moment", "index-free", "symmetric", "q>=p")
     _certify(config, space, order=True)
     m, d = h.arity, config.d
     reps = config.moment_replications
 
     rows = []
     for idx, (n, rate) in enumerate(config.grid):
-        powered = bernoulli_moment_cell(h, config.dist, space.norm, q, n, rate,
-                                        config.seed, idx, reps)
+        powered = bernoulli_moment_cell(h, dist, space.norm, q, n, rate, config.seed, idx, reps)
         est, se = _mean_se(powered)
         shape = (
             n ** (q * (m - d) + d * q / p) * rate**q

@@ -49,11 +49,11 @@ from .kernels import (
 )
 from .spaces import json_float, json_int
 from .ustat import (
-    MAX_EVALUATION_TERMS,
     EvaluationBudgetError,
     UStatResult,
     _CHUNK,
     _as_value,
+    _capped,
     ranked_term_sum,
 )
 
@@ -345,18 +345,9 @@ def _rank_space(n: int, m: int) -> int:
     return total
 
 
-def _capped(count: int) -> int:
-    """count, refused when that many selected tuples exceed the summand cap."""
-    if count > MAX_EVALUATION_TERMS:
-        raise EvaluationBudgetError(
-            f"{count} selected tuples exceed the cap {MAX_EVALUATION_TERMS}"
-        )
-    return count
-
-
 def _bernoulli_count(rng: np.random.Generator, total: int, rate: float) -> int:
     """Number of tuples a Bernoulli(rate) design keeps out of total, capped."""
-    return _capped(int(rng.binomial(total, rate)) if total else 0)
+    return _capped(int(rng.binomial(total, rate)) if total else 0, "selected tuples")
 
 
 def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
@@ -375,7 +366,7 @@ def draw_design(design: SamplingDesign, n: int, m: int, seed) -> WeightSet:
         ranks, counts = np.unique(raw, return_counts=True)
         return WeightSet(n=n, m=m, ranks=ranks, weights=counts.astype(np.int64))
     if design.variant == "without_replacement":
-        count = _capped(design.draws)
+        count = _capped(design.draws, "selected tuples")
     else:
         count = _bernoulli_count(rng, total, design.rate)
     ranks = _distinct_ranks(rng, total, count)
@@ -396,7 +387,7 @@ def incomplete_ustat(h: Kernel, sample, weights: WeightSet) -> UStatResult:
         raise ValueError(
             f"weights address n={weights.n} points, sample has {len(sample)}"
         )
-    _capped(weights.size)
+    _capped(weights.size, "selected tuples")
     if weights.size == 0:
         return UStatResult(_as_value(h, h.codomain.zero()), weights.n, weights.m, 0, 0.0)
     total, weight_total = ranked_term_sum(h, sample, weights.n, weights.ranks, weights.weights)

@@ -582,23 +582,11 @@ class Kernel(namedtuple("Kernel", "arity body weighted symmetric codomain name f
 
 
 def evaluate(kernel: Kernel, values: Sequence[float], index: Sequence[int] | None = None):
-    """Evaluate one summand; index is the 0-based increasing tuple.
-
-    Index-weighted kernels see 1-based index values. Returns a float for a
-    one-dimensional codomain and a numpy vector otherwise.
-    """
-    if len(values) != kernel.arity:
-        raise ValueError(f"kernel has arity {kernel.arity}, got {len(values)} values")
-    xs = tuple(np.float64(v) for v in values)
-    idx = None
-    if kernel.weighted:
-        if index is None:
-            raise ValueError("index-weighted kernel requires the index tuple")
-        idx = tuple(np.float64(int(i) + 1) for i in index)
-    out = kernel.body(xs, idx)
-    if kernel.codomain.dimension == 1:
-        return float(out)
-    return np.asarray(out, dtype=np.float64)
+    """One summand, by evaluate_batch: an index-weighted kernel sees index,
+    the 0-based increasing tuple, 1-based.  A float for a one-dimensional
+    codomain and a numpy vector otherwise."""
+    out = evaluate_batch(kernel, values, index)
+    return float(out) if kernel.codomain.dimension == 1 else out
 
 
 def evaluate_batch(
@@ -731,15 +719,24 @@ _FUNCS = {"abs": (np.abs, 1), "sign": (np.sign, 1), "exp": (np.exp, 1),
           "min": (np.minimum, 2), "max": (np.maximum, 2)}
 
 
+# CPython's parser fails with a bare MemoryError past 6,000 nested rule frames;
+# on 3.11 a unary sign takes 1, a ^ 2 and a parenthesis 28 (a call's 24).
+_PARSER_FRAMES = 5800
+
+
 def _python_source(text: str) -> tuple[str, dict]:
     """text's tokens as Python source, and its numbers by their column there.
 
     Tokens are joined by one blank, ^ is written ** and each number _, so
     Python reads no number, blank or line break of text: not 01, not an
     integer of 4,301 digits, not a leading blank.  A "," before ")" is
-    refused here, since Python would take it for a trailing comma.
+    refused here, since Python would take it for a trailing comma.  Text
+    that nests past _PARSER_FRAMES raises RecursionError, as deeper
+    recursion later does; a binary operator or "," closes the unary signs
+    and ^ open at its parenthesis level.
     """
     parts, numbers, pos, col = [], {}, 0, 0
+    opened, frames = [], 0  # the parser frames at each open "(", and now
     while pos < len(text):
         match = _LEXEME.match(text, pos)
         if match is None:
@@ -747,8 +744,21 @@ def _python_source(text: str) -> tuple[str, dict]:
         token = match.group(match.lastgroup)
         if match.lastgroup == "num":
             numbers[col], token = token, "_"
-        elif token == ")" and parts[-1:] == [","]:
-            raise ValueError("expected an argument after ','")
+        elif token == "(":
+            opened.append(frames)
+            frames += 28
+        elif token == ")":
+            if parts[-1:] == [","]:
+                raise ValueError("expected an argument after ','")
+            frames = opened.pop() if opened else frames
+        elif token == "^":
+            frames += 2
+        elif token in "+-" and (not parts or parts[-1] in ("+", "-", "*", "/", "**", "(", ",")):
+            frames += 1  # a unary sign
+        elif token in "+-*/,":
+            frames = opened[-1] + 28 if opened else 0
+        if frames > _PARSER_FRAMES:
+            raise RecursionError("the expression overflows the parser's stack")
         parts.append("**" if token == "^" else token)
         col += len(parts[-1]) + 1
         pos = match.end()
@@ -782,7 +792,8 @@ def kernel_from_expression(text: str, m: int, symmetric: bool = False,
 
     Parsing, checking and compiling recurse on the expression tree, so
     text that nests too deeply for Python's recursion limit (a sum of
-    1,000 terms, 3,000 unary minus signs) is a ValueError too.
+    1,000 terms, 3,000 unary minus signs) or for its parser's stack
+    (30,000 minus signs, a chain of 3,000 ^) is a ValueError too.
     """
     if m < 1:
         raise ValueError("m must be at least 1")

@@ -88,7 +88,14 @@ _CHUNK = 1 << 20
 
 
 class EvaluationBudgetError(RuntimeError):
-    """Raised when a complete evaluation would exceed the summand cap."""
+    """Raised when an evaluation would exceed the summand cap."""
+
+
+def _capped(count: int, what: str) -> int:
+    """count, refused when that many summands (named by what) exceed the cap."""
+    if count > MAX_EVALUATION_TERMS:
+        raise EvaluationBudgetError(f"{count} {what} exceed the cap {MAX_EVALUATION_TERMS}")
+    return count
 
 
 class UStatResult(NamedTuple):
@@ -149,12 +156,7 @@ def complete_ustat(h: Kernel, sample, n: int | None = None) -> UStatResult:
     if n > len(sample):
         raise ValueError(f"n={n} exceeds sample length {len(sample)}")
     m = h.arity
-    total_terms = count_tuples(n, m)
-    if total_terms > MAX_EVALUATION_TERMS:
-        raise EvaluationBudgetError(
-            f"C({n}, {m}) = {total_terms} summands exceed the cap "
-            f"{MAX_EVALUATION_TERMS}; use an incomplete design instead"
-        )
+    total_terms = _capped(count_tuples(n, m), f"summands of C({n}, {m})")
     if total_terms == 0:
         return UStatResult(_as_value(h, h.codomain.zero()), n, m, 0, 0.0)
     total, weight_total = ranked_term_sum(h, sample, n)
@@ -184,11 +186,7 @@ def prefix_values(h: Kernel, sample, N: int | None = None) -> np.ndarray:
     if N > block.shape[1]:
         raise ValueError(f"N={N} exceeds sample length {block.shape[1]}")
     m = h.arity
-    if count_tuples(N, m) > MAX_EVALUATION_TERMS:
-        raise EvaluationBudgetError(
-            f"C({N}, {m}) = {count_tuples(N, m)} summands exceed the cap "
-            f"{MAX_EVALUATION_TERMS}"
-        )
+    _capped(count_tuples(N, m), f"summands of C({N}, {m})")
     out = None
     if h.factors is not None and m > 1:
         out = _separable_prefix(h.factors, block[:, :N])

@@ -335,9 +335,14 @@ def test_weighted_deviation_on_a_one_atom_law_passes(tmp_path, capsys):
 @pytest.mark.parametrize("command, expr", [
     ("decompose", " + ".join(["x1"] * 1000)),
     ("compute", "-" * 3000 + "x1"),
-], ids=["sum-of-1000-terms", "3000-unary-minus"])
+    ("compute", "-" * 30000 + "x1"),
+    ("compute", "+" * 30000 + "x1"),
+    ("compute", "x1" + "^x1" * 3000),
+], ids=["sum-of-1000-terms", "3000-unary-minus", "30000-unary-minus", "30000-unary-plus",
+        "3000-link-power-chain"])
 def test_too_deeply_nested_expression_exits_2(tmp_path, capsys, command, expr):
-    # both once exited 3 with a RecursionError
+    # the first two once exited 3 with a RecursionError, the last three with
+    # a bare MemoryError from the parser's stack
     cfg = write_config(tmp_path, "c.json", {
         "kernel": {"expr": expr, "m": 2},
         "distribution": {"family": "rademacher"},
@@ -346,6 +351,21 @@ def test_too_deeply_nested_expression_exits_2(tmp_path, capsys, command, expr):
     code, out, err = run([command, "--config", cfg], capsys)
     assert (code, out) == (2, "")
     assert err == "config error: kernel: expression nests too deeply to compile\n"
+
+
+@pytest.mark.parametrize("expr, value", [
+    (" + ".join(["x1"] * 700), 700.0 * (1 + 1 - 1)),
+    ("-(" * 190 + "x1" + ")" * 190, 1 + 1 - 1),
+], ids=["sum-of-700-terms", "190-nested-minus-parentheses"])
+def test_deep_but_compilable_expression_computes(tmp_path, capsys, expr, value):
+    cfg = write_config(tmp_path, "c.json", {
+        "kernel": {"expr": expr, "m": 2},
+        "distribution": {"family": "rademacher"},
+        "data": [1, -1, 2],
+    })
+    code, out, err = run(["compute", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == value
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -242,6 +242,63 @@ def test_holder_requires_alpha_and_symmetric():
         run_experiment(cfg2)
 
 
+# the needs each experiment lists for harness._setup
+EXPERIMENT_NEEDS = {
+    "deviation": ("horizons",),
+    "order-d-deviation": ("index-free", "symmetric", "horizons"),
+    "moment": ("index-free", "horizons", "q>=p"),
+    "lln": ("index-free", "p<r", "horizons"),
+    "holder": ("index-free", "symmetric", "scalar", "alpha", "horizons"),
+    "incomplete-moment": ("index-free", "symmetric", "q>=p"),
+}
+
+
+def _meets_every_need():
+    return make(n_grid=[4, 8], alpha=0.3, d=2, grid=[[8, 0.5]],
+                replications=10, moment_replications=10)
+
+
+# need -> (the field its refusal names, a config that misses only that need)
+MISSED = {
+    "horizons": ("n_grid", lambda cfg: cfg._replace(n_grid=())),
+    "index-free": ("kernel", lambda cfg: cfg._replace(
+        kernel=kernel_from_expression("x1 * x2 / (i1 + i2)", 2, symmetric=True))),
+    "symmetric": ("kernel", lambda cfg: cfg._replace(
+        kernel=cfg.kernel._replace(symmetric=False))),
+    "scalar": ("space", lambda cfg: cfg._replace(
+        kernel=cfg.kernel._replace(codomain=BanachSpaceDescriptor(2), factors=None))),
+    "q>=p": ("q", lambda cfg: cfg._replace(q=1.0)),
+    "p<r": ("p", lambda cfg: cfg._replace(p=2.0)),
+    "alpha": ("alpha", lambda cfg: cfg._replace(alpha=None)),
+}
+
+
+class _PastSetup(Exception):
+    pass
+
+
+@pytest.mark.parametrize("need", sorted(MISSED))
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_NEEDS))
+def test_experiment_refuses_exactly_the_needs_it_lists(monkeypatch, name, need):
+    from ustatkit import harness
+    setup = harness._setup
+
+    def setup_then_stop(*args):
+        setup(*args)
+        raise _PastSetup
+
+    monkeypatch.setattr(harness, "_setup", setup_then_stop)
+    field, miss = MISSED[need]
+    cfg = miss(_meets_every_need())
+    if need in EXPERIMENT_NEEDS[name]:
+        with pytest.raises(ConfigError, match=f"^{field}: the {name} experiment needs"):
+            EXPERIMENTS[name](cfg)
+    else:
+        # e.g. deviation takes an index-weighted kernel, lln a non-symmetric one
+        with pytest.raises(_PastSetup):
+            EXPERIMENTS[name](cfg)
+
+
 def test_incomplete_requires_grid_and_d():
     cfg = make(experiment="incomplete-moment", p=2.0, q=2.0, d=2,
                moment_replications=10)

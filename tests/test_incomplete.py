@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ustatkit import incomplete
+from ustatkit import incomplete, ustat
 from ustatkit.combinatorics import count_tuples, rank_tuple
 from ustatkit.harness import ExperimentConfig, run_experiment
 from ustatkit.incomplete import (
@@ -217,7 +217,7 @@ def test_over_cap_design_refused_before_ranks_are_drawn(monkeypatch, design):
     def never(*args):
         raise AssertionError("ranks drawn for an over-cap design")
 
-    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    monkeypatch.setattr(ustat, "MAX_EVALUATION_TERMS", 10)
     monkeypatch.setattr(incomplete, "_distinct_ranks", never)
     # C(12, 2) = 66 tuples: at p_n = 1/2 the Binomial count is above 10
     with pytest.raises(EvaluationBudgetError, match="exceed the cap 10"):
@@ -228,7 +228,7 @@ def test_over_cap_cell_refused_before_ranks_are_drawn(monkeypatch):
     def never(*args):
         raise AssertionError("ranks drawn for an over-cap design")
 
-    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    monkeypatch.setattr(ustat, "MAX_EVALUATION_TERMS", 10)
     monkeypatch.setattr(incomplete, "_distinct_ranks", never)
     monkeypatch.setattr(incomplete, "_row_words", never)
     h = builtin_kernel("product", 2)
@@ -239,7 +239,7 @@ def test_over_cap_cell_refused_before_ranks_are_drawn(monkeypatch):
 
 def test_with_replacement_capped_on_distinct_count(monkeypatch):
     # 30 draws over C(3, 2) = 3 tuples merge to at most 3 distinct ones
-    monkeypatch.setattr(incomplete, "MAX_EVALUATION_TERMS", 10)
+    monkeypatch.setattr(ustat, "MAX_EVALUATION_TERMS", 10)
     ws = draw_design(SamplingDesign.with_replacement(30), 3, 2, seed=5)
     assert ws.size <= 3 and ws.total_weight == 30
     result = incomplete_ustat(builtin_kernel("product", 2), np.ones(3), ws)
